@@ -3,12 +3,11 @@
 Networks are plain weight/bias lists with tanh hidden layers and a linear
 output layer.  The second-order trainer is a damped Gauss-Newton
 (Levenberg-Marquardt) loop that solves either the primal (P x P) or dual
-(B x B) normal equations, whichever is smaller.  First-order trainers are
-full-batch steepest descent and Adam.
+(B x B) normal equations, whichever is smaller.  The first-order trainer
+is full-batch steepest descent.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,6 @@ from scipy.linalg import cho_factor, cho_solve
 MU_INIT = 1e-3
 MU_INC = 10.0
 MU_DEC = 0.1
-MU_MAX = 1e8       # stop-criterion threshold on the damping factor
 MU_CEILING = 1e9   # hard clamp so rejected iterations cannot grow mu forever
 MU_FLOOR = 1e-20
 
@@ -230,10 +228,7 @@ def output_jacobian(net: Mlp, x) -> np.ndarray:
         for l in range(net.n_layers):
             w_size = net.weights[l].size
             block = np.einsum("bi,bj->bij", acts[l], deltas[l])
-            if n_out == 1:
-                jac[:, col : col + w_size] = block.reshape(b_sz, w_size)
-            else:
-                jac[k::n_out, col : col + w_size] = block.reshape(b_sz, w_size)
+            jac[k::n_out, col : col + w_size] = block.reshape(b_sz, w_size)
             col += w_size
             jac[k::n_out, col : col + deltas[l].shape[1]] = deltas[l]
             col += deltas[l].shape[1]
@@ -242,24 +237,24 @@ def output_jacobian(net: Mlp, x) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # optimizers
-
-
-class SolveFailure(Exception):
-    """Normal-equation factorization failed even at the damping ceiling."""
+#
+# An optimizer's step(net, x, t) returns (net', train_mse, mu, accepted),
+# where mu is the damping factor after the step (0.0 for first-order steps).
 
 
 @dataclass
 class LmState:
+    """Levenberg-Marquardt optimizer: the damping factor of one training run."""
+
     mu: float = MU_INIT
-    mu_inc: float = MU_INC
-    mu_dec: float = MU_DEC
-    mu_max: float = MU_MAX
-    consecutive_mu_max: int = 0
-    consecutive_val_fail: int = 0
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ValueError("mu must be positive")
+
+    def step(self, net, x, t):
+        net, _, new_mse, accepted = lm_step(net, x, t, self)
+        return net, new_mse, self.mu, accepted
 
 
 def _lm_delta(jac, r, gram, mu, dual):
@@ -278,7 +273,8 @@ def lm_step(net: Mlp, x, t, state: LmState):
     output Jacobian, taking the dual (B x B) form when the batch is smaller
     than the parameter vector.  The step is accepted only if the batch MSE
     strictly decreases; otherwise mu is raised and the solve retried with
-    the same Jacobian.  Returns (net', state', mse', accepted).
+    the same Jacobian, so a step is rejected only with mu at MU_CEILING.
+    Returns (net', state', mse', accepted).
     """
     t = np.atleast_2d(np.asarray(t, dtype=np.float64))
     x = _as_batch(x, net.layer_sizes[0])
@@ -290,7 +286,6 @@ def lm_step(net: Mlp, x, t, state: LmState):
     dual = n_rows < n_params
     gram = jac @ jac.T if dual else jac.T @ jac
     theta = pack_parameters(net)
-    ceiling = state.mu_max * state.mu_inc
     while True:
         try:
             delta = _lm_delta(jac, r, gram, state.mu, dual)
@@ -300,20 +295,11 @@ def lm_step(net: Mlp, x, t, state: LmState):
             cand = unpack_parameters(net, theta + delta)
             mse1 = mse(cand, x, t)
             if np.isfinite(mse1) and mse1 < mse0:
-                state.mu = max(state.mu * state.mu_dec, MU_FLOOR)
-                state.consecutive_mu_max = 0
+                state.mu = max(state.mu * MU_DEC, MU_FLOOR)
                 return cand, state, mse1, True
-        if state.mu >= ceiling:
-            state.consecutive_mu_max += 1
+        if state.mu >= MU_CEILING:
             return net, state, mse0, False
-        state.mu = min(state.mu * state.mu_inc, ceiling)
-
-
-@dataclass
-class AdamState:
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    t: int = 0
+        state.mu = min(state.mu * MU_INC, MU_CEILING)
 
 
 def sd_step(net: Mlp, x, t, lr: float) -> Mlp:
@@ -326,76 +312,13 @@ def sd_step(net: Mlp, x, t, lr: float) -> Mlp:
     return unpack_parameters(net, theta)
 
 
-def adam_step(net: Mlp, x, t, state: AdamState, lr: float,
-              beta1=0.9, beta2=0.999, eps=1e-8) -> Mlp:
-    """Adam with standard bias-corrected first/second moments."""
-    g = gradient(net, x, t)
-    if state.m is None:
-        state.m = np.zeros_like(g)
-        state.v = np.zeros_like(g)
-    state.t += 1
-    state.m = beta1 * state.m + (1 - beta1) * g
-    state.v = beta2 * state.v + (1 - beta2) * g**2
-    m_hat = state.m / (1 - beta1**state.t)
-    v_hat = state.v / (1 - beta2**state.t)
-    if lr == 0.0:
-        return net.copy()
-    theta = pack_parameters(net) - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return unpack_parameters(net, theta)
-
-
-class LmOptimizer:
-    """Second-order trainer state wrapper."""
-
-    kind = "lm"
-
-    def __init__(self, state: LmState | None = None):
-        self.state = state or LmState()
-
-    def step(self, net, x, t):
-        net, self.state, new_mse, _ = lm_step(net, x, t, self.state)
-        return net, new_mse
-
-    @property
-    def mu(self):
-        return self.state.mu
-
-    @property
-    def at_ceiling_count(self):
-        return self.state.consecutive_mu_max
-
-
+@dataclass
 class SdOptimizer:
-    kind = "sd"
-
-    def __init__(self, lr=0.01):
-        self.lr = lr
+    lr: float = 0.01
 
     def step(self, net, x, t):
         net = sd_step(net, x, t, self.lr)
-        return net, mse(net, x, t)
-
-    mu = None
-    at_ceiling_count = 0
-
-
-class AdamOptimizer:
-    kind = "adam"
-
-    def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.state = AdamState()
-
-    def step(self, net, x, t):
-        net = adam_step(net, x, t, self.state, self.lr,
-                        self.beta1, self.beta2, self.eps)
-        return net, mse(net, x, t)
-
-    mu = None
-    at_ceiling_count = 0
+        return net, mse(net, x, t), 0.0, True
 
 
 @dataclass
@@ -416,7 +339,6 @@ class StopCriteria:
 class TrainRun:
     """Per-iteration trace of one training run."""
 
-    optimizer: str
     stop: StopCriteria
     train_mse: list[float] = field(default_factory=list)
     val_mse: list[float] = field(default_factory=list)
@@ -434,24 +356,26 @@ def train(net: Mlp, train_xy, val_xy, optimizer, stop: StopCriteria):
     """Iterate the optimizer until a stopping criterion fires.
 
     Criteria: train MSE at or below mse_goal, validation MSE not improving
-    for val_patience consecutive iterations, damping stuck above its ceiling
-    for mu_patience consecutive iterations (second-order only), or max_iters.
-    Returns the weight snapshot with the best validation MSE seen, including
-    the untrained starting point.
+    for val_patience consecutive iterations, mu_patience consecutive
+    rejected steps (the damping stuck at its ceiling; second-order only),
+    or max_iters.  Returns the weight snapshot with the best validation MSE
+    seen, including the untrained starting point.
     """
     x_tr, t_tr = train_xy
     x_va, t_va = val_xy
-    run = TrainRun(optimizer=optimizer.kind, stop=stop)
+    run = TrainRun(stop=stop)
     best_net = net.copy()
     best_val = mse(net, x_va, t_va)
     run.best_val_mse = best_val
     val_fail = 0
+    rejected = 0
     for it in range(1, stop.max_iters + 1):
-        net, train_mse_now = optimizer.step(net, x_tr, t_tr)
+        net, train_mse_now, mu, accepted = optimizer.step(net, x_tr, t_tr)
+        rejected = 0 if accepted else rejected + 1
         val_now = mse(net, x_va, t_va)
         run.train_mse.append(train_mse_now)
         run.val_mse.append(val_now)
-        run.mu.append(optimizer.mu if optimizer.mu is not None else 0.0)
+        run.mu.append(mu)
         if val_now < best_val:
             best_val = val_now
             best_net = net.copy()
@@ -466,7 +390,7 @@ def train(net: Mlp, train_xy, val_xy, optimizer, stop: StopCriteria):
         if val_fail >= stop.val_patience:
             run.stop_reason = "val_patience"
             break
-        if optimizer.at_ceiling_count >= stop.mu_patience:
+        if rejected >= stop.mu_patience:
             run.stop_reason = "mu_ceiling"
             break
     else:

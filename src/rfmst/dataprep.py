@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 DEFAULT_TAU = 0.05
-SEGMENT_LENGTHS = (32, 64, 128, 256, 512, 1024, 2048)
 ALLOWED_TRAIN_FRACTIONS = (0.9, 0.5, 0.1, 0.01)
 
 
@@ -38,28 +37,15 @@ class Segment:
     tx_label: int = 0
 
 
-@dataclass
-class FeatureVector:
-    v: np.ndarray
-    label: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.v)
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float
     seed: int
-    stratified: bool = True
 
     def __post_init__(self):
         if self.train_fraction not in ALLOWED_TRAIN_FRACTIONS:
             raise ValueError(
                 f"train_fraction must be one of {ALLOWED_TRAIN_FRACTIONS}")
-        if not self.stratified:
-            raise ValueError("splits are always stratified")
 
 
 def detect_onset(f: np.ndarray, tau: float = DEFAULT_TAU) -> int:
@@ -90,18 +76,6 @@ def segment(f: np.ndarray, onset_index: int, n: int, source: str = "",
                    tx_label=tx_label)
 
 
-def vectorize_time(seg: Segment, mode: str = "concat_reim") -> FeatureVector:
-    """concat_reim: (Re g_1..Re g_N, Im g_1..Im g_N), length 2N.
-    magnitude: |g_i|, length N."""
-    if mode == "concat_reim":
-        v = np.concatenate([seg.g.real, seg.g.imag])
-    elif mode == "magnitude":
-        v = np.abs(seg.g)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return FeatureVector(v=v.astype(np.float64), label=seg.tx_label)
-
-
 @dataclass(frozen=True)
 class NormStats:
     max_abs: float
@@ -126,7 +100,10 @@ def normalize_corpus(matrix: np.ndarray, stats: NormStats | None = None):
 
 
 def stratified_indices(labels: np.ndarray, train_fraction: float, seed: int):
-    """Seeded per-class index split; train counts are round(fraction * n)."""
+    """Seeded per-class index split; train counts are round(fraction * n).
+
+    Raises ValueError when a class would get no training rows.
+    """
     labels = np.asarray(labels)
     rng = np.random.default_rng(np.random.SeedSequence([0x59717, seed]))
     train_idx, test_idx = [], []
@@ -134,6 +111,10 @@ def stratified_indices(labels: np.ndarray, train_fraction: float, seed: int):
         idx = np.nonzero(labels == lab)[0]
         perm = rng.permutation(idx)
         k = int(round(train_fraction * len(idx)))
+        if k == 0:
+            raise ValueError(
+                f"a {train_fraction} split of class {lab}'s {len(idx)} rows "
+                "leaves no training rows")
         train_idx.append(perm[:k])
         test_idx.append(perm[k:])
     return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
@@ -162,11 +143,19 @@ def packets_to_segments(packets, n: int, tau: float = DEFAULT_TAU):
 
 
 def feature_matrix(segments, mode: str = "concat_reim"):
-    """Stack vectorized segments into (n_packets, dim) + labels."""
-    vecs = [vectorize_time(s, mode) for s in segments]
-    x = np.stack([v.v for v in vecs])
-    y = np.array([v.label for v in vecs])
-    return x, y
+    """Stack segments into (n_packets, dim) features + labels.
+
+    concat_reim: (Re g_1..Re g_N, Im g_1..Im g_N), length 2N.
+    magnitude: |g_i|, length N.
+    """
+    g = np.stack([s.g for s in segments])
+    if mode == "concat_reim":
+        x = np.concatenate([g.real, g.imag], axis=1)
+    elif mode == "magnitude":
+        x = np.abs(g)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return x.astype(np.float64), np.array([s.tx_label for s in segments])
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,15 @@ flattened output has exactly `output_dim` entries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .wavelet import ShapeMismatch
+
 
 class EmptyPatchSet(ValueError):
-    pass
-
-
-class ShapeMismatch(ValueError):
     pass
 
 
@@ -146,7 +144,6 @@ def default_frontend_config(scalogram_shape, output_dim: int = 256,
             for w2 in range(1, first + 1):
                 out = first // w2
                 covered = w1 * w2 * out
-                key = (out, w1, w2)
                 opts.setdefault(out, []).append((covered, -w1 - w2, w1, w2))
         return opts
 

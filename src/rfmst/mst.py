@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ann import (
-    LmOptimizer,
+    LmState,
     Mlp,
     SdOptimizer,
     StopCriteria,
@@ -117,11 +117,6 @@ class MlpPlan:
     targets: np.ndarray           # regression target per row
 
 
-@dataclass
-class BatchPlan:
-    stage_plans: list[list[MlpPlan]]
-
-
 def stage_targets(cfg: StageConfig, all_labels: np.ndarray,
                   known_labels: np.ndarray) -> list[int | None]:
     """Per-MLP target class for one stage (None = class-index)."""
@@ -135,8 +130,8 @@ def stage_targets(cfg: StageConfig, all_labels: np.ndarray,
 
 
 def plan_batches(labels: np.ndarray, configs, seed: int,
-                 known_labels=None) -> BatchPlan:
-    """Assign batches and targets to every MLP.
+                 known_labels=None) -> list[list[MlpPlan]]:
+    """Assign batches and targets to every MLP, one list of plans per stage.
 
     Balanced stages take all positives of the target class plus an equal
     count of seeded random negatives, drawn from the known-class pool only;
@@ -170,20 +165,17 @@ def plan_batches(labels: np.ndarray, configs, seed: int,
                 tgt = np.concatenate([np.ones(pos.size), np.zeros(neg.size)])
             else:
                 idx = np.arange(len(labels))
-                if t is None:
-                    tgt = labels.astype(np.float64)
-                else:
-                    tgt = (labels == t).astype(np.float64)
+                tgt = _mlp_targets(t, labels)
             plans.append(MlpPlan(target_class=t, indices=idx, targets=tgt))
         stage_plans.append(plans)
-    return BatchPlan(stage_plans=stage_plans)
+    return stage_plans
 
 
-def _mlp_targets(plan: MlpPlan, labels: np.ndarray) -> np.ndarray:
-    """Targets of this MLP's rule evaluated on an arbitrary labeled set."""
-    if plan.target_class is None:
+def _mlp_targets(target_class: int | None, labels: np.ndarray) -> np.ndarray:
+    """Targets of one MLP's rule evaluated on an arbitrary labeled set."""
+    if target_class is None:
         return labels.astype(np.float64)
-    return (labels == plan.target_class).astype(np.float64)
+    return (labels == target_class).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +214,7 @@ def _stage_outputs(mlps, x) -> np.ndarray:
 
 
 def _make_optimizer(order: int, sd_lr: float):
-    return LmOptimizer() if order == 2 else SdOptimizer(lr=sd_lr)
+    return LmState() if order == 2 else SdOptimizer(lr=sd_lr)
 
 
 def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
@@ -234,7 +226,7 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
     full training and validation sets.  known_labels restricts the classes
     whose data feeds stage 1 (incremental learning); later stages always
     see every class.  iter_cap optionally lowers each stage's iteration
-    budget for reduced-scale runs.
+    budget for reduced-scale runs.  Training labels must be exactly 1..n.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 (gradient) or 2 (damped Gauss-Newton)")
@@ -243,7 +235,10 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
     train_y = np.asarray(train_y)
     val_y = np.asarray(val_y)
     classes = np.unique(train_y)
-    n_labels = int(classes.max())
+    n_labels = len(classes)
+    if not np.array_equal(classes, np.arange(1, n_labels + 1)):
+        raise ValueError("training labels must be exactly 1..n, got "
+                         f"{classes.tolist()}")
     plan = plan_batches(train_y, configs, seed, known_labels)
     val_patience = 10 if order == 2 else 20
     cur_tr, cur_va = train_x, val_x
@@ -254,13 +249,13 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
         stop = StopCriteria(max_iters=max_iters, mse_goal=cfg.mse_goal,
                             val_patience=val_patience)
         mlps, runs = [], []
-        for i, mlp_plan in enumerate(plan.stage_plans[s]):
+        for i, mlp_plan in enumerate(plan[s]):
             net = init_mlp(
                 cfg.layer_sizes(cur_tr.shape[1]),
                 seed=np.random.SeedSequence([0x3117, seed, s, i]))
             xb = cur_tr[mlp_plan.indices]
             tb = mlp_plan.targets[:, None]
-            tv = _mlp_targets(mlp_plan, val_y)[:, None]
+            tv = _mlp_targets(mlp_plan.target_class, val_y)[:, None]
             net, run = train(net, (xb, tb), (cur_va, tv),
                              _make_optimizer(order, sd_lr), stop)
             mlps.append(net)
@@ -332,8 +327,12 @@ class ConfusionMatrix:
 
 
 def confusion_from_predictions(y_true, y_pred, n_labels: int) -> ConfusionMatrix:
+    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
+    for which, y in (("true", y_true), ("predicted", y_pred)):
+        if y.size and (y.min() < 1 or y.max() > n_labels):
+            raise ValueError(f"{which} labels must lie in 1..{n_labels}")
     counts = np.zeros((n_labels, n_labels), dtype=int)
-    for t, p in zip(np.asarray(y_true), np.asarray(y_pred)):
+    for t, p in zip(y_true, y_pred):
         counts[t - 1, p - 1] += 1
     return ConfusionMatrix(counts=counts)
 
@@ -390,7 +389,11 @@ def load_model(in_dir) -> MstModel:
             theta = np.fromfile(src / entry["file"], dtype="<f8")
             mlps.append(unpack_parameters(init_mlp(sizes, seed=0), theta))
         stages.append(mlps)
-    return MstModel(configs=configs, stages=stages,
-                    n_labels=manifest["n_labels"], order=manifest["order"],
-                    seed=manifest["seed"],
-                    known_labels=tuple(manifest["known_labels"]))
+    model = MstModel(configs=configs, stages=stages,
+                     n_labels=manifest["n_labels"], order=manifest["order"],
+                     seed=manifest["seed"],
+                     known_labels=tuple(manifest["known_labels"]))
+    if model.config_hash() != manifest["config_hash"]:
+        raise ValueError(f"{src / 'manifest.json'}: configuration does not "
+                         "match its config_hash")
+    return model

@@ -130,7 +130,7 @@ CHANNELS = ("magnitude", "cos_phase", "real", "imag")
 
 
 class ShapeMismatch(ValueError):
-    pass
+    """Array shapes that do not fit together."""
 
 
 @dataclass

@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfmst.ann import (
-    AdamOptimizer,
-    LmOptimizer,
+    MU_CEILING,
     LmState,
     Mlp,
     SdOptimizer,
     StopCriteria,
-    adam_step,
-    AdamState,
     complexity_ratios,
     count_hidden_parameters,
     count_parameters,
@@ -272,12 +269,11 @@ def test_lm_mu_ceiling_patience_signals_stop():
     net.biases[0][:] = 0.0
     x = np.array([[0.0], [0.0]])
     t = np.array([[1.0], [-1.0]])
-    opt = LmOptimizer()
     stop = StopCriteria(max_iters=100, mse_goal=1e-300, mu_patience=10,
                         val_patience=10_000)
-    _, run = train(net, (x, t), (x, t), opt, stop)
+    _, run = train(net, (x, t), (x, t), LmState(), stop)
     assert run.stop_reason == "mu_ceiling"
-    assert opt.state.consecutive_mu_max == 10
+    assert run.mu == [MU_CEILING] * 10
     assert run.iterations == 10
 
 
@@ -345,20 +341,6 @@ def test_zero_learning_rate_is_identity():
     t = np.ones((4, 1))
     theta0 = pack_parameters(net)
     np.testing.assert_array_equal(pack_parameters(sd_step(net, x, t, 0.0)), theta0)
-    np.testing.assert_array_equal(
-        pack_parameters(adam_step(net, x, t, AdamState(), 0.0)), theta0)
-
-
-def test_adam_reduces_mse():
-    rng = np.random.default_rng(18)
-    x = rng.normal(size=(60, 3))
-    t = np.tanh(x @ np.array([[1.0], [-0.5], [0.25]]))
-    net = init_mlp((3, 8, 1), seed=19)
-    opt = AdamOptimizer(lr=0.02)
-    start = mse(net, x, t)
-    for _ in range(200):
-        net, now = opt.step(net, x, t)
-    assert now < 0.1 * start
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +359,7 @@ def _toy_problem(seed=0):
 def test_train_stops_immediately_on_huge_mse_goal():
     tr, va = _toy_problem()
     net = init_mlp((1, 4, 1), seed=1)
-    _, run = train(net, tr, va, LmOptimizer(), StopCriteria(100, 1e9))
+    _, run = train(net, tr, va, LmState(), StopCriteria(100, 1e9))
     assert run.iterations == 1
     assert run.stop_reason == "mse_goal"
 
@@ -398,7 +380,7 @@ def test_train_returns_best_validation_snapshot():
     tr, va = _toy_problem(3)
     net = init_mlp((1, 6, 1), seed=4)
     stop = StopCriteria(max_iters=40, mse_goal=1e-14, val_patience=40)
-    best, run = train(net, tr, va, LmOptimizer(), stop)
+    best, run = train(net, tr, va, LmState(), stop)
     assert mse(best, *va) == pytest.approx(run.best_val_mse)
     assert run.best_val_mse <= min(run.val_mse)
 
@@ -408,7 +390,7 @@ def test_train_trace_is_deterministic():
     runs = []
     for _ in range(2):
         net = init_mlp((1, 5, 1), seed=6)
-        _, run = train(net, tr, va, LmOptimizer(),
+        _, run = train(net, tr, va, LmState(),
                        StopCriteria(30, 1e-12, val_patience=30))
         runs.append((tuple(run.train_mse), tuple(run.val_mse), tuple(run.mu)))
     assert runs[0] == runs[1]

@@ -18,7 +18,6 @@ from rfmst.dataprep import (
     segment,
     split,
     stratified_indices,
-    vectorize_time,
 )
 
 
@@ -85,26 +84,31 @@ def _seg(values, label=1):
     return Segment(g=g, n=len(g), onset_index=1, tx_label=label)
 
 
+def _vec(values, mode):
+    """Feature row of one segment."""
+    x, _ = feature_matrix([_seg(values)], mode)
+    return x[0]
+
+
 def test_vectorize_concat_dim_is_2n():
-    seg = _seg(np.ones(32))
-    assert vectorize_time(seg, "concat_reim").dim == 64
+    assert _vec(np.ones(32), "concat_reim").size == 64
 
 
 def test_vectorize_concat_ordering():
-    v = vectorize_time(_seg([1 + 2j]), "concat_reim").v
+    v = _vec([1 + 2j], "concat_reim")
     np.testing.assert_array_equal(v, [1.0, 2.0])
-    v2 = vectorize_time(_seg([1 + 2j, 3 - 4j]), "concat_reim").v
+    v2 = _vec([1 + 2j, 3 - 4j], "concat_reim")
     np.testing.assert_array_equal(v2, [1.0, 3.0, 2.0, -4.0])
 
 
 def test_vectorize_magnitude():
-    v = vectorize_time(_seg([3 + 4j]), "magnitude").v
+    v = _vec([3 + 4j], "magnitude")
     np.testing.assert_array_equal(v, [5.0])
 
 
 def test_vectorize_injective_for_fixed_mode():
-    a = vectorize_time(_seg([1 + 2j, 0 + 1j]), "concat_reim").v
-    b = vectorize_time(_seg([1 + 1j, 2 + 0j]), "concat_reim").v
+    a = _vec([1 + 2j, 0 + 1j], "concat_reim")
+    b = _vec([1 + 1j, 2 + 0j], "concat_reim")
     assert not np.array_equal(a, b)
 
 
@@ -184,6 +188,14 @@ def test_split_disjoint_union_and_stratified():
         assert (ytr == lab).sum() == 5  # round(0.1 * 50)
 
 
+def test_split_rejects_empty_training_class():
+    # 1% of 40 packets per class rounds to 0 training rows
+    y = _balanced_labels(12, 40)
+    x = np.zeros((len(y), 1))
+    with pytest.raises(ValueError):
+        split(x, y, SplitSpec(0.01, seed=1))
+
+
 def test_split_deterministic_under_seed():
     y = _balanced_labels(3, 40)
     a = stratified_indices(y, 0.5, seed=7)
@@ -198,6 +210,10 @@ def test_split_deterministic_under_seed():
        frac=st.sampled_from([0.9, 0.5, 0.1]))
 def test_split_property_counts_within_one(per_class, seed, frac):
     y = _balanced_labels(5, per_class)
+    if round(frac * per_class) == 0:
+        with pytest.raises(ValueError):
+            stratified_indices(y, frac, seed)
+        return
     tr, te = stratified_indices(y, frac, seed)
     assert len(tr) + len(te) == len(y)
     assert len(np.intersect1d(tr, te)) == 0

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,7 @@ def _labels(n_classes, per_class):
 def test_stage1_batches_balanced_positives_negatives():
     y = _labels(12, 100)
     plan = plan_batches(y, default_config_2nd(12), seed=1)
-    for mlp_plan in plan.stage_plans[0]:
+    for mlp_plan in plan[0]:
         t = mlp_plan.target_class
         pos = mlp_plan.indices[mlp_plan.targets == 1.0]
         neg = mlp_plan.indices[mlp_plan.targets == 0.0]
@@ -97,9 +99,9 @@ def test_stage1_batches_balanced_positives_negatives():
 def test_stage2_batch_is_full_training_set():
     y = _labels(12, 10)
     plan = plan_batches(y, default_config_2nd(12), seed=1)
-    for mlp_plan in plan.stage_plans[1]:
+    for mlp_plan in plan[1]:
         assert len(mlp_plan.indices) == len(y)
-    for mlp_plan in plan.stage_plans[2]:
+    for mlp_plan in plan[2]:
         np.testing.assert_array_equal(mlp_plan.targets, y.astype(float))
 
 
@@ -108,12 +110,12 @@ def test_plan_is_deterministic_per_seed():
     cfgs = default_config_2nd(4)
     a = plan_batches(y, cfgs, seed=5)
     b = plan_batches(y, cfgs, seed=5)
-    for pa, pb in zip(a.stage_plans[0], b.stage_plans[0]):
+    for pa, pb in zip(a[0], b[0]):
         np.testing.assert_array_equal(pa.indices, pb.indices)
     c = plan_batches(y, cfgs, seed=6)
     assert any(
         not np.array_equal(pa.indices, pc.indices)
-        for pa, pc in zip(a.stage_plans[0], c.stage_plans[0]))
+        for pa, pc in zip(a[0], c[0]))
 
 
 def test_plan_missing_class_raises():
@@ -164,6 +166,14 @@ def test_train_mst_deterministic():
     m1 = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), order=2, seed=3)
     m2 = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), order=2, seed=3)
     assert m1.stage_hashes() == m2.stage_hashes()
+
+
+def test_train_mst_rejects_labels_not_1_to_n():
+    x, y = _toy_gaussians(n_classes=2)
+    y = np.where(y == 1, 2, 5)      # labels {2, 5}
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    with pytest.raises(ValueError):
+        train_mst(xtr, ytr, xva, yva, _tiny_configs(2), seed=1)
 
 
 def test_stage_freezing_later_stage_changes_leave_earlier_weights():
@@ -264,11 +274,11 @@ def test_incremental_k_equals_n_is_bit_identical_to_full_training():
 def test_incremental_stage1_sees_only_first_k_classes():
     y = _labels(4, 25)
     plan = plan_batches(y, _tiny_configs(4), seed=1, known_labels=[1, 2])
-    for mlp_plan in plan.stage_plans[0]:
+    for mlp_plan in plan[0]:
         assert mlp_plan.target_class in (1, 2)
         assert np.all(y[mlp_plan.indices] <= 2)
     # later stages still cover all four classes
-    s2_targets = {p.target_class for p in plan.stage_plans[1]}
+    s2_targets = {p.target_class for p in plan[1]}
     assert s2_targets == {1, 2, 3, 4}
 
 
@@ -314,6 +324,13 @@ def test_confusion_constant_classifier_on_balanced_set():
     assert cm.accuracy == pytest.approx(1 / 12)
 
 
+def test_confusion_rejects_labels_outside_range():
+    with pytest.raises(ValueError):
+        confusion_from_predictions([0, 1], [1, 1], 2)
+    with pytest.raises(ValueError):
+        confusion_from_predictions([1, 2], [1, 3], 2)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -327,3 +344,15 @@ def test_model_save_load_roundtrip(tmp_path):
     assert loaded.stage_hashes() == model.stage_hashes()
     np.testing.assert_array_equal(classify_batch(loaded, xtr),
                                   classify_batch(model, xtr))
+
+
+def test_load_model_rejects_manifest_not_matching_its_hash(tmp_path):
+    x, y = _toy_gaussians(seed=17)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    out = save_model(train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=18),
+                     tmp_path / "model")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["seed"] += 1
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError):
+        load_model(out)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,27 @@ def test_save_load_roundtrip(tmp_path):
         assert pa.tx_label == pb.tx_label
         # float32 storage: round-trip accurate to single precision
         np.testing.assert_allclose(pb.samples, pa.samples, atol=1e-6)
+
+
+def _saved_corpus(tmp_path):
+    corpus = generate_corpus(default_profiles()[:2], 2, seed=4, params=FAST,
+                             noise_snr_db=25.0)
+    return save_corpus(corpus, tmp_path / "corpus")
+
+
+def test_load_rejects_profiles_not_matching_their_hash(tmp_path):
+    out = _saved_corpus(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["profiles"][0]["iq_gain_imbalance"] += 0.01
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError):
+        load_corpus(out)
+
+
+def test_load_rejects_truncated_packet(tmp_path):
+    out = _saved_corpus(tmp_path)
+    path = out / json.loads((out / "manifest.json").read_text())[
+        "packets"][0]["file"]
+    path.write_bytes(path.read_bytes()[:8000])      # 1000 of 1500 samples
+    with pytest.raises(ValueError):
+        load_corpus(out)
