@@ -244,9 +244,15 @@ def output_jacobian(net: Mlp, x) -> np.ndarray:
 
 @dataclass
 class LmState:
-    """Levenberg-Marquardt optimizer: the damping factor of one training run."""
+    """Levenberg-Marquardt optimizer: the damping factor of one training run.
+
+    `last` holds (net, x, forward(net, x)) for the net that lm_step last
+    returned, so the next step on that same net and batch object skips
+    its forward pass.  Nets and batches are not modified in place.
+    """
 
     mu: float = MU_INIT
+    last: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -278,7 +284,11 @@ def lm_step(net: Mlp, x, t, state: LmState):
     """
     t = np.atleast_2d(np.asarray(t, dtype=np.float64))
     x = _as_batch(x, net.layer_sizes[0])
-    y = forward(net, x)
+    last = state.last
+    if last is not None and last[0] is net and last[1] is x:
+        y = last[2]
+    else:
+        y = forward(net, x)
     r = (t - y).reshape(-1)
     mse0 = float(np.mean(r**2))
     jac = output_jacobian(net, x)
@@ -293,11 +303,14 @@ def lm_step(net: Mlp, x, t, state: LmState):
             delta = None
         if delta is not None:
             cand = unpack_parameters(net, theta + delta)
-            mse1 = mse(cand, x, t)
+            y1 = forward(cand, x)
+            mse1 = float(np.mean((t - y1) ** 2))
             if np.isfinite(mse1) and mse1 < mse0:
                 state.mu = max(state.mu * MU_DEC, MU_FLOOR)
+                state.last = (cand, x, y1)
                 return cand, state, mse1, True
         if state.mu >= MU_CEILING:
+            state.last = (net, x, y)
             return net, state, mse0, False
         state.mu = min(state.mu * MU_INC, MU_CEILING)
 

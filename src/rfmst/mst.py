@@ -5,16 +5,27 @@ detectors trained on balanced per-class batches; later stages consume the
 previous stage's outputs on the full training set.  The final stage
 regresses the class index, and classification fuses the final-stage outputs
 by majority vote over rounded responses.
+
+BLAS policy: training runs with the OpenBLAS that numpy and scipy bundle
+pinned to one thread, so a trained model does not depend on the BLAS
+thread count.  Classification is not pinned and keeps the caller's
+threading.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import dataclasses
+import glob
 import hashlib
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .ann import (
     LmState,
@@ -28,6 +39,8 @@ from .ann import (
     train,
     unpack_parameters,
 )
+
+logger = logging.getLogger(__name__)
 
 DETECTOR_BLOCKS = "detector_blocks"   # stage 1: contiguous blocks of MLPs per class
 DETECTOR_CYCLE = "detector_cycle"     # later stages: targets cycle over classes
@@ -217,6 +230,61 @@ def _make_optimizer(order: int, sd_lr: float):
     return LmState() if order == 2 else SdOptimizer(lr=sd_lr)
 
 
+# (set, get) thread-count functions, in the order they are looked up
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_libraries() -> list[tuple[str, object, object]]:
+    """(path, set_num_threads, get_num_threads) of each OpenBLAS bundled in
+    numpy's and scipy's `<pkg>.libs` directories."""
+    found = []
+    for pkg in (np, scipy):
+        pattern = (Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+                   / "*openblas*")
+        for path in sorted(glob.glob(str(pattern))):
+            lib = ctypes.CDLL(path)
+            for set_name, get_name in _OPENBLAS_THREAD_FUNCTIONS:
+                setter = getattr(lib, set_name, None)
+                getter = getattr(lib, get_name, None)
+                if setter is not None and getter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    found.append((path, setter, getter))
+                    break
+    return found
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Pin every bundled OpenBLAS to one thread; on exit, also on an
+    exception, restore the thread counts found on entry.
+
+    Thread counts are process-wide, so concurrent users would restore
+    each other's counts.  Without a bundled OpenBLAS this does nothing.
+    """
+    libs = _openblas_libraries()
+    if not libs:
+        logger.debug("no bundled OpenBLAS found; BLAS threads left as they are")
+        yield
+        return
+    logger.debug("OpenBLAS libraries: %s", [path for path, _, _ in libs])
+    saved = [getter() for _, _, getter in libs]
+    for _, setter, _ in libs:
+        setter(1)
+    logger.debug("BLAS threads pinned to 1 (were %s)", saved)
+    try:
+        yield
+    finally:
+        for (_, setter, _), n in zip(libs, saved):
+            setter(n)
+        logger.debug("BLAS threads restored to %s", saved)
+
+
+@single_threaded_blas()
 def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
               seed: int = 0, known_labels=None, sd_lr: float = 0.01,
               iter_cap: int | None = None) -> MstModel:
@@ -227,6 +295,10 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
     whose data feeds stage 1 (incremental learning); later stages always
     see every class.  iter_cap optionally lowers each stage's iteration
     budget for reduced-scale runs.  Training labels must be exactly 1..n.
+
+    The whole call runs on one BLAS thread (single_threaded_blas), so the
+    trained model is the same whatever the caller's BLAS thread count;
+    that count is restored on return, also when the call raises.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 (gradient) or 2 (damped Gauss-Newton)")
@@ -343,7 +415,8 @@ def evaluate(model: MstModel, test_x, test_y) -> ConfusionMatrix:
 
 
 # ---------------------------------------------------------------------------
-# persistence: manifest + one flat float64 blob per MLP
+# persistence: manifest + one flat float64 blob per MLP; the manifest also
+# holds each MLP's training trace
 
 
 def save_model(model: MstModel, out_dir) -> Path:
@@ -370,11 +443,18 @@ def save_model(model: MstModel, out_dir) -> Path:
         for i, net in enumerate(group):
             blob = f"stage{s + 1}_mlp{i + 1}.f64"
             pack_parameters(net).astype("<f8").tofile(out / blob)
-            entries.append({"file": blob, "layer_sizes": list(net.layer_sizes),
-                            "activation": ["tanh", "linear"]})
+            entry = {"file": blob, "layer_sizes": list(net.layer_sizes),
+                     "activation": ["tanh", "linear"]}
+            if model.traces:
+                entry["trace"] = dataclasses.asdict(model.traces[s][i])
+            entries.append(entry)
         manifest["stages"].append(entries)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
     return out
+
+
+def _train_run(fields: dict) -> TrainRun:
+    return TrainRun(**{**fields, "stop": StopCriteria(**fields["stop"])})
 
 
 def load_model(in_dir) -> MstModel:
@@ -389,9 +469,13 @@ def load_model(in_dir) -> MstModel:
             theta = np.fromfile(src / entry["file"], dtype="<f8")
             mlps.append(unpack_parameters(init_mlp(sizes, seed=0), theta))
         stages.append(mlps)
+    traces = []
+    if all("trace" in entry for group in manifest["stages"] for entry in group):
+        traces = [[_train_run(entry["trace"]) for entry in group]
+                  for group in manifest["stages"]]
     model = MstModel(configs=configs, stages=stages,
                      n_labels=manifest["n_labels"], order=manifest["order"],
-                     seed=manifest["seed"],
+                     seed=manifest["seed"], traces=traces,
                      known_labels=tuple(manifest["known_labels"]))
     if model.config_hash() != manifest["config_hash"]:
         raise ValueError(f"{src / 'manifest.json'}: configuration does not "

@@ -277,6 +277,33 @@ def test_lm_mu_ceiling_patience_signals_stop():
     assert run.iterations == 10
 
 
+def test_lm_step_reuses_output_of_the_net_it_returned(monkeypatch):
+    from rfmst import ann
+
+    rng = np.random.default_rng(14)
+    x = rng.uniform(-1, 1, size=(30, 2))
+    t = np.sin(2 * x[:, :1]) + x[:, 1:]
+    state = LmState()
+    net, state, _, _ = lm_step(init_mlp((2, 5, 1), seed=15), x, t, state)
+    calls = []
+
+    def counting_forward(n, xx):
+        calls.append(n)
+        return forward(n, xx)
+
+    monkeypatch.setattr(ann, "forward", counting_forward)
+    fresh = lm_step(net.copy(), x, t, LmState(mu=state.mu))
+    fresh_calls = len(calls)
+    calls.clear()
+    reused = lm_step(net, x, t, state)
+    assert len(calls) == fresh_calls - 1
+    assert all(n is not net for n in calls)
+    np.testing.assert_array_equal(pack_parameters(reused[0]),
+                                  pack_parameters(fresh[0]))
+    assert reused[2:] == fresh[2:]
+    assert reused[1].mu == fresh[1].mu
+
+
 def test_lm_accepted_steps_never_increase_mse():
     rng = np.random.default_rng(11)
     x = rng.uniform(-1, 1, size=(40, 2))

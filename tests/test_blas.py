@@ -1,0 +1,118 @@
+"""BLAS policy of MST training: one BLAS thread inside train_mst, and the
+caller's thread counts back after it, also when it raises.
+
+The thread counts are read and set here through the OpenBLAS libraries
+that numpy and scipy bundle, found independently of rfmst.  Every test
+starts from two threads, so that a pin to one shows on any host.
+"""
+import ctypes
+import glob
+import logging
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from rfmst import mst
+from rfmst.mst import (
+    BATCH_BALANCED,
+    CLASS_INDEX,
+    DETECTOR_BLOCKS,
+    StageConfig,
+    single_threaded_blas,
+    train_mst,
+)
+
+
+def _thread_functions():
+    """(set, get) thread-count functions of each bundled OpenBLAS."""
+    found = []
+    for pkg in (np, scipy):
+        pattern = (Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+                   / "*openblas*")
+        for path in glob.glob(str(pattern)):
+            lib = ctypes.CDLL(path)
+            for suffix in ("64_", ""):
+                setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                if setter is not None and getter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    found.append((setter, getter))
+                    break
+    return found
+
+
+BLAS = _thread_functions()
+
+
+def _counts():
+    return [getter() for _, getter in BLAS]
+
+
+@pytest.fixture
+def two_threads():
+    if not BLAS:
+        pytest.skip("no bundled OpenBLAS found")
+    saved = _counts()
+    for setter, _ in BLAS:
+        setter(2)
+    yield [2] * len(BLAS)
+    for (setter, _), n in zip(BLAS, saved):
+        setter(n)
+
+
+def _toy():
+    rng = np.random.default_rng(0)
+    y = np.repeat([1, 2], 10)
+    x = rng.normal(size=(20, 3)) + y[:, None]
+    configs = [StageConfig(DETECTOR_BLOCKS, 2, 1, 3, 5, 1e-3, BATCH_BALANCED),
+               StageConfig(CLASS_INDEX, 2, 1, 3, 5, 1e-3)]
+    return x, y, configs
+
+
+def test_training_runs_on_one_blas_thread(two_threads, monkeypatch):
+    seen = []
+    train = mst.train
+
+    def counting_train(*args, **kwargs):
+        seen.append(_counts())
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(mst, "train", counting_train)
+    x, y, configs = _toy()
+    train_mst(x, y, x, y, configs, seed=1)
+    assert seen == [[1] * len(BLAS)] * 4
+
+
+def test_caller_thread_counts_restored_after_training(two_threads):
+    x, y, configs = _toy()
+    train_mst(x, y, x, y, configs, seed=1)
+    assert _counts() == two_threads
+
+
+def test_caller_thread_counts_restored_when_training_raises(two_threads):
+    x, y, configs = _toy()
+    y = np.where(y == 1, 2, 5)
+    with pytest.raises(ValueError):
+        train_mst(x, y, x, y, configs, seed=1)
+    assert _counts() == two_threads
+
+
+def test_nested_pin_stays_single_threaded_until_outer_exit(two_threads):
+    with single_threaded_blas():
+        with single_threaded_blas():
+            assert _counts() == [1] * len(BLAS)
+        assert _counts() == [1] * len(BLAS)
+    assert _counts() == two_threads
+
+
+def test_pin_and_restore_are_logged(two_threads, caplog):
+    x, y, configs = _toy()
+    with caplog.at_level(logging.DEBUG, logger="rfmst.mst"):
+        train_mst(x, y, x, y, configs, seed=1)
+    text = caplog.text
+    assert "OpenBLAS libraries" in text
+    assert "pinned to 1 (were [2" in text
+    assert "restored to [2" in text

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -344,6 +345,21 @@ def test_model_save_load_roundtrip(tmp_path):
     assert loaded.stage_hashes() == model.stage_hashes()
     np.testing.assert_array_equal(classify_batch(loaded, xtr),
                                   classify_batch(model, xtr))
+
+
+def test_model_save_load_roundtrip_keeps_training_traces(tmp_path):
+    x, y = _toy_gaussians(seed=19)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=20)
+    loaded = load_model(save_model(model, tmp_path / "model"))
+    assert loaded.config_hash() == model.config_hash()
+    assert [len(runs) for runs in loaded.traces] == \
+        [len(runs) for runs in model.traces] == [6, 3, 5]
+    for runs, loaded_runs in zip(model.traces, loaded.traces):
+        for run, back in zip(runs, loaded_runs):
+            assert dataclasses.asdict(back) == dataclasses.asdict(run)
+            assert back.stop == run.stop
+            assert back.iterations == run.iterations
 
 
 def test_load_model_rejects_manifest_not_matching_its_hash(tmp_path):
