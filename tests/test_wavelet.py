@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
+from rfmst import wavelet
 from rfmst.wavelet import (
     CHANNELS,
+    ENVELOPE_CUTOFF,
     MorletParams,
     ShapeMismatch,
     VarianceMap,
@@ -70,6 +74,62 @@ def test_fast_cwt_matches_direct_oracle_on_length_256():
     direct = direct_cwt(v, params.scales(256))
     err = np.abs(fast - direct).max() / np.abs(direct).max()
     assert err < 1e-8
+
+
+ORACLE_CASES = [
+    # (n, scale grid, whether some kernel reaches past the signal)
+    (512, MorletParams(), True),  # the benchmark's shape
+    (257, MorletParams(), True),
+    (5, MorletParams(), True),  # the default grid needs n >= 5
+    (2, MorletParams(n_scales=8, scale_min=0.5, scale_max=4.0), True),
+    (3, MorletParams(n_scales=8, scale_min=0.5, scale_max=4.0), True),
+    (300, MorletParams(n_scales=8, scale_min=2.0, scale_max=8.0), False),
+]
+
+
+@pytest.mark.parametrize("n, params, clipped", ORACLE_CASES)
+def test_fast_cwt_matches_direct_oracle_on_every_row(n, params, clipped):
+    params = params.resolved(n)
+    scales = params.scales(n)
+    assert (np.ceil(ENVELOPE_CUTOFF * scales) > n - 1).any() == clipped
+    v = np.random.default_rng(n).normal(size=n)
+    direct = direct_cwt(v, scales)
+    fast = cwt(v, params)
+    assert fast.shape == direct.shape
+    assert np.abs(fast - direct).max() / np.abs(direct).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_fft_length_follows_signal_not_widest_wavelet(n):
+    bank = wavelet._kernel_bank(n, MorletParams().resolved(n))
+    assert bank.shape[0] == 128
+    assert bank.shape[-1] <= next_fast_len(2 * n - 1)
+
+
+def test_cwt_holds_one_bank_sized_temporary():
+    # Two live (n_scales, N) temporaries made glibc return and re-fault
+    # about 4 MB per call at n = 512, which made identification unsteady.
+    v = np.random.default_rng(11).normal(size=512)
+    bank = wavelet._kernel_bank(512, MorletParams().resolved(512))
+    tracemalloc.start()
+    try:
+        cwt(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * bank.nbytes
+
+
+def test_scalogram_bit_identical_across_calls_and_cache_rebuilds():
+    v = np.random.default_rng(10).normal(size=512)
+    first = scalogram(v)
+    assert np.array_equal(scalogram(v), first)
+    key = (512, MorletParams().resolved(512))
+    for n in range(100, 106):  # more lengths than the cache holds
+        scalogram(np.ones(n))
+    assert key not in wavelet._KERNEL_CACHE
+    assert scalogram(v).tobytes() == first.tobytes()
+    assert key in wavelet._KERNEL_CACHE
 
 
 def test_tone_localization_against_dense_grid_oracle():
