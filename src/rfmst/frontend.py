@@ -174,8 +174,14 @@ def default_frontend_config(scalogram_shape, output_dim: int = 256,
 
 
 def sample_patches(scalograms, cfg: FrontEndConfig, n_patches: int,
+                   row_mean: np.ndarray, row_scale: np.ndarray,
                    seed: int = 0) -> np.ndarray:
-    """Random patch sample across a set of scalograms (training split only)."""
+    """Random patch sample across a set of scalograms (training split only).
+
+    Each patch is standardized with the per-scale statistics of the rows it
+    covers, so only the sampled pixels are standardized, never a whole
+    scalogram.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([0x5A7C4, seed]))
     p, q = cfg.patch
     out = np.empty((n_patches, p * q))
@@ -187,7 +193,9 @@ def sample_patches(scalograms, cfg: FrontEndConfig, n_patches: int,
         s = scalograms[s_idx]
         r = rng.integers(0, s.shape[0] - p + 1)
         c = rng.integers(0, s.shape[1] - q + 1)
-        out[i] = s[r : r + p, c : c + q].reshape(-1)
+        rows = slice(r, r + p)
+        out[i] = ((s[rows, c : c + q] - row_mean[rows, None])
+                  / row_scale[rows, None]).reshape(-1)
     return out
 
 
@@ -260,7 +268,7 @@ def train_frontend(train_scalograms, cfg: FrontEndConfig | None = None,
     if cfg is None:
         cfg = default_frontend_config(shape)
     cfg.validate(shape)
-    # one-pass per-scale moments; corpora are too large to stack in memory
+    # one-pass per-scale moments, without a stacked copy of the scalograms
     total = np.zeros(shape[0])
     total_sq = np.zeros(shape[0])
     for s in train_scalograms:
@@ -273,9 +281,8 @@ def train_frontend(train_scalograms, cfg: FrontEndConfig | None = None,
     row_scale[row_scale == 0.0] = 1.0
     rng = np.random.default_rng(np.random.SeedSequence([0x5A7C5, seed]))
     sources = rng.choice(n, size=min(n, max_patch_sources), replace=False)
-    scaled = [(np.asarray(train_scalograms[i], dtype=np.float64)
-               - row_mean[:, None]) / row_scale[:, None] for i in sources]
-    patches = sample_patches(scaled, cfg, n_patches, seed=seed)
+    patches = sample_patches([train_scalograms[i] for i in sources], cfg,
+                             n_patches, row_mean, row_scale, seed=seed)
     grid = init_som(cfg.patch[0] * cfg.patch[1],
                     grid_shape=_square_grid(cfg.som_filters), seed=seed)
     som = train_som(patches, grid, epochs=epochs)

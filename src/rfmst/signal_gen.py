@@ -233,13 +233,11 @@ def apply_impairments(packet: np.ndarray, profile: TransmitterProfile,
     return x
 
 
-def synthesize_packet(payload: np.ndarray, profile: TransmitterProfile,
-                      params: OfdmParams = OfdmParams(),
-                      noise_snr_db: float | None = 30.0,
-                      tx_label: int = 1, packet_id: int = 0,
-                      corpus_seed: int = 0) -> IqPacket:
-    """Modulate one payload through a transmitter profile."""
-    ideal = modulate(payload, params)
+def _impair(ideal: np.ndarray, profile: TransmitterProfile,
+            params: OfdmParams, noise_snr_db: float | None, tx_label: int,
+            packet_id: int, corpus_seed: int) -> IqPacket:
+    """Send one ideal packet through a profile's impairment chain, with the
+    packet's own noise streams, and check that the result is finite."""
     rng_phase = _noise_rng(corpus_seed, tx_label, packet_id, 1)
     rng_noise = _noise_rng(corpus_seed, tx_label, packet_id, 2)
     rng_carrier = _noise_rng(corpus_seed, tx_label, packet_id, 3)
@@ -250,6 +248,16 @@ def synthesize_packet(payload: np.ndarray, profile: TransmitterProfile,
     name = f"{profile.name}_{packet_id:04d}"
     return IqPacket(samples=samples, tx_label=tx_label,
                     packet_id=packet_id, name=name)
+
+
+def synthesize_packet(payload: np.ndarray, profile: TransmitterProfile,
+                      params: OfdmParams = OfdmParams(),
+                      noise_snr_db: float | None = 30.0,
+                      tx_label: int = 1, packet_id: int = 0,
+                      corpus_seed: int = 0) -> IqPacket:
+    """Modulate one payload through a transmitter profile."""
+    return _impair(modulate(payload, params), profile, params, noise_snr_db,
+                   tx_label, packet_id, corpus_seed)
 
 
 @dataclass
@@ -317,20 +325,26 @@ def generate_corpus(profiles: list[TransmitterProfile], packets_per_tx: int,
                     noise_snr_db: float | None = 30.0) -> Corpus:
     """Send the same seeded payload sequence through every profile.
 
+    Each payload is modulated once, and its ideal packet is shared by every
+    transmitter's impairment chain; the shared packets are read-only, so
+    an impairment that wrote into its input would raise instead of
+    corrupting the other transmitters' packets.  The result equals
+    `synthesize_packet` called packet by packet, bit for bit.
+
     tx_label follows the profile list order (1-based).
     """
     if packets_per_tx < 1:
         raise ValueError("packets_per_tx must be >= 1")
     validate_profiles(profiles)
-    payloads = [generate_payload(seed * 1_000_003 + m, params)
-                for m in range(packets_per_tx)]
-    packets = []
-    for label, profile in enumerate(profiles, start=1):
-        for m in range(packets_per_tx):
-            packets.append(
-                synthesize_packet(payloads[m], profile, params, noise_snr_db,
-                                  tx_label=label, packet_id=m,
-                                  corpus_seed=seed))
+    ideals = []
+    for m in range(packets_per_tx):
+        ideal = modulate(generate_payload(seed * 1_000_003 + m, params), params)
+        ideal.flags.writeable = False
+        ideals.append(ideal)
+    packets = [_impair(ideal, profile, params, noise_snr_db, tx_label=label,
+                       packet_id=m, corpus_seed=seed)
+               for label, profile in enumerate(profiles, start=1)
+               for m, ideal in enumerate(ideals)]
     return Corpus(packets=packets, profiles=list(profiles), params=params,
                   seed=seed, snr_db=noise_snr_db)
 

@@ -50,7 +50,15 @@ class MorletParams:
 
     def resolved(self, n: int) -> "MorletParams":
         """Fill in the default scale grid: 128 log-spaced scales covering
-        digital periods 2 .. n/2 (period p maps to scale xi0*p / (2*pi))."""
+        digital periods 2 .. n/2 (period p maps to scale xi0*p / (2*pi)).
+
+        Raises ValueError for a signal too short for the grid: periods
+        2 .. n/2 need n >= 5, and an explicit grid needs n >= 2.
+        """
+        shortest = 2 if self.scale_max else 5
+        if n < shortest:
+            raise ValueError(f"signal of {n} samples is too short for this "
+                             f"scale grid, which needs at least {shortest}")
         if self.scale_max:
             return self
         lo = self.xi0 * 2 / (2 * np.pi)
@@ -102,10 +110,13 @@ def _kernel_bank(n: int, params: MorletParams) -> np.ndarray:
 
 
 def cwt(v: np.ndarray, params: MorletParams = MorletParams()) -> np.ndarray:
-    """Complex coefficient matrix, shape (n_scales, len(v))."""
+    """Complex coefficient matrix, shape (n_scales, len(v)).
+
+    v must be long enough for the scale grid; see `MorletParams.resolved`.
+    """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError("cwt expects a 1-D sequence of length >= 2")
+    if v.ndim != 1:
+        raise ValueError("cwt expects a 1-D sequence")
     n = v.size
     bank = _kernel_bank(n, params.resolved(n))
     # The inverse FFT overwrites the product, so a call holds one

@@ -203,10 +203,33 @@ def test_patch_sampler_is_seeded():
     rng = np.random.default_rng(12)
     scalos = [rng.uniform(size=(16, 16)) for _ in range(3)]
     cfg = FrontEndConfig()
-    a = sample_patches(scalos, cfg, 10, seed=1)
-    b = sample_patches(scalos, cfg, 10, seed=1)
+    mean, scale = np.zeros(16), np.ones(16)
+    a = sample_patches(scalos, cfg, 10, mean, scale, seed=1)
+    b = sample_patches(scalos, cfg, 10, mean, scale, seed=1)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (10, 64)
+
+
+def test_patches_standardized_alone_match_whole_scalogram_oracle():
+    # oracle: standardize every source scalogram whole, then sample
+    rng = np.random.default_rng(13)
+    scalos = [rng.gamma(2.0, size=(32, 64)) * np.geomspace(1, 50, 32)[:, None]
+              for _ in range(12)]
+    cfg = default_frontend_config((32, 64), output_dim=16, som_filters=4)
+    seed = 14
+    fe = train_frontend(scalos, cfg, seed=seed, n_patches=300, epochs=2,
+                        max_patch_sources=8)
+    sources = np.random.default_rng(
+        np.random.SeedSequence([0x5A7C5, seed])).choice(12, 8, replace=False)
+    whole = [fe.standardize(scalos[i]) for i in sources]
+    expected = sample_patches(whole, cfg, 300, np.zeros(32), np.ones(32),
+                              seed=seed)
+    got = sample_patches([scalos[i] for i in sources], cfg, 300, fe.row_mean,
+                         fe.row_scale, seed=seed)
+    assert got.tobytes() == expected.tobytes()
+    som = train_som(expected, init_som(64, grid_shape=(2, 2), seed=seed),
+                    epochs=2)
+    assert fe.som.nodes.tobytes() == som.nodes.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rfmst import signal_gen
 from rfmst.signal_gen import (
     Corpus,
     IqPacket,
@@ -143,6 +144,53 @@ def test_same_payload_sent_through_every_profile():
         a = corpus.packets[m]
         b = corpus.packets[3 + m]
         np.testing.assert_array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("snr_db", [25.0, None])
+def test_corpus_equals_packet_by_packet_synthesis(seed, snr_db):
+    profiles = default_profiles()[:3]
+    corpus = generate_corpus(profiles, 4, seed=seed, params=FAST,
+                             noise_snr_db=snr_db)
+    expected = [synthesize_packet(generate_payload(seed * 1_000_003 + m, FAST),
+                                  profile, FAST, snr_db, tx_label=label,
+                                  packet_id=m, corpus_seed=seed)
+                for label, profile in enumerate(profiles, start=1)
+                for m in range(4)]
+    assert len(corpus.packets) == len(expected)
+    for got, want in zip(corpus.packets, expected):
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert (got.name, got.tx_label, got.packet_id) == \
+            (want.name, want.tx_label, want.packet_id)
+
+
+def test_corpus_modulates_each_payload_once(monkeypatch):
+    calls = []
+
+    def counting_modulate(payload, params):
+        calls.append(payload)
+        return modulate(payload, params)
+
+    monkeypatch.setattr(signal_gen, "modulate", counting_modulate)
+    generate_corpus(default_profiles()[:3], 4, seed=2, params=FAST)
+    assert len(calls) == 4
+
+
+def test_shared_ideal_packets_are_read_only(monkeypatch):
+    inputs = []
+    apply_impairments = signal_gen.apply_impairments
+
+    def recording_impairments(packet, *args):
+        inputs.append(packet)
+        return apply_impairments(packet, *args)
+
+    monkeypatch.setattr(signal_gen, "apply_impairments", recording_impairments)
+    generate_corpus(default_profiles()[:3], 2, seed=2, params=FAST)
+    # transmitter-major order: packet m of every transmitter shares one ideal
+    assert all(inputs[m] is inputs[2 + m] is inputs[4 + m] for m in range(2))
+    for ideal in inputs:
+        with pytest.raises(ValueError, match="read-only"):
+            ideal[0] = 1.0
 
 
 def test_duplicate_radio_tx_rejected():

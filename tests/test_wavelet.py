@@ -99,6 +99,20 @@ def test_fast_cwt_matches_direct_oracle_on_every_row(n, params, clipped):
     assert np.abs(fast - direct).max() / np.abs(direct).max() < 1e-12
 
 
+@pytest.mark.parametrize("n, params, shortest", [
+    (2, MorletParams(), 5),
+    (3, MorletParams(), 5),
+    (4, MorletParams(), 5),
+    (1, MorletParams(n_scales=8, scale_min=0.5, scale_max=4.0), 2),
+])
+def test_too_short_signal_names_its_length_and_the_shortest(n, params,
+                                                            shortest):
+    message = (f"signal of {n} samples is too short for this scale grid, "
+               f"which needs at least {shortest}")
+    with pytest.raises(ValueError, match=message):
+        scalogram(np.ones(n), params)
+
+
 @pytest.mark.parametrize("n", [64, 512, 2048])
 def test_fft_length_follows_signal_not_widest_wavelet(n):
     bank = wavelet._kernel_bank(n, MorletParams().resolved(n))
