@@ -2,9 +2,11 @@
 
 Networks are plain weight/bias lists with tanh hidden layers and a linear
 output layer.  The second-order trainer is a damped Gauss-Newton
-(Levenberg-Marquardt) loop that solves either the primal (P x P) or dual
-(B x B) normal equations, whichever is smaller.  The first-order trainer
-is full-batch steepest descent.
+(Levenberg-Marquardt) loop for single-output nets, the only kind multi-stage
+training builds.  Each step takes the net's output and its one-row-per-sample
+Jacobian from a single forward pass, then solves either the primal (P x P)
+or dual (B x B) normal equations, whichever is smaller.  The first-order
+trainer is full-batch steepest descent.
 """
 from __future__ import annotations
 
@@ -206,33 +208,31 @@ def gradient(net: Mlp, x, t) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def output_jacobian(net: Mlp, x) -> np.ndarray:
-    """Jacobian of network outputs with respect to all parameters.
+def output_jacobian(net: Mlp, x) -> tuple[np.ndarray, np.ndarray]:
+    """Output and parameter Jacobian of a single-output net, from one
+    forward pass.
 
-    Rows are ordered sample-major: row b*n_out + k is d y_k(x_b) / d theta.
-    For a bias-free single linear layer the columns are exactly the inputs.
+    Returns (y, jac): y is the (B, 1) output, and row b of jac is
+    d y(x_b) / d theta, with columns in pack_parameters order.  For a
+    bias-free single linear layer the weight columns are exactly the inputs.
     """
+    if net.layer_sizes[-1] != 1:
+        raise ValueError(f"need a single-output net, got {net.layer_sizes}")
     acts = _forward_activations(net, x)
     b_sz = acts[0].shape[0]
-    n_out = net.layer_sizes[-1]
-    jac = np.empty((b_sz * n_out, net.n_params))
-    for k in range(n_out):
-        delta = np.zeros((b_sz, n_out))
-        delta[:, k] = 1.0
-        deltas = [None] * net.n_layers
-        for l in range(net.n_layers - 1, -1, -1):
-            deltas[l] = delta
-            if l > 0:
-                delta = (delta @ net.weights[l].T) * (1.0 - acts[l] ** 2)
-        col = 0
-        for l in range(net.n_layers):
-            w_size = net.weights[l].size
-            block = np.einsum("bi,bj->bij", acts[l], deltas[l])
-            jac[k::n_out, col : col + w_size] = block.reshape(b_sz, w_size)
-            col += w_size
-            jac[k::n_out, col : col + deltas[l].shape[1]] = deltas[l]
-            col += deltas[l].shape[1]
-    return jac
+    jac = np.empty((b_sz, net.n_params))
+    col = net.n_params
+    delta = np.ones((b_sz, 1))
+    for l in range(net.n_layers - 1, -1, -1):
+        w = net.weights[l]
+        col -= w.shape[1]
+        jac[:, col : col + w.shape[1]] = delta
+        col -= w.size
+        block = np.einsum("bi,bj->bij", acts[l], delta)
+        jac[:, col : col + w.size] = block.reshape(b_sz, w.size)
+        if l > 0:
+            delta = (delta @ w.T) * (1.0 - acts[l] ** 2)
+    return acts[-1], jac
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +244,9 @@ def output_jacobian(net: Mlp, x) -> np.ndarray:
 
 @dataclass
 class LmState:
-    """Levenberg-Marquardt optimizer: the damping factor of one training run.
-
-    `last` holds (net, x, forward(net, x)) for the net that lm_step last
-    returned, so the next step on that same net and batch object skips
-    its forward pass.  Nets and batches are not modified in place.
-    """
+    """Levenberg-Marquardt optimizer: the damping factor of one training run."""
 
     mu: float = MU_INIT
-    last: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -277,21 +271,18 @@ def lm_step(net: Mlp, x, t, state: LmState):
 
     Solves (J'J + mu I) delta = J'r with r = target - output and J the
     output Jacobian, taking the dual (B x B) form when the batch is smaller
-    than the parameter vector.  The step is accepted only if the batch MSE
+    than the parameter vector.  The output and J come from one forward pass
+    of net; every other forward pass is of a candidate.  The net must have
+    a single output.  The step is accepted only if the batch MSE
     strictly decreases; otherwise mu is raised and the solve retried with
     the same Jacobian, so a step is rejected only with mu at MU_CEILING.
     Returns (net', state', mse', accepted).
     """
     t = np.atleast_2d(np.asarray(t, dtype=np.float64))
     x = _as_batch(x, net.layer_sizes[0])
-    last = state.last
-    if last is not None and last[0] is net and last[1] is x:
-        y = last[2]
-    else:
-        y = forward(net, x)
+    y, jac = output_jacobian(net, x)
     r = (t - y).reshape(-1)
     mse0 = float(np.mean(r**2))
-    jac = output_jacobian(net, x)
     n_rows, n_params = jac.shape
     dual = n_rows < n_params
     gram = jac @ jac.T if dual else jac.T @ jac
@@ -307,10 +298,8 @@ def lm_step(net: Mlp, x, t, state: LmState):
             mse1 = float(np.mean((t - y1) ** 2))
             if np.isfinite(mse1) and mse1 < mse0:
                 state.mu = max(state.mu * MU_DEC, MU_FLOOR)
-                state.last = (cand, x, y1)
                 return cand, state, mse1, True
         if state.mu >= MU_CEILING:
-            state.last = (net, x, y)
             return net, state, mse0, False
         state.mu = min(state.mu * MU_INC, MU_CEILING)
 

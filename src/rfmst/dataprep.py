@@ -6,9 +6,7 @@ arrays are stored 0-based internally.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -86,13 +84,15 @@ def normalize_corpus(matrix: np.ndarray, stats: NormStats | None = None):
 
     Without stats the scale is computed from `matrix` (the training set) and
     returned frozen for reuse on test data, whose entries may then fall
-    outside [-1, 1].
+    outside [-1, 1].  A non-finite training entry raises ValueError.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if stats is None:
         if matrix.size == 0:
             raise ZeroCorpus("empty training set")
         max_abs = float(np.abs(matrix).max())
+        if not np.isfinite(max_abs):
+            raise ValueError("training corpus has non-finite entries")
         if max_abs == 0.0:
             raise ZeroCorpus("training corpus is identically zero")
         stats = NormStats(max_abs=max_abs)
@@ -102,8 +102,11 @@ def normalize_corpus(matrix: np.ndarray, stats: NormStats | None = None):
 def stratified_indices(labels: np.ndarray, train_fraction: float, seed: int):
     """Seeded per-class index split; train counts are round(fraction * n).
 
-    Raises ValueError when a class would get no training rows.
+    Raises ValueError unless 0 < train_fraction < 1, and when a class would
+    get no training rows.
     """
+    if not 0 < train_fraction < 1:
+        raise ValueError(f"train_fraction {train_fraction} is not in (0, 1)")
     labels = np.asarray(labels)
     rng = np.random.default_rng(np.random.SeedSequence([0x59717, seed]))
     train_idx, test_idx = [], []
@@ -157,37 +160,3 @@ def feature_matrix(segments, mode: str = "concat_reim"):
         raise ValueError(f"unknown mode {mode!r}")
     return x.astype(np.float64), np.array([s.tx_label for s in segments])
 
-
-# ---------------------------------------------------------------------------
-# disk format: flat little-endian float64 matrix + JSON header
-
-
-def save_features(path, matrix: np.ndarray, labels: np.ndarray,
-                  stats: NormStats | None = None, meta: dict | None = None):
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    matrix = np.ascontiguousarray(matrix, dtype="<f8")
-    matrix.tofile(path / "features.f64")
-    header = {
-        "rows": int(matrix.shape[0]),
-        "cols": int(matrix.shape[1]),
-        "dtype": "<f8",
-        "labels": [int(v) for v in labels],
-        "norm_max_abs": None if stats is None else stats.max_abs,
-    }
-    if meta:
-        header["meta"] = meta
-    (path / "header.json").write_text(json.dumps(header, indent=1))
-    return path
-
-
-def load_features(path):
-    path = Path(path)
-    header = json.loads((path / "header.json").read_text())
-    matrix = np.fromfile(path / "features.f64", dtype="<f8")
-    matrix = matrix.reshape(header["rows"], header["cols"])
-    labels = np.array(header["labels"], dtype=int)
-    stats = None
-    if header.get("norm_max_abs") is not None:
-        stats = NormStats(max_abs=header["norm_max_abs"])
-    return matrix, labels, stats

@@ -294,7 +294,9 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
     full training and validation sets.  known_labels restricts the classes
     whose data feeds stage 1 (incremental learning); later stages always
     see every class.  iter_cap optionally lowers each stage's iteration
-    budget for reduced-scale runs.  Training labels must be exactly 1..n.
+    budget for reduced-scale runs.  Training labels must be exactly 1..n,
+    the validation set non-empty with labels among them, and all features
+    finite.
 
     The whole call runs on one BLAS thread (single_threaded_blas), so the
     trained model is the same whatever the caller's BLAS thread count;
@@ -311,6 +313,13 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
     if not np.array_equal(classes, np.arange(1, n_labels + 1)):
         raise ValueError("training labels must be exactly 1..n, got "
                          f"{classes.tolist()}")
+    if val_y.size == 0:
+        raise ValueError("empty validation set")
+    if not np.isin(val_y, classes).all():
+        raise ValueError(f"validation labels must lie in 1..{n_labels}, got "
+                         f"{np.unique(val_y).tolist()}")
+    if not (np.isfinite(train_x).all() and np.isfinite(val_x).all()):
+        raise ValueError("training and validation features must be finite")
     plan = plan_batches(train_y, configs, seed, known_labels)
     val_patience = 10 if order == 2 else 20
     cur_tr, cur_va = train_x, val_x
@@ -377,10 +386,6 @@ def classify_batch(model: MstModel, x) -> np.ndarray:
     return fuse_labels(cur, model.n_labels)
 
 
-def classify(model: MstModel, v) -> int:
-    return int(classify_batch(model, np.asarray(v)[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -393,9 +398,6 @@ class ConfusionMatrix:
     def accuracy(self) -> float:
         total = self.counts.sum()
         return float(np.trace(self.counts) / total) if total else 0.0
-
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
 
 
 def confusion_from_predictions(y_true, y_pred, n_labels: int) -> ConfusionMatrix:

@@ -131,27 +131,6 @@ def scalogram(v: np.ndarray, params: MorletParams = MorletParams()) -> np.ndarra
     return np.abs(cwt(v, params))
 
 
-def channel_select(g: np.ndarray, kind: str) -> np.ndarray:
-    """Real channel from a complex segment.
-
-    cos_phase uses the four-quadrant angle, so Re=0 maps to cos(+-pi/2)=0
-    and the all-zero sample maps to cos(0)=1.
-    """
-    g = np.asarray(g)
-    if kind == "magnitude":
-        return np.abs(g)
-    if kind == "cos_phase":
-        return np.cos(np.arctan2(g.imag, g.real))
-    if kind == "real":
-        return g.real.astype(np.float64, copy=True)
-    if kind == "imag":
-        return g.imag.astype(np.float64, copy=True)
-    raise ValueError(f"unknown channel kind {kind!r}")
-
-
-CHANNELS = ("magnitude", "cos_phase", "real", "imag")
-
-
 class ShapeMismatch(ValueError):
     """Array shapes that do not fit together."""
 

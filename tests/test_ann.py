@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from rfmst.ann import (
     MU_CEILING,
+    MU_DEC,
+    MU_FLOOR,
+    MU_INC,
+    MU_INIT,
     LmState,
     Mlp,
     SdOptimizer,
@@ -104,11 +109,77 @@ def scalar_lm_oracle(theta0, xs, ts, n_iters, mu0=1e-3):
     return np.array(trace)
 
 
-def random_net(rng, max_hidden=6):
+def multi_output_jacobian(net, x):
+    """Jacobian of every output, one backward pass per output; row
+    b*n_out + k is d y_k(x_b) / d theta."""
+    acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w + b
+        acts.append(z if l == net.n_layers - 1 else np.tanh(z))
+    b_sz = acts[0].shape[0]
+    n_out = net.layer_sizes[-1]
+    jac = np.empty((b_sz * n_out, net.n_params))
+    for k in range(n_out):
+        delta = np.zeros((b_sz, n_out))
+        delta[:, k] = 1.0
+        deltas = [None] * net.n_layers
+        for l in range(net.n_layers - 1, -1, -1):
+            deltas[l] = delta
+            if l > 0:
+                delta = (delta @ net.weights[l].T) * (1.0 - acts[l] ** 2)
+        col = 0
+        for l in range(net.n_layers):
+            w_size = net.weights[l].size
+            block = np.einsum("bi,bj->bij", acts[l], deltas[l])
+            jac[k::n_out, col : col + w_size] = block.reshape(b_sz, w_size)
+            col += w_size
+            jac[k::n_out, col : col + deltas[l].shape[1]] = deltas[l]
+            col += deltas[l].shape[1]
+    return jac
+
+
+class TwoPassLm:
+    """Reference LM optimizer: a forward pass for the output, then the
+    multi-output Jacobian from a second pass.  Logs (dual, accepted) per
+    step."""
+
+    def __init__(self):
+        self.mu = MU_INIT
+        self.log = []
+
+    def step(self, net, x, t):
+        y = forward(net, x)
+        r = (t - y).reshape(-1)
+        mse0 = float(np.mean(r**2))
+        jac = multi_output_jacobian(net, x)
+        dual = jac.shape[0] < jac.shape[1]
+        gram = jac @ jac.T if dual else jac.T @ jac
+        theta = pack_parameters(net)
+        while True:
+            a = gram + self.mu * np.eye(gram.shape[0])
+            factor = cho_factor(a, lower=True, check_finite=False)
+            if dual:
+                delta = jac.T @ cho_solve(factor, r, check_finite=False)
+            else:
+                delta = cho_solve(factor, jac.T @ r, check_finite=False)
+            cand = unpack_parameters(net, theta + delta)
+            mse1 = float(np.mean((t - forward(cand, x)) ** 2))
+            if np.isfinite(mse1) and mse1 < mse0:
+                self.mu = max(self.mu * MU_DEC, MU_FLOOR)
+                self.log.append((dual, True))
+                return cand, mse1, self.mu, True
+            if self.mu >= MU_CEILING:
+                self.log.append((dual, False))
+                return net, mse0, self.mu, False
+            self.mu = min(self.mu * MU_INC, MU_CEILING)
+
+
+def random_net(rng, max_hidden=6, n_out=None):
+    """Random small tanh net; n_out=None draws one or two outputs."""
     n_in = int(rng.integers(1, 4))
     n_hidden = int(rng.integers(1, 3))
     sizes = [n_in] + [int(rng.integers(2, max_hidden))] * n_hidden
-    sizes.append(int(rng.integers(1, 3)))
+    sizes.append(int(rng.integers(1, 3)) if n_out is None else n_out)
     return init_mlp(sizes, rng=rng)
 
 
@@ -156,7 +227,8 @@ def test_jacobian_linear_single_layer_columns_are_inputs():
     net = init_mlp((4, 1), seed=1)
     net.biases[0][:] = 0.0
     x = np.random.default_rng(2).normal(size=(6, 4))
-    jac = output_jacobian(net, x)
+    y, jac = output_jacobian(net, x)
+    np.testing.assert_array_equal(y, forward(net, x))
     # columns for the weight block equal the inputs; bias column is ones
     np.testing.assert_allclose(jac[:, :4], x, rtol=0, atol=0)
     np.testing.assert_allclose(jac[:, 4], np.ones(6))
@@ -165,9 +237,9 @@ def test_jacobian_linear_single_layer_columns_are_inputs():
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(3)
     for _ in range(5):
-        net = random_net(rng)
+        net = random_net(rng, n_out=1)
         x = rng.normal(size=(4, net.layer_sizes[0]))
-        jac = output_jacobian(net, x)
+        _, jac = output_jacobian(net, x)
         jac_fd = fd_output_jacobian(net, x)
         err = np.abs(jac - jac_fd).max() / max(np.abs(jac_fd).max(), 1e-12)
         assert err < 1e-5
@@ -177,8 +249,14 @@ def test_jacobian_duplicated_sample_duplicates_rows():
     net = init_mlp((3, 5, 1), seed=4)
     x = np.random.default_rng(5).normal(size=(1, 3))
     xx = np.vstack([x, x])
-    jac = output_jacobian(net, xx)
+    _, jac = output_jacobian(net, xx)
     np.testing.assert_array_equal(jac[0], jac[1])
+
+
+def test_jacobian_rejects_multi_output_nets():
+    net = init_mlp((3, 4, 2), seed=0)
+    with pytest.raises(ValueError, match="single-output"):
+        output_jacobian(net, np.ones((5, 3)))
 
 
 def test_acceptance_style_fd_agreement_on_20_random_nets():
@@ -186,11 +264,11 @@ def test_acceptance_style_fd_agreement_on_20_random_nets():
     rng = np.random.default_rng(42)
     checked = 0
     while checked < 20:
-        net = random_net(rng, max_hidden=4)
+        net = random_net(rng, max_hidden=4, n_out=1)
         if net.n_params > 50:
             continue
         x = rng.uniform(-1, 1, size=(3, net.layer_sizes[0]))
-        jac = output_jacobian(net, x)
+        _, jac = output_jacobian(net, x)
         jac_fd = fd_output_jacobian(net, x)
         err = np.abs(jac - jac_fd).max() / max(np.abs(jac_fd).max(), 1e-12)
         assert err < 1e-5
@@ -277,14 +355,12 @@ def test_lm_mu_ceiling_patience_signals_stop():
     assert run.iterations == 10
 
 
-def test_lm_step_reuses_output_of_the_net_it_returned(monkeypatch):
+def test_lm_step_forwards_only_candidate_nets(monkeypatch):
     from rfmst import ann
 
     rng = np.random.default_rng(14)
     x = rng.uniform(-1, 1, size=(30, 2))
     t = np.sin(2 * x[:, :1]) + x[:, 1:]
-    state = LmState()
-    net, state, _, _ = lm_step(init_mlp((2, 5, 1), seed=15), x, t, state)
     calls = []
 
     def counting_forward(n, xx):
@@ -292,16 +368,55 @@ def test_lm_step_reuses_output_of_the_net_it_returned(monkeypatch):
         return forward(n, xx)
 
     monkeypatch.setattr(ann, "forward", counting_forward)
-    fresh = lm_step(net.copy(), x, t, LmState(mu=state.mu))
-    fresh_calls = len(calls)
-    calls.clear()
-    reused = lm_step(net, x, t, state)
-    assert len(calls) == fresh_calls - 1
-    assert all(n is not net for n in calls)
-    np.testing.assert_array_equal(pack_parameters(reused[0]),
-                                  pack_parameters(fresh[0]))
-    assert reused[2:] == fresh[2:]
-    assert reused[1].mu == fresh[1].mu
+    net, state = init_mlp((2, 5, 1), seed=15), LmState()
+    for _ in range(5):
+        calls.clear()
+        new, state, _, accepted = lm_step(net, x, t, state)
+        assert accepted and calls
+        assert all(n is not net for n in calls)
+        assert calls[-1] is new
+        net = new
+
+
+def _lm_cases():
+    """(net, train_xy, val_xy): random single-output nets on small (dual)
+    and large (primal) batches, and conflicting targets at x = 0, where
+    steps are rejected once the bias sits at the targets' mean."""
+    def target(x):
+        return np.sin(2 * x.sum(axis=1, keepdims=True))
+
+    rng = np.random.default_rng(21)
+    cases = []
+    for b_sz in (4, 7, 60, 90):
+        net = random_net(rng, n_out=1)
+        x = rng.uniform(-1, 1, size=(b_sz, net.layer_sizes[0]))
+        xv = rng.uniform(-1, 1, size=(10, net.layer_sizes[0]))
+        cases.append((net, (x, target(x)), (xv, target(xv))))
+    x0 = np.zeros((2, 1))
+    t0 = np.array([[1.0], [-1.0]])
+    cases.append((init_mlp((1, 1), seed=0), (x0, t0), (x0, t0)))
+    return cases
+
+
+def test_lm_train_is_bit_identical_to_two_pass_reference():
+    stop = StopCriteria(max_iters=25, mse_goal=1e-12, val_patience=25,
+                        mu_patience=3)
+    logs = []
+    for net, tr, va in _lm_cases():
+        state, ref = LmState(), TwoPassLm()
+        got_net, got = train(net, tr, va, state, stop)
+        want_net, want = train(net, tr, va, ref, stop)
+        np.testing.assert_array_equal(pack_parameters(got_net),
+                                      pack_parameters(want_net))
+        assert got.train_mse == want.train_mse
+        assert got.val_mse == want.val_mse
+        assert got.mu == want.mu
+        assert got.stop_reason == want.stop_reason
+        assert got.best_iteration == want.best_iteration
+        assert state.mu == ref.mu
+        logs += ref.log
+    assert {dual for dual, _ in logs} == {True, False}
+    assert not all(accepted for _, accepted in logs)
 
 
 def test_lm_accepted_steps_never_increase_mse():
@@ -323,12 +438,10 @@ def test_lm_accepted_steps_never_increase_mse():
 
 def test_spd_factorization_succeeds_for_positive_mu():
     rng = np.random.default_rng(13)
-    from scipy.linalg import cho_factor
-
     for _ in range(10):
-        net = random_net(rng)
+        net = random_net(rng, n_out=1)
         x = rng.normal(size=(5, net.layer_sizes[0]))
-        jac = output_jacobian(net, x)
+        _, jac = output_jacobian(net, x)
         h = jac.T @ jac + 1e-6 * np.eye(jac.shape[1])
         cho_factor(h, lower=True)  # raises LinAlgError if not SPD
 

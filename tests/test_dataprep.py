@@ -5,16 +5,13 @@ from hypothesis import strategies as st
 
 from rfmst.dataprep import (
     NoOnset,
-    NormStats,
     Segment,
     SplitSpec,
     TooShort,
     ZeroCorpus,
     detect_onset,
     feature_matrix,
-    load_features,
     normalize_corpus,
-    save_features,
     segment,
     split,
     stratified_indices,
@@ -106,6 +103,13 @@ def test_vectorize_magnitude():
     np.testing.assert_array_equal(v, [5.0])
 
 
+def test_feature_matrix_stacks_rows_and_labels():
+    segs = [_seg([1 + 2j, 3 + 4j], label=1), _seg([5 + 6j, 7 + 8j], label=2)]
+    x, y = feature_matrix(segs, "concat_reim")
+    assert x.shape == (2, 4)
+    np.testing.assert_array_equal(y, [1, 2])
+
+
 def test_vectorize_injective_for_fixed_mode():
     a = _vec([1 + 2j, 0 + 1j], "concat_reim")
     b = _vec([1 + 1j, 2 + 0j], "concat_reim")
@@ -140,6 +144,14 @@ def test_normalize_deterministic():
 def test_normalize_zero_corpus_raises():
     with pytest.raises(ZeroCorpus):
         normalize_corpus(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalize_rejects_non_finite_training_entry(bad):
+    x = np.ones((3, 3))
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        normalize_corpus(x)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +208,12 @@ def test_split_rejects_empty_training_class():
         split(x, y, SplitSpec(0.01, seed=1))
 
 
+@pytest.mark.parametrize("frac", [-0.5, 0.0, 1.0, 1.5])
+def test_stratified_indices_rejects_fraction_outside_open_unit_interval(frac):
+    with pytest.raises(ValueError, match="train_fraction"):
+        stratified_indices(_balanced_labels(3, 40), frac, seed=1)
+
+
 def test_split_deterministic_under_seed():
     y = _balanced_labels(3, 40)
     a = stratified_indices(y, 0.5, seed=7)
@@ -220,20 +238,3 @@ def test_split_property_counts_within_one(per_class, seed, frac):
     for lab in range(1, 6):
         got = (y[tr] == lab).sum()
         assert abs(got - frac * per_class) <= 1
-
-
-# ---------------------------------------------------------------------------
-# feature matrix + persistence
-
-
-def test_feature_matrix_and_roundtrip(tmp_path):
-    segs = [_seg([1 + 2j, 3 + 4j], label=1), _seg([5 + 6j, 7 + 8j], label=2)]
-    x, y = feature_matrix(segs, "concat_reim")
-    assert x.shape == (2, 4)
-    np.testing.assert_array_equal(y, [1, 2])
-    xn, stats = normalize_corpus(x)
-    save_features(tmp_path / "f", xn, y, stats, meta={"wn": 2})
-    x2, y2, stats2 = load_features(tmp_path / "f")
-    np.testing.assert_array_equal(x2, xn)
-    np.testing.assert_array_equal(y2, y)
-    assert stats2 == NormStats(stats.max_abs)

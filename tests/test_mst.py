@@ -16,7 +16,6 @@ from rfmst.mst import (
     MstModel,
     StageConfig,
     UntrainedModel,
-    classify,
     classify_batch,
     confusion_from_predictions,
     default_config_1st,
@@ -177,6 +176,30 @@ def test_train_mst_rejects_labels_not_1_to_n():
         train_mst(xtr, ytr, xva, yva, _tiny_configs(2), seed=1)
 
 
+def test_train_mst_rejects_empty_validation_set():
+    x, y = _toy_gaussians()
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    with pytest.raises(ValueError, match="validation"):
+        train_mst(xtr, ytr, xva[:0], yva[:0], _tiny_configs(3), seed=1)
+
+
+def test_train_mst_rejects_validation_labels_outside_training_labels():
+    x, y = _toy_gaussians()
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    with pytest.raises(ValueError, match="validation labels"):
+        train_mst(xtr, ytr, xva, yva + 5, _tiny_configs(3), seed=1)
+
+
+@pytest.mark.parametrize("where", ["train", "val"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_mst_rejects_non_finite_features(where, bad):
+    x, y = _toy_gaussians()
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    (xtr if where == "train" else xva)[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=1)
+
+
 def test_stage_freezing_later_stage_changes_leave_earlier_weights():
     x, y = _toy_gaussians(seed=4)
     xtr, ytr, xva, yva = _split_toy(x, y)
@@ -248,7 +271,7 @@ def test_classify_is_pure_function_of_model_and_input():
     xtr, ytr, xva, yva = _split_toy(x, y)
     model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=11)
     v = xtr[0]
-    assert classify(model, v) == classify(model, v)
+    assert classify_batch(model, v) == classify_batch(model, v)
     h_before = model.stage_hashes()
     classify_batch(model, xtr)
     assert model.stage_hashes() == h_before
@@ -315,7 +338,7 @@ def test_confusion_row_sums_equal_class_counts():
     y = _labels(12, 7)
     preds = np.roll(y, 3)
     cm = confusion_from_predictions(y, preds, 12)
-    np.testing.assert_array_equal(cm.row_sums(), np.full(12, 7))
+    np.testing.assert_array_equal(cm.counts.sum(axis=1), np.full(12, 7))
 
 
 def test_confusion_constant_classifier_on_balanced_set():

@@ -7,12 +7,10 @@ from scipy.fft import next_fast_len
 
 from rfmst import wavelet
 from rfmst.wavelet import (
-    CHANNELS,
     ENVELOPE_CUTOFF,
     MorletParams,
     ShapeMismatch,
     VarianceMap,
-    channel_select,
     cwt,
     difference_scalogram,
     difference_timedomain,
@@ -208,37 +206,6 @@ def test_scalogram_shape_and_nonnegative():
     assert s.shape == (128, 256)
     assert np.all(s >= 0)
     assert np.all(np.isfinite(s))
-
-
-# ---------------------------------------------------------------------------
-# channels
-
-
-def test_channel_magnitude():
-    np.testing.assert_allclose(channel_select(np.array([3 + 4j]), "magnitude"),
-                               [5.0])
-
-
-def test_channel_cos_phase_zero_phase():
-    np.testing.assert_allclose(channel_select(np.array([1 + 0j]), "cos_phase"),
-                               [1.0])
-
-
-def test_channel_cos_phase_quadrant_convention():
-    # atan2 semantics: Re=0, Im=1 -> angle pi/2 -> cos = 0
-    got = channel_select(np.array([0 + 1j]), "cos_phase")
-    expected = math.cos(math.atan2(1.0, 0.0))
-    np.testing.assert_allclose(got, [expected], atol=1e-15)
-    # negative real axis keeps its sign, unlike the raw Im/Re ratio
-    got_neg = channel_select(np.array([-2 + 0j]), "cos_phase")
-    np.testing.assert_allclose(got_neg, [-1.0])
-
-
-def test_channel_real_imag():
-    g = np.array([1 + 2j, -3 - 4j])
-    np.testing.assert_array_equal(channel_select(g, "real"), [1.0, -3.0])
-    np.testing.assert_array_equal(channel_select(g, "imag"), [2.0, -4.0])
-    assert set(CHANNELS) == {"magnitude", "cos_phase", "real", "imag"}
 
 
 # ---------------------------------------------------------------------------
