@@ -3,14 +3,20 @@
 Networks are plain weight/bias lists with tanh hidden layers and a linear
 output layer.  The second-order trainer is a damped Gauss-Newton
 (Levenberg-Marquardt) loop for single-output nets, the only kind multi-stage
-training builds.  Each step takes the net's output and its one-row-per-sample
-Jacobian from a single forward pass, then solves either the primal (P x P)
-or dual (B x B) normal equations, whichever is smaller.  The first-order
-trainer is full-batch steepest descent.
+training builds.  Each step runs one forward and one backward sweep of the
+net, then solves either the primal (P x P) or dual (B x B) normal
+equations, whichever is smaller.  The primal form builds the explicit
+one-row-per-sample Jacobian J and J'J.  The dual form never forms J: a
+layer's block of J is a row-wise Kronecker product of its input activations
+A and output sensitivities D, so its share of JJ' is (AA' + 1) * (DD'),
+elementwise, and J'v is assembled layer by layer from A'(D * v).  That
+costs O(B^2 * sum of fan_in + fan_out) instead of O(B^2 * P).  The
+first-order trainer is full-batch steepest descent.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -160,9 +166,19 @@ def _forward_activations(net: Mlp, x):
     return acts
 
 
+def _as_targets(t, n_rows, n_out):
+    """Targets as a (B, n_out) float array; any other shape raises, so a
+    1-D target cannot broadcast against the (B, n_out) output."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape != (n_rows, n_out):
+        raise ValueError(f"expected ({n_rows}, {n_out}) targets, got {t.shape}")
+    return t
+
+
 def mse(net: Mlp, x, t) -> float:
+    x = _as_batch(x, net.layer_sizes[0])
     y = forward(net, x)
-    return float(np.mean((np.asarray(t, dtype=np.float64) - y) ** 2))
+    return float(np.mean((_as_targets(t, *y.shape) - y) ** 2))
 
 
 def pack_parameters(net: Mlp) -> np.ndarray:
@@ -189,9 +205,9 @@ def unpack_parameters(net: Mlp, theta: np.ndarray) -> Mlp:
 
 def gradient(net: Mlp, x, t) -> np.ndarray:
     """Flat gradient of the batch MSE with respect to all parameters."""
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
     acts = _forward_activations(net, x)
     y = acts[-1]
+    t = _as_targets(t, *y.shape)
     n = y.size
     delta = 2.0 * (y - t) / n  # d mse / d output (linear output layer)
     grads_w = [None] * net.n_layers
@@ -208,6 +224,26 @@ def gradient(net: Mlp, x, t) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _backward_sweep(net: Mlp, x):
+    """Output of a single-output net and each layer's (A, D) pair.
+
+    A is the layer's (B, fan_in) input activations and D = d y / d z its
+    (B, fan_out) output sensitivities, from one forward and one backward
+    sweep.  Row b of the layer's weight block of the Jacobian is the outer
+    product of A[b] and D[b], and row b of its bias block is D[b].
+    """
+    if net.layer_sizes[-1] != 1:
+        raise ValueError(f"need a single-output net, got {net.layer_sizes}")
+    acts = _forward_activations(net, x)
+    layers = [None] * net.n_layers
+    delta = np.ones((acts[0].shape[0], 1))
+    for l in range(net.n_layers - 1, -1, -1):
+        layers[l] = (acts[l], delta)
+        if l > 0:
+            delta = (delta @ net.weights[l].T) * (1.0 - acts[l] ** 2)
+    return acts[-1], layers
+
+
 def output_jacobian(net: Mlp, x) -> tuple[np.ndarray, np.ndarray]:
     """Output and parameter Jacobian of a single-output net, from one
     forward pass.
@@ -216,23 +252,39 @@ def output_jacobian(net: Mlp, x) -> tuple[np.ndarray, np.ndarray]:
     d y(x_b) / d theta, with columns in pack_parameters order.  For a
     bias-free single linear layer the weight columns are exactly the inputs.
     """
-    if net.layer_sizes[-1] != 1:
-        raise ValueError(f"need a single-output net, got {net.layer_sizes}")
-    acts = _forward_activations(net, x)
-    b_sz = acts[0].shape[0]
+    y, layers = _backward_sweep(net, x)
+    b_sz = y.shape[0]
     jac = np.empty((b_sz, net.n_params))
-    col = net.n_params
-    delta = np.ones((b_sz, 1))
-    for l in range(net.n_layers - 1, -1, -1):
-        w = net.weights[l]
-        col -= w.shape[1]
-        jac[:, col : col + w.shape[1]] = delta
-        col -= w.size
-        block = np.einsum("bi,bj->bij", acts[l], delta)
-        jac[:, col : col + w.size] = block.reshape(b_sz, w.size)
-        if l > 0:
-            delta = (delta @ w.T) * (1.0 - acts[l] ** 2)
-    return acts[-1], jac
+    col = 0
+    for a, d in layers:
+        w_size = a.shape[1] * d.shape[1]
+        block = np.einsum("bi,bj->bij", a, d)
+        jac[:, col : col + w_size] = block.reshape(b_sz, w_size)
+        col += w_size
+        jac[:, col : col + d.shape[1]] = d
+        col += d.shape[1]
+    return y, jac
+
+
+def _dual_gram(layers) -> np.ndarray:
+    """J J' summed layer by layer as (A A' + 1) * (D D'), never forming J."""
+    gram = 0.0
+    for a, d in layers:
+        block = a @ a.T
+        block += 1.0
+        block *= d @ d.T
+        gram += block
+    return gram
+
+
+def _jt_dot(layers, v) -> np.ndarray:
+    """J' v in pack_parameters order, from the (A, D) pairs."""
+    parts = []
+    for a, d in layers:
+        dv = d * v[:, None]
+        parts.append((a.T @ dv).reshape(-1))
+        parts.append(dv.sum(axis=0))
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -257,39 +309,48 @@ class LmState:
         return net, new_mse, self.mu, accepted
 
 
-def _lm_delta(jac, r, gram, mu, dual):
+def _lm_delta(gram, jt_dot, r, mu, dual):
     n = gram.shape[0]
     a = gram + mu * np.eye(n)
     factor = cho_factor(a, lower=True, check_finite=False)
     if dual:
-        return jac.T @ cho_solve(factor, r, check_finite=False)
-    return cho_solve(factor, jac.T @ r, check_finite=False)
+        return jt_dot(cho_solve(factor, r, check_finite=False))
+    return cho_solve(factor, jt_dot(r), check_finite=False)
 
 
 def lm_step(net: Mlp, x, t, state: LmState):
     """One damped Gauss-Newton iteration on the batch (x, t).
 
     Solves (J'J + mu I) delta = J'r with r = target - output and J the
-    output Jacobian, taking the dual (B x B) form when the batch is smaller
-    than the parameter vector.  The output and J come from one forward pass
-    of net; every other forward pass is of a candidate.  The net must have
-    a single output.  The step is accepted only if the batch MSE
-    strictly decreases; otherwise mu is raised and the solve retried with
-    the same Jacobian, so a step is rejected only with mu at MU_CEILING.
-    Returns (net', state', mse', accepted).
+    output Jacobian.  When the batch is smaller than the parameter vector
+    it takes the dual form, delta = J'(JJ' + mu I)^-1 r, with JJ' and J'v
+    built from the layers' activations and sensitivities and J never
+    formed; otherwise the primal form solves with the explicit Jacobian
+    from output_jacobian.  Either way the output and the sweep come from
+    one forward pass of net; every other forward pass is of a candidate.
+    The net must have a single output and t shape (B, 1).  The step is
+    accepted only if the batch MSE strictly decreases; otherwise mu is
+    raised and the solve retried with the same Gram matrix, so a step is
+    rejected only with mu at MU_CEILING.  Returns (net', state', mse',
+    accepted).
     """
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
     x = _as_batch(x, net.layer_sizes[0])
-    y, jac = output_jacobian(net, x)
+    t = _as_targets(t, x.shape[0], net.layer_sizes[-1])
+    dual = x.shape[0] < net.n_params
+    if dual:
+        y, layers = _backward_sweep(net, x)
+        gram = _dual_gram(layers)
+        jt_dot = partial(_jt_dot, layers)
+    else:
+        y, jac = output_jacobian(net, x)
+        gram = jac.T @ jac
+        jt_dot = partial(np.matmul, jac.T)
     r = (t - y).reshape(-1)
     mse0 = float(np.mean(r**2))
-    n_rows, n_params = jac.shape
-    dual = n_rows < n_params
-    gram = jac @ jac.T if dual else jac.T @ jac
     theta = pack_parameters(net)
     while True:
         try:
-            delta = _lm_delta(jac, r, gram, state.mu, dual)
+            delta = _lm_delta(gram, jt_dot, r, state.mu, dual)
         except np.linalg.LinAlgError:
             delta = None
         if delta is not None:

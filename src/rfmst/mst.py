@@ -381,6 +381,9 @@ def classify_batch(model: MstModel, x) -> np.ndarray:
     cur = np.asarray(x, dtype=np.float64)
     if cur.ndim == 1:
         cur = cur[None, :]
+    bad = np.flatnonzero(~np.isfinite(cur).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite features in rows {bad.tolist()}")
     for mlps in model.stages:
         cur = _stage_outputs(mlps, cur)
     return fuse_labels(cur, model.n_labels)

@@ -398,25 +398,109 @@ def _lm_cases():
     return cases
 
 
-def test_lm_train_is_bit_identical_to_two_pass_reference():
+class LoggedLm(LmState):
+    """LmState that logs whether each step was accepted."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def step(self, net, x, t):
+        net, new_mse, mu, accepted = super().step(net, x, t)
+        self.log.append(accepted)
+        return net, new_mse, mu, accepted
+
+
+def test_lm_train_matches_two_pass_reference():
+    """Primal steps are bit-identical to the explicit-Jacobian reference.
+    Dual steps build J J' and J'v per layer, a different summation order,
+    so they must take the same decisions (mu trace, accepted steps, stop
+    reason, best iteration) with weights equal to 1e-12 relative.  An MSE
+    trace is held to 1e-12 of its largest entry: a fit that interpolates
+    drives the MSE towards 0, where t - y cancels and only its absolute
+    error, about eps * |t| * |r|, stays small."""
     stop = StopCriteria(max_iters=25, mse_goal=1e-12, val_patience=25,
                         mu_patience=3)
     logs = []
     for net, tr, va in _lm_cases():
-        state, ref = LmState(), TwoPassLm()
+        state, ref = LoggedLm(), TwoPassLm()
         got_net, got = train(net, tr, va, state, stop)
         want_net, want = train(net, tr, va, ref, stop)
-        np.testing.assert_array_equal(pack_parameters(got_net),
-                                      pack_parameters(want_net))
-        assert got.train_mse == want.train_mse
-        assert got.val_mse == want.val_mse
         assert got.mu == want.mu
         assert got.stop_reason == want.stop_reason
         assert got.best_iteration == want.best_iteration
         assert state.mu == ref.mu
+        assert state.log == [accepted for _, accepted in ref.log]
+        got_theta, want_theta = pack_parameters(got_net), pack_parameters(want_net)
+        if ref.log[0][0]:
+            np.testing.assert_allclose(got_theta, want_theta, rtol=1e-12, atol=0)
+            for g, w in ((got.train_mse, want.train_mse),
+                         (got.val_mse, want.val_mse)):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * max(w))
+        else:
+            np.testing.assert_array_equal(got_theta, want_theta)
+            assert got.train_mse == want.train_mse
+            assert got.val_mse == want.val_mse
         logs += ref.log
     assert {dual for dual, _ in logs} == {True, False}
     assert not all(accepted for _, accepted in logs)
+
+
+def _dual_cases():
+    """(net, x): random single-output nets on small batches, and the
+    benchmark's stage shapes with their batch sizes."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(10):
+        net = random_net(rng, n_out=1)
+        cases.append((net, rng.uniform(-1, 1, size=(int(rng.integers(1, 6)),
+                                                    net.layer_sizes[0]))))
+    for sizes, b_sz in (((2048, 10, 10, 1), 36), ((60, 15, 15, 1), 216)):
+        net = init_mlp(sizes, rng=rng)
+        cases.append((net, rng.uniform(-1, 1, size=(b_sz, sizes[0]))))
+    return cases
+
+
+def test_dual_gram_and_jt_dot_match_explicit_jacobian():
+    from rfmst import ann
+
+    for net, x in _dual_cases():
+        y, jac = output_jacobian(net, x)
+        y_sweep, layers = ann._backward_sweep(net, x)
+        np.testing.assert_array_equal(y_sweep, y)
+        gram, want = ann._dual_gram(layers), jac @ jac.T
+        assert np.abs(gram - want).max() <= 1e-13 * np.abs(want).max()
+        v = np.random.default_rng(x.shape[0]).normal(size=x.shape[0])
+        got, want = ann._jt_dot(layers, v), jac.T @ v
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_dual_lm_step_never_forms_the_jacobian(monkeypatch):
+    from rfmst import ann
+
+    def no_jacobian(net, x):
+        raise AssertionError("output_jacobian called on a dual step")
+
+    monkeypatch.setattr(ann, "output_jacobian", no_jacobian)
+    rng = np.random.default_rng(32)
+    net = init_mlp((60, 15, 15, 1), rng=rng)
+    x = rng.uniform(-1, 1, size=(36, 60))
+    t = np.sin(x[:, :1])
+    new, _, new_mse, accepted = lm_step(net, x, t, LmState())
+    assert accepted
+    assert new_mse < mse(net, x, t)
+
+
+def test_targets_must_have_shape_batch_by_outputs():
+    net = init_mlp((2, 4, 1), seed=1)
+    x = np.random.default_rng(33).uniform(-1, 1, size=(8, 2))
+    t = np.sin(x[:, :1])
+    for bad in (t[:, 0], t.T, np.hstack([t, t]), t[:7]):
+        for call in (mse, gradient):
+            with pytest.raises(ValueError, match="targets"):
+                call(net, x, bad)
+        with pytest.raises(ValueError, match="targets"):
+            lm_step(net, x, bad, LmState())
 
 
 def test_lm_accepted_steps_never_increase_mse():

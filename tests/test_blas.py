@@ -1,5 +1,6 @@
-"""BLAS policy of MST training: one BLAS thread inside train_mst, and the
-caller's thread counts back after it, also when it raises.
+"""BLAS policy of MST training: one BLAS thread inside train_mst, the
+caller's thread counts back after it, also when it raises, and models that
+do not depend on the caller's thread count.
 
 The thread counts are read and set here through the OpenBLAS libraries
 that numpy and scipy bundle, found independently of rfmst.  Every test
@@ -84,6 +85,22 @@ def test_training_runs_on_one_blas_thread(two_threads, monkeypatch):
     x, y, configs = _toy()
     train_mst(x, y, x, y, configs, seed=1)
     assert seen == [[1] * len(BLAS)] * 4
+
+
+def test_models_do_not_depend_on_caller_thread_count(two_threads):
+    # 30 inputs against 20 rows: stage 1 solves the dual form, and the
+    # 8-neuron stage 2 (33 parameters) too
+    rng = np.random.default_rng(2)
+    y = np.repeat([1, 2], 10)
+    x = rng.normal(size=(20, 30)) + y[:, None]
+    configs = [StageConfig(DETECTOR_BLOCKS, 2, 1, 3, 5, 1e-3, BATCH_BALANCED),
+               StageConfig(CLASS_INDEX, 2, 1, 8, 5, 1e-3)]
+    hashes = []
+    for n in (1, 2):
+        for setter, _ in BLAS:
+            setter(n)
+        hashes.append(train_mst(x, y, x, y, configs, seed=1).stage_hashes())
+    assert hashes[0] == hashes[1]
 
 
 def test_caller_thread_counts_restored_after_training(two_threads):

@@ -277,6 +277,24 @@ def test_classify_is_pure_function_of_model_and_input():
     assert model.stage_hashes() == h_before
 
 
+def test_classify_rejects_non_finite_rows_by_index(monkeypatch):
+    from rfmst import mst
+
+    x, y = _toy_gaussians(seed=10)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=11)
+
+    def no_forward(net, xx):
+        raise AssertionError("forward pass on non-finite features")
+
+    monkeypatch.setattr(mst, "forward", no_forward)
+    batch = xtr[:5].copy()
+    batch[1, 2] = np.nan
+    batch[4, 0] = -np.inf
+    with pytest.raises(ValueError, match=r"rows \[1, 4\]"):
+        classify_batch(model, batch)
+
+
 def test_untrained_model_rejected():
     model = MstModel(configs=[], stages=[], n_labels=3, order=2, seed=0)
     with pytest.raises(UntrainedModel):
