@@ -46,23 +46,51 @@ class SplitSpec:
                 f"train_fraction must be one of {ALLOWED_TRAIN_FRACTIONS}")
 
 
+# Samples in the first window of the onset scan; each later window is
+# ONSET_WINDOW_GROWTH times as wide as the one before.
+ONSET_WINDOW = 1024
+ONSET_WINDOW_GROWTH = 4
+
+
+def _as_packet(f) -> np.ndarray:
+    f = np.asarray(f)
+    if f.ndim != 1:
+        raise ValueError(f"expected a 1-D packet, got shape {f.shape}")
+    return f
+
+
 def detect_onset(f: np.ndarray, tau: float = DEFAULT_TAU) -> int:
-    """Smallest 1-based index i with |Re(f_i)| >= tau."""
+    """Smallest 1-based index i with |Re(f_i)| >= tau.
+
+    The scan takes |Re| of consecutive windows, ONSET_WINDOW samples first
+    and ONSET_WINDOW_GROWTH times wider each time, and returns at the first
+    window that holds a crossing.  The windows tile the packet in order, so
+    every sample before that window was already found below tau, and the
+    first crossing in it is the first of the whole packet: the answer of a
+    full scan, at the cost of the samples up to the onset's window.  A NaN
+    sample never crosses.  f must be 1-D.
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    f = np.asarray(f)
+    f = _as_packet(f)
     if f.size == 0:
         raise ValueError("empty signal")
-    hits = np.nonzero(np.abs(f.real) >= tau)[0]
-    if hits.size == 0:
-        raise NoOnset(f"no sample crosses tau={tau}")
-    return int(hits[0]) + 1
+    re = f.real
+    start, width = 0, ONSET_WINDOW
+    while start < re.size:
+        hits = np.flatnonzero(np.abs(re[start:start + width]) >= tau)
+        if hits.size:
+            return start + int(hits[0]) + 1
+        start += width
+        width *= ONSET_WINDOW_GROWTH
+    raise NoOnset(f"no sample crosses tau={tau}")
 
 
 def segment(f: np.ndarray, onset_index: int, n: int, source: str = "",
             tx_label: int = 0) -> Segment:
-    """Take the n samples starting at the (1-based) onset index."""
-    f = np.asarray(f)
+    """Take the n samples starting at the (1-based) onset index of the
+    1-D packet f."""
+    f = _as_packet(f)
     if onset_index < 1:
         raise ValueError("onset_index is 1-based and must be >= 1")
     if onset_index + n - 1 > len(f):
@@ -158,5 +186,6 @@ def feature_matrix(segments, mode: str = "concat_reim"):
         x = np.abs(g)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return x.astype(np.float64), np.array([s.tx_label for s in segments])
+    return (x.astype(np.float64, copy=False),
+            np.array([s.tx_label for s in segments]))
 

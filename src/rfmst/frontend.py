@@ -65,6 +65,8 @@ def train_som(patches: np.ndarray, grid: SomGrid, epochs: int = 5) -> SomGrid:
         raise ShapeMismatch("patch dimension does not match the node vectors")
     nodes = grid.nodes.copy()
     coords = grid.node_coords()
+    # grid_dist2[k] holds the squared grid distances from node k to every node
+    grid_dist2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
     rng = np.random.default_rng(np.random.SeedSequence([0x50F + 1, grid.seed]))
     total_steps = epochs * patches.shape[0]
     step = 0
@@ -76,10 +78,10 @@ def train_som(patches: np.ndarray, grid: SomGrid, epochs: int = 5) -> SomGrid:
             lr = grid.lr_initial * (grid.lr_final / grid.lr_initial) ** frac
             radius = grid.radius_initial \
                 * (grid.radius_final / grid.radius_initial) ** frac
-            best = int(np.argmin(((nodes - x) ** 2).sum(axis=1)))
-            dist2 = ((coords - coords[best]) ** 2).sum(axis=1)
-            influence = lr * np.exp(-dist2 / (2 * radius**2))
-            nodes += influence[:, None] * (x - nodes)
+            diff = nodes - x
+            best = int(np.argmin((diff ** 2).sum(axis=1)))
+            influence = lr * np.exp(-grid_dist2[best] / (2 * radius**2))
+            nodes -= influence[:, None] * diff
             step += 1
     trained = SomGrid(nodes=nodes, grid_shape=grid.grid_shape,
                       lr_initial=grid.lr_initial, lr_final=grid.lr_final,

@@ -1,10 +1,22 @@
 """Multi-stage training orchestrator.
 
-A model is an ordered list of MLP groups.  Stage-1 nets are narrow
-detectors trained on balanced per-class batches; later stages consume the
-previous stage's outputs on the full training set.  The final stage
-regresses the class index, and classification fuses the final-stage outputs
-by majority vote over rounded responses.
+A model is an ordered list of stages, each a group of MLPs.  Stage-1 nets
+are narrow detectors trained on balanced per-class batches; later stages
+consume the previous stage's outputs on the full training set.  The final
+stage regresses the class index, and classification fuses the final-stage
+outputs by majority vote over rounded responses.
+
+Packed stages: each MLP trains on its own, and a model holds each stage as
+one Stage (pack_stage).  All MLPs of a stage share their layer sizes, so
+the first-layer weights of all m of them sit side by side in one read-only
+(fan_in, m * h) array, and each later layer is a read-only (m, h, h')
+stack.  train_mst copies each MLP into its stage's arrays as soon as it is
+trained, and load_model as soon as it is read; every Mlp of the model then
+holds views of those arrays, so the weights exist once.  A stage is
+evaluated as one GEMM for all first layers plus one batched matmul per
+later layer, both for the next stage's training inputs and in
+classify_batch: for the 2048-input raw stage 1, one (B, 2048) x
+(2048, 600) GEMM instead of 60 skinny ones.
 
 BLAS policy: training runs with the OpenBLAS that numpy and scipy bundle
 pinned to one thread, so a trained model does not depend on the BLAS
@@ -33,7 +45,7 @@ from .ann import (
     SdOptimizer,
     StopCriteria,
     TrainRun,
-    forward,
+    forward,  # noqa: F401  (kept as mst.forward: perfbench/tracing.py wraps it)
     init_mlp,
     pack_parameters,
     train,
@@ -195,10 +207,83 @@ def _mlp_targets(target_class: int | None, labels: np.ndarray) -> np.ndarray:
 # model
 
 
+@dataclass(frozen=True, eq=False)
+class Stage:
+    """One stage's MLPs with their weights packed for one evaluation.
+
+    For m MLPs with h first-layer neurons: first_w holds their first-layer
+    weights side by side, (fan_in, m * h), and first_b their (m * h,)
+    biases.  weights and biases hold each later layer as an
+    (m, fan_in, fan_out) stack and its (m, 1, fan_out) biases.  All are
+    read-only, and the arrays of each Mlp in `mlps` are views of them.
+    Build with pack_stage.
+    """
+    mlps: tuple[Mlp, ...]
+    first_w: np.ndarray
+    first_b: np.ndarray
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
+
+
+def pack_stage(mlps, n_mlps: int) -> Stage:
+    """Copy n_mlps MLPs of one layer-size tuple into packed, read-only arrays.
+
+    `mlps` may be a generator: each MLP is copied as it arrives and not held
+    after, so a stage trained or loaded through one holds its weights once,
+    not twice.
+    """
+    count = 0
+    for i, net in enumerate(mlps):
+        if i == 0:
+            sizes, h = net.layer_sizes, net.layer_sizes[1]
+            first_w = np.empty((sizes[0], n_mlps * h))
+            first_b = np.empty(n_mlps * h)
+            weights = tuple(np.empty((n_mlps, a, b))
+                            for a, b in zip(sizes[1:-1], sizes[2:]))
+            biases = tuple(np.empty((n_mlps, 1, b)) for b in sizes[2:])
+        elif net.layer_sizes != sizes:
+            raise ValueError("the MLPs of a stage must share their layer sizes")
+        if i == n_mlps:
+            raise ValueError(f"more than {n_mlps} MLPs for the stage")
+        cols = slice(i * h, (i + 1) * h)
+        first_w[:, cols] = net.weights[0]
+        first_b[cols] = net.biases[0]
+        for w, b, net_w, net_b in zip(weights, biases, net.weights[1:],
+                                      net.biases[1:]):
+            w[i] = net_w
+            b[i, 0] = net_b
+        count += 1
+    if n_mlps < 1 or count != n_mlps:
+        raise ValueError(f"expected {n_mlps} >= 1 MLPs, got {count}")
+    for arr in (first_w, first_b, *weights, *biases):
+        arr.flags.writeable = False
+    # views taken after the freeze, since a view keeps the flag it was made with
+    views = tuple(
+        Mlp(sizes, [first_w[:, i * h:(i + 1) * h], *(w[i] for w in weights)],
+            [first_b[i * h:(i + 1) * h], *(b[i, 0] for b in biases)])
+        for i in range(n_mlps))
+    return Stage(views, first_w, first_b, weights, biases)
+
+
+def _stage_outputs(stage: Stage, x) -> np.ndarray:
+    """Outputs of a stage's m MLPs on the (B, fan_in) rows x, side by side
+    in MLP order: one GEMM for every first layer, then one batched matmul
+    per later layer."""
+    m = len(stage.mlps)
+    z = x @ stage.first_w
+    z += stage.first_b
+    a = z.reshape(x.shape[0], m, z.shape[1] // m).transpose(1, 0, 2)
+    for w, b in zip(stage.weights, stage.biases):
+        np.tanh(a, out=a)
+        a = a @ w
+        a += b
+    return a.transpose(1, 0, 2).reshape(x.shape[0], m * a.shape[2])
+
+
 @dataclass
 class MstModel:
     configs: list[StageConfig]
-    stages: list[list[Mlp]]
+    stages: list[Stage]
     n_labels: int
     order: int
     seed: int
@@ -214,16 +299,12 @@ class MstModel:
 
     def stage_hashes(self) -> list[str]:
         out = []
-        for group in self.stages:
+        for stage in self.stages:
             h = hashlib.sha256()
-            for net in group:
+            for net in stage.mlps:
                 h.update(pack_parameters(net).tobytes())
             out.append(h.hexdigest()[:16])
         return out
-
-
-def _stage_outputs(mlps, x) -> np.ndarray:
-    return np.concatenate([forward(m, x) for m in mlps], axis=1)
 
 
 def _make_optimizer(order: int, sd_lr: float):
@@ -329,23 +410,27 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
             else min(cfg.max_iters, iter_cap)
         stop = StopCriteria(max_iters=max_iters, mse_goal=cfg.mse_goal,
                             val_patience=val_patience)
-        mlps, runs = [], []
-        for i, mlp_plan in enumerate(plan[s]):
-            net = init_mlp(
-                cfg.layer_sizes(cur_tr.shape[1]),
-                seed=np.random.SeedSequence([0x3117, seed, s, i]))
-            xb = cur_tr[mlp_plan.indices]
-            tb = mlp_plan.targets[:, None]
-            tv = _mlp_targets(mlp_plan.target_class, val_y)[:, None]
-            net, run = train(net, (xb, tb), (cur_va, tv),
-                             _make_optimizer(order, sd_lr), stop)
-            mlps.append(net)
-            runs.append(run)
-        stages.append(mlps)
+        runs = []
+
+        def trained_mlps():
+            for i, mlp_plan in enumerate(plan[s]):
+                net = init_mlp(
+                    cfg.layer_sizes(cur_tr.shape[1]),
+                    seed=np.random.SeedSequence([0x3117, seed, s, i]))
+                xb = cur_tr[mlp_plan.indices]
+                tb = mlp_plan.targets[:, None]
+                tv = _mlp_targets(mlp_plan.target_class, val_y)[:, None]
+                net, run = train(net, (xb, tb), (cur_va, tv),
+                                 _make_optimizer(order, sd_lr), stop)
+                runs.append(run)
+                yield net
+
+        stage = pack_stage(trained_mlps(), cfg.n_mlps)
+        stages.append(stage)
         traces.append(runs)
         if s + 1 < len(configs):
-            cur_tr = _stage_outputs(mlps, cur_tr)
-            cur_va = _stage_outputs(mlps, cur_va)
+            cur_tr = _stage_outputs(stage, cur_tr)
+            cur_va = _stage_outputs(stage, cur_va)
     known = () if known_labels is None else tuple(int(v) for v in known_labels)
     return MstModel(configs=list(configs), stages=stages, n_labels=n_labels,
                     order=order, seed=seed, traces=traces, known_labels=known)
@@ -368,24 +453,27 @@ def fuse_labels(final_outputs: np.ndarray, n_labels: int) -> np.ndarray:
 
     Ties resolve to the lowest label (argmax of the vote histogram).
     """
-    votes = np.clip(np.rint(final_outputs), 1, n_labels).astype(int)
-    out = np.empty(votes.shape[0], dtype=int)
-    for i, row in enumerate(votes):
-        out[i] = np.argmax(np.bincount(row, minlength=n_labels + 1)[1:]) + 1
-    return out
+    votes = np.clip(np.rint(final_outputs), 1, n_labels).astype(int) - 1
+    n_rows = votes.shape[0]
+    cells = np.arange(n_rows)[:, None] * n_labels + votes
+    counts = np.bincount(cells.ravel(), minlength=n_rows * n_labels)
+    return counts.reshape(n_rows, n_labels).argmax(axis=1) + 1
 
 
 def classify_batch(model: MstModel, x) -> np.ndarray:
-    if not model.stages or any(len(g) == 0 for g in model.stages):
+    if not model.stages:
         raise UntrainedModel("model has untrained stages")
     cur = np.asarray(x, dtype=np.float64)
     if cur.ndim == 1:
         cur = cur[None, :]
+    n_in = model.stages[0].first_w.shape[0]
+    if cur.ndim != 2 or cur.shape[1] != n_in:
+        raise ValueError(f"expected (*, {n_in}) features, got {cur.shape}")
     bad = np.flatnonzero(~np.isfinite(cur).all(axis=1))
     if bad.size:
         raise ValueError(f"non-finite features in rows {bad.tolist()}")
-    for mlps in model.stages:
-        cur = _stage_outputs(mlps, cur)
+    for stage in model.stages:
+        cur = _stage_outputs(stage, cur)
     return fuse_labels(cur, model.n_labels)
 
 
@@ -443,9 +531,9 @@ def save_model(model: MstModel, out_dir) -> Path:
         ],
         "stages": [],
     }
-    for s, group in enumerate(model.stages):
+    for s, stage in enumerate(model.stages):
         entries = []
-        for i, net in enumerate(group):
+        for i, net in enumerate(stage.mlps):
             blob = f"stage{s + 1}_mlp{i + 1}.f64"
             pack_parameters(net).astype("<f8").tofile(out / blob)
             entry = {"file": blob, "layer_sizes": list(net.layer_sizes),
@@ -468,12 +556,10 @@ def load_model(in_dir) -> MstModel:
     configs = [StageConfig(**c) for c in manifest["configs"]]
     stages = []
     for group in manifest["stages"]:
-        mlps = []
-        for entry in group:
-            sizes = tuple(entry["layer_sizes"])
-            theta = np.fromfile(src / entry["file"], dtype="<f8")
-            mlps.append(unpack_parameters(init_mlp(sizes, seed=0), theta))
-        stages.append(mlps)
+        mlps = (unpack_parameters(init_mlp(entry["layer_sizes"], seed=0),
+                                  np.fromfile(src / entry["file"], dtype="<f8"))
+                for entry in group)
+        stages.append(pack_stage(mlps, len(group)))
     traces = []
     if all("trace" in entry for group in manifest["stages"] for entry in group):
         traces = [[_train_run(entry["trace"]) for entry in group]

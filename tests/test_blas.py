@@ -103,6 +103,24 @@ def test_models_do_not_depend_on_caller_thread_count(two_threads):
     assert hashes[0] == hashes[1]
 
 
+def test_classification_does_not_depend_on_caller_thread_count(two_threads):
+    rng = np.random.default_rng(3)
+    y = np.repeat([1, 2, 3], 10)
+    x = rng.normal(size=(30, 256)) + y[:, None]
+    configs = [StageConfig(DETECTOR_BLOCKS, 6, 1, 16, 5, 1e-3, BATCH_BALANCED),
+               StageConfig(CLASS_INDEX, 4, 1, 8, 5, 1e-3)]
+    model = train_mst(x, y, x, y, configs, seed=1)
+    # a batch big enough for OpenBLAS to split the stage-1 GEMM
+    batch = rng.normal(size=(3000, 256)) + rng.integers(1, 4, size=3000)[:, None]
+    labels = []
+    for n in (1, 2):
+        for setter, _ in BLAS:
+            setter(n)
+        labels.append(mst.classify_batch(model, batch))
+    np.testing.assert_array_equal(labels[0], labels[1])
+    assert _counts() == [2] * len(BLAS)     # classification leaves them be
+
+
 def test_caller_thread_counts_restored_after_training(two_threads):
     x, y, configs = _toy()
     train_mst(x, y, x, y, configs, seed=1)

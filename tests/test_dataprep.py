@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfmst.dataprep import (
+    ONSET_WINDOW,
+    ONSET_WINDOW_GROWTH,
     NoOnset,
     Segment,
     SplitSpec,
@@ -40,6 +42,58 @@ def test_onset_all_zero_raises():
 def test_onset_uses_real_part_magnitude():
     f = np.array([0.9j, -0.2 + 0.0j])
     assert detect_onset(f, tau=0.05) == 2  # imaginary part never counts
+
+
+def _full_scan_onset(f, tau):
+    hits = np.flatnonzero(np.abs(f.real) >= tau)
+    if hits.size == 0:
+        raise NoOnset("reference: no crossing")
+    return int(hits[0]) + 1
+
+
+# 0-based crossing positions at and next to the scan's window edges
+_EDGE = ONSET_WINDOW + ONSET_WINDOW_GROWTH * ONSET_WINDOW
+_WINDOW_EDGES = [0, ONSET_WINDOW - 1, ONSET_WINDOW, ONSET_WINDOW + 1,
+                 _EDGE - 1, _EDGE, _EDGE + 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(at=st.one_of(st.none(), st.sampled_from(_WINDOW_EDGES),
+                    st.integers(0, 12_000)),
+       n_after=st.integers(0, 3_000),
+       cross=st.sampled_from([0.05, -0.05, 0.0500001, 0.9, -3.0]),
+       nan_frac=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)),
+       is_complex=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_onset_matches_full_scan(at, n_after, cross, nan_frac, is_complex,
+                                 seed):
+    tau = 0.05
+    rng = np.random.default_rng(seed)
+    n = (at or 0) + 1 + n_after
+    f = rng.uniform(-0.999 * tau, 0.999 * tau, size=n)
+    if at is not None:
+        f[at] = cross
+        f[at + 1:] = rng.uniform(-1.0, 1.0, size=n_after)
+    if nan_frac is not None:
+        f[int(nan_frac * (n if at is None else at))] = np.nan
+    if is_complex:
+        f = f + 1j * rng.uniform(-1.0, 1.0, size=n)
+    try:
+        expected = _full_scan_onset(f, tau)
+    except NoOnset:
+        with pytest.raises(NoOnset):
+            detect_onset(f, tau)
+        return
+    assert detect_onset(f, tau) == expected
+
+
+def test_onset_and_segment_reject_packets_that_are_not_1d():
+    f = np.zeros(1000, dtype=complex)
+    f[400:] = 0.5
+    with pytest.raises(ValueError, match="1-D"):
+        detect_onset(f[None, :])          # a full scan finds row 0: onset 1
+    with pytest.raises(ValueError, match="1-D"):
+        segment(f[:, None], 401, 32)      # would cut a (32, 1) segment
 
 
 # ---------------------------------------------------------------------------

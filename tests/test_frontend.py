@@ -72,6 +72,35 @@ def test_som_deterministic_under_seed():
     np.testing.assert_array_equal(t1.nodes, t2.nodes)
 
 
+def _som_reference(patches, grid, epochs):
+    """Online SOM written step by step from its definition."""
+    nodes = grid.nodes.copy()
+    coords = grid.node_coords()
+    rng = np.random.default_rng(np.random.SeedSequence([0x50F + 1, grid.seed]))
+    total_steps = epochs * patches.shape[0]
+    step = 0
+    for _ in range(epochs):
+        for idx in rng.permutation(patches.shape[0]):
+            x = patches[idx]
+            frac = step / max(total_steps - 1, 1)
+            lr = grid.lr_initial * (grid.lr_final / grid.lr_initial) ** frac
+            radius = grid.radius_initial \
+                * (grid.radius_final / grid.radius_initial) ** frac
+            best = int(np.argmin(((nodes - x) ** 2).sum(axis=1)))
+            dist2 = ((coords - coords[best]) ** 2).sum(axis=1)
+            nodes += lr * np.exp(-dist2 / (2 * radius**2))[:, None] * (x - nodes)
+            step += 1
+    return nodes
+
+
+def test_som_equals_step_by_step_reference():
+    rng = np.random.default_rng(6)
+    data = rng.normal(size=(150, 10))
+    grid = init_som(10, (3, 4), seed=2)
+    np.testing.assert_array_equal(train_som(data, grid, epochs=2).nodes,
+                                  _som_reference(data, grid, 2))
+
+
 def test_som_rejects_empty_or_mismatched_patches():
     grid = init_som(4, (2, 2), seed=0)
     with pytest.raises(EmptyPatchSet):

@@ -30,6 +30,7 @@ from rfmst.mst import (
     train_incremental,
     train_mst,
 )
+from rfmst import ann, mst
 from rfmst.ann import pack_parameters
 
 
@@ -266,6 +267,15 @@ def test_fuse_clamps_outputs_to_label_range():
     assert fuse_labels(outs, 12)[0] == 12
 
 
+def test_fuse_matches_per_row_vote_count():
+    rng = np.random.default_rng(8)
+    outs = rng.uniform(-2.0, 15.0, size=(200, 7))
+    votes = np.clip(np.rint(outs), 1, 12).astype(int)
+    ref = [np.argmax(np.bincount(row, minlength=13)[1:]) + 1 for row in votes]
+    np.testing.assert_array_equal(fuse_labels(outs, 12), ref)
+    assert fuse_labels(np.empty((0, 7)), 12).shape == (0,)
+
+
 def test_classify_is_pure_function_of_model_and_input():
     x, y = _toy_gaussians(seed=10)
     xtr, ytr, xva, yva = _split_toy(x, y)
@@ -278,8 +288,6 @@ def test_classify_is_pure_function_of_model_and_input():
 
 
 def test_classify_rejects_non_finite_rows_by_index(monkeypatch):
-    from rfmst import mst
-
     x, y = _toy_gaussians(seed=10)
     xtr, ytr, xva, yva = _split_toy(x, y)
     model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=11)
@@ -288,6 +296,7 @@ def test_classify_rejects_non_finite_rows_by_index(monkeypatch):
         raise AssertionError("forward pass on non-finite features")
 
     monkeypatch.setattr(mst, "forward", no_forward)
+    monkeypatch.setattr(mst, "_stage_outputs", no_forward)
     batch = xtr[:5].copy()
     batch[1, 2] = np.nan
     batch[4, 0] = -np.inf
@@ -371,6 +380,79 @@ def test_confusion_rejects_labels_outside_range():
         confusion_from_predictions([0, 1], [1, 1], 2)
     with pytest.raises(ValueError):
         confusion_from_predictions([1, 2], [1, 3], 2)
+
+
+# ---------------------------------------------------------------------------
+# packed stages
+
+
+_MIXED_DEPTH_CONFIGS = [
+    StageConfig(DETECTOR_BLOCKS, 4, 1, 5, 20, 1e-4, BATCH_BALANCED),
+    StageConfig(DETECTOR_CYCLE, 3, 0, 1, 20, 1e-5, BATCH_FULL),
+    StageConfig(CLASS_INDEX, 2, 3, 4, 20, 1e-6, BATCH_FULL),
+]
+
+
+def _assert_stages_match_per_mlp_forward(model, x):
+    cur = x
+    for stage in model.stages:
+        ref = np.concatenate([ann.forward(net, cur) for net in stage.mlps],
+                             axis=1)
+        got = mst._stage_outputs(stage, cur)
+        assert got.shape == ref.shape == (len(x), len(stage.mlps))
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        cur = ref
+
+
+@pytest.mark.parametrize("configs", [_tiny_configs(3), _MIXED_DEPTH_CONFIGS],
+                         ids=["two_hidden", "mixed_depth"])
+def test_packed_stages_match_per_mlp_forward(configs, tmp_path):
+    x, y = _toy_gaussians(seed=21)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    model = train_mst(xtr, ytr, xva, yva, configs, seed=22)
+    _assert_stages_match_per_mlp_forward(model, x)
+    loaded = load_model(save_model(model, tmp_path / "model"))
+    _assert_stages_match_per_mlp_forward(loaded, x)
+    np.testing.assert_array_equal(classify_batch(loaded, x),
+                                  classify_batch(model, x))
+    assert classify_batch(loaded, x[:0]).shape == (0,)
+
+
+def test_trained_weights_are_read_only_views_of_the_packed_stage(tmp_path):
+    x, y = _toy_gaussians(seed=23)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=24)
+    for m in (model, load_model(save_model(model, tmp_path / "model"))):
+        for stage in m.stages:
+            packed = (stage.first_w, stage.first_b, *stage.weights,
+                      *stage.biases)
+            assert not any(a.flags.writeable for a in packed)
+            for net in stage.mlps:
+                for a in (*net.weights, *net.biases):
+                    assert not a.flags.writeable
+                    assert any(np.shares_memory(a, p) for p in packed)
+        with pytest.raises(ValueError, match="read-only"):
+            m.stages[0].mlps[0].weights[0][0, 0] = 1.0
+
+
+def test_pack_stage_rejects_wrong_counts_and_mixed_shapes():
+    nets = [ann.init_mlp((3, 4, 1), seed=k) for k in range(3)]
+    with pytest.raises(ValueError):
+        mst.pack_stage([], 0)
+    with pytest.raises(ValueError, match="got 2"):
+        mst.pack_stage(nets[:2], 3)
+    with pytest.raises(ValueError, match="more than 2"):
+        mst.pack_stage(nets, 2)
+    with pytest.raises(ValueError, match="layer sizes"):
+        mst.pack_stage([nets[0], ann.init_mlp((3, 5, 1), seed=0)], 2)
+
+
+def test_classify_rejects_rows_of_the_wrong_width():
+    x, y = _toy_gaussians(seed=10)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=11)
+    with pytest.raises(ValueError, match=r"expected \(\*, 4\) features"):
+        classify_batch(model, xtr[:, :3])
 
 
 # ---------------------------------------------------------------------------
