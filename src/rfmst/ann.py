@@ -11,7 +11,8 @@ layer's block of J is a row-wise Kronecker product of its input activations
 A and output sensitivities D, so its share of JJ' is (AA' + 1) * (DD'),
 elementwise, and J'v is assembled layer by layer from A'(D * v).  That
 costs O(B^2 * sum of fan_in + fan_out) instead of O(B^2 * P).  The
-first-order trainer is full-batch steepest descent.
+first-order trainer is full-batch steepest descent; its MSE gradient,
+-2/B * J'r, comes from the same sweep.
 """
 from __future__ import annotations
 
@@ -203,27 +204,6 @@ def unpack_parameters(net: Mlp, theta: np.ndarray) -> Mlp:
     return Mlp(net.layer_sizes, weights, biases)
 
 
-def gradient(net: Mlp, x, t) -> np.ndarray:
-    """Flat gradient of the batch MSE with respect to all parameters."""
-    acts = _forward_activations(net, x)
-    y = acts[-1]
-    t = _as_targets(t, *y.shape)
-    n = y.size
-    delta = 2.0 * (y - t) / n  # d mse / d output (linear output layer)
-    grads_w = [None] * net.n_layers
-    grads_b = [None] * net.n_layers
-    for l in range(net.n_layers - 1, -1, -1):
-        grads_w[l] = acts[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
-        if l > 0:
-            delta = (delta @ net.weights[l].T) * (1.0 - acts[l] ** 2)
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.reshape(-1))
-        parts.append(gb)
-    return np.concatenate(parts)
-
-
 def _backward_sweep(net: Mlp, x):
     """Output of a single-output net and each layer's (A, D) pair.
 
@@ -285,6 +265,14 @@ def _jt_dot(layers, v) -> np.ndarray:
         parts.append((a.T @ dv).reshape(-1))
         parts.append(dv.sum(axis=0))
     return np.concatenate(parts)
+
+
+def gradient(net: Mlp, x, t) -> np.ndarray:
+    """Flat gradient of the batch MSE of a single-output net, -2/B * J'r
+    with r = t - y, from one backward sweep; J is never formed."""
+    y, layers = _backward_sweep(net, x)
+    r = (_as_targets(t, *y.shape) - y).reshape(-1)
+    return _jt_dot(layers, r) * (-2.0 / r.size)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,8 @@ class ZeroCorpus(ValueError):
 
 @dataclass
 class Segment:
-    g: np.ndarray              # complex, length n
-    n: int
+    g: np.ndarray              # complex, the n samples from the onset
     onset_index: int           # 1-based N_o
-    source: str = ""
     tx_label: int = 0
 
 
@@ -86,7 +84,7 @@ def detect_onset(f: np.ndarray, tau: float = DEFAULT_TAU) -> int:
     raise NoOnset(f"no sample crosses tau={tau}")
 
 
-def segment(f: np.ndarray, onset_index: int, n: int, source: str = "",
+def segment(f: np.ndarray, onset_index: int, n: int,
             tx_label: int = 0) -> Segment:
     """Take the n samples starting at the (1-based) onset index of the
     1-D packet f."""
@@ -98,8 +96,7 @@ def segment(f: np.ndarray, onset_index: int, n: int, source: str = "",
             f"packet of length {len(f)} too short for onset {onset_index} "
             f"and n={n}")
     g = f[onset_index - 1 : onset_index - 1 + n].copy()
-    return Segment(g=g, n=n, onset_index=onset_index, source=source,
-                   tx_label=tx_label)
+    return Segment(g=g, onset_index=onset_index, tx_label=tx_label)
 
 
 @dataclass(frozen=True)
@@ -167,25 +164,26 @@ def split(matrix: np.ndarray, labels: np.ndarray, spec: SplitSpec):
 def packets_to_segments(packets, n: int, tau: float = DEFAULT_TAU):
     """Onset-detect and segment every packet (the wN preparation)."""
     return [
-        segment(p.samples, detect_onset(p.samples, tau), n,
-                source=p.name, tx_label=p.tx_label)
+        segment(p.samples, detect_onset(p.samples, tau), n, tx_label=p.tx_label)
         for p in packets
     ]
 
 
 def feature_matrix(segments, mode: str = "concat_reim"):
-    """Stack segments into (n_packets, dim) features + labels.
+    """Stack segments into (n_packets, dim) float64 features + labels.
 
     concat_reim: (Re g_1..Re g_N, Im g_1..Im g_N), length 2N.
     magnitude: |g_i|, length N.
     """
-    g = np.stack([s.g for s in segments])
+    if not segments:
+        raise ValueError("no segments")
     if mode == "concat_reim":
-        x = np.concatenate([g.real, g.imag], axis=1)
+        n = segments[0].g.size
+        x = np.empty((len(segments), 2 * n))
+        np.stack([s.g.real for s in segments], out=x[:, :n])
+        np.stack([s.g.imag for s in segments], out=x[:, n:])
     elif mode == "magnitude":
-        x = np.abs(g)
+        x = np.stack([np.abs(s.g) for s in segments], dtype=np.float64)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return (x.astype(np.float64, copy=False),
-            np.array([s.tx_label for s in segments]))
-
+    return x, np.array([s.tx_label for s in segments])

@@ -8,7 +8,7 @@ flattened output has exactly `output_dim` entries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -83,12 +83,7 @@ def train_som(patches: np.ndarray, grid: SomGrid, epochs: int = 5) -> SomGrid:
             influence = lr * np.exp(-grid_dist2[best] / (2 * radius**2))
             nodes -= influence[:, None] * diff
             step += 1
-    trained = SomGrid(nodes=nodes, grid_shape=grid.grid_shape,
-                      lr_initial=grid.lr_initial, lr_final=grid.lr_final,
-                      radius_initial=grid.radius_initial,
-                      radius_final=grid.radius_final, seed=grid.seed,
-                      trained=True)
-    return trained
+    return replace(grid, nodes=nodes, trained=True)
 
 
 @dataclass(frozen=True)

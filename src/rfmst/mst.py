@@ -58,9 +58,6 @@ DETECTOR_BLOCKS = "detector_blocks"   # stage 1: contiguous blocks of MLPs per c
 DETECTOR_CYCLE = "detector_cycle"     # later stages: targets cycle over classes
 CLASS_INDEX = "class_index"           # final stages: regress the label value
 
-BATCH_BALANCED = "per_class_balanced"
-BATCH_FULL = "full"
-
 
 class MissingClass(ValueError):
     pass
@@ -78,15 +75,12 @@ class StageConfig:
     neurons_per_layer: int = 10
     max_iters: int = 100
     mse_goal: float = 1e-3
-    batch: str = BATCH_FULL
 
     def __post_init__(self):
         if self.role not in (DETECTOR_BLOCKS, DETECTOR_CYCLE, CLASS_INDEX):
             raise ValueError(f"unknown stage role {self.role!r}")
         if self.n_mlps < 1:
             raise ValueError("n_mlps must be >= 1")
-        if self.batch not in (BATCH_BALANCED, BATCH_FULL):
-            raise ValueError(f"unknown batch scheme {self.batch!r}")
 
     def layer_sizes(self, input_dim: int) -> tuple[int, ...]:
         return (input_dim, *([self.neurons_per_layer] * self.hidden_layers), 1)
@@ -102,9 +96,9 @@ def default_config_2nd(n_t: int = 12) -> list[StageConfig]:
         raise ValueError("need at least two transmitters")
     later = math.ceil(2.5 * n_t)
     return [
-        StageConfig(DETECTOR_BLOCKS, 5 * n_t, 2, 10, 100, 1e-3, BATCH_BALANCED),
-        StageConfig(DETECTOR_CYCLE, later, 2, 15, 150, 1e-5, BATCH_FULL),
-        StageConfig(CLASS_INDEX, later, 2, 15, 250, 1e-7, BATCH_FULL),
+        StageConfig(DETECTOR_BLOCKS, 5 * n_t, 2, 10, 100, 1e-3),
+        StageConfig(DETECTOR_CYCLE, later, 2, 15, 150, 1e-5),
+        StageConfig(CLASS_INDEX, later, 2, 15, 250, 1e-7),
     ]
 
 
@@ -115,20 +109,18 @@ def default_config_1st(n_t: int = 12) -> list[StageConfig]:
         raise ValueError("need at least two transmitters")
     goals = np.geomspace(1e-1, 1e-3, 6)
     stages = [StageConfig(DETECTOR_BLOCKS, 2 * n_t, 2, 10, 15_000,
-                          float(goals[0]), BATCH_BALANCED)]
+                          float(goals[0]))]
     for s in range(1, 5):
         stages.append(StageConfig(DETECTOR_CYCLE, 2 * n_t, 2, 15, 15_000,
-                                  float(goals[s]), BATCH_FULL))
+                                  float(goals[s])))
     stages.append(StageConfig(CLASS_INDEX, math.ceil(2.5 * n_t), 2, 15,
-                              15_000, float(goals[5]), BATCH_FULL))
+                              15_000, float(goals[5])))
     return stages
 
 
 def scaled_config(configs, factor: int) -> list[StageConfig]:
     """Same stages with `factor` times the MLP count (the tripled variant)."""
-    return [StageConfig(c.role, factor * c.n_mlps, c.hidden_layers,
-                        c.neurons_per_layer, c.max_iters, c.mse_goal, c.batch)
-            for c in configs]
+    return [dataclasses.replace(c, n_mlps=factor * c.n_mlps) for c in configs]
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +150,9 @@ def plan_batches(labels: np.ndarray, configs, seed: int,
                  known_labels=None) -> list[list[MlpPlan]]:
     """Assign batches and targets to every MLP, one list of plans per stage.
 
-    Balanced stages take all positives of the target class plus an equal
-    count of seeded random negatives, drawn from the known-class pool only;
-    full stages use the entire training set.  Batches may overlap.
+    DETECTOR_BLOCKS stages take all positives of the target class plus an
+    equal count of seeded random negatives, drawn from the known-class pool
+    only; every other stage uses the entire training set.  Batches may overlap.
     """
     labels = np.asarray(labels)
     all_classes = np.unique(labels)
@@ -177,7 +169,7 @@ def plan_batches(labels: np.ndarray, configs, seed: int,
         for i, t in enumerate(targets):
             rng = np.random.default_rng(
                 np.random.SeedSequence([0xB47C4, seed, s, i]))
-            if cfg.batch == BATCH_BALANCED:
+            if cfg.role == DETECTOR_BLOCKS:
                 pos = np.nonzero(labels == t)[0]
                 if pos.size == 0:
                     raise MissingClass(f"no positives for class {t}")
@@ -292,8 +284,7 @@ class MstModel:
 
     def config_hash(self) -> str:
         blob = json.dumps(
-            [[c.role, c.n_mlps, c.hidden_layers, c.neurons_per_layer,
-              c.max_iters, c.mse_goal, c.batch] for c in self.configs]
+            [dataclasses.astuple(c) for c in self.configs]
             + [self.n_labels, self.order, self.seed, list(self.known_labels)])
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -305,10 +296,6 @@ class MstModel:
                 h.update(pack_parameters(net).tobytes())
             out.append(h.hexdigest()[:16])
         return out
-
-
-def _make_optimizer(order: int, sd_lr: float):
-    return LmState() if order == 2 else SdOptimizer(lr=sd_lr)
 
 
 # (set, get) thread-count functions, in the order they are looked up
@@ -420,8 +407,8 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
                 xb = cur_tr[mlp_plan.indices]
                 tb = mlp_plan.targets[:, None]
                 tv = _mlp_targets(mlp_plan.target_class, val_y)[:, None]
-                net, run = train(net, (xb, tb), (cur_va, tv),
-                                 _make_optimizer(order, sd_lr), stop)
+                opt = LmState() if order == 2 else SdOptimizer(lr=sd_lr)
+                net, run = train(net, (xb, tb), (cur_va, tv), opt, stop)
                 runs.append(run)
                 yield net
 
@@ -521,14 +508,7 @@ def save_model(model: MstModel, out_dir) -> Path:
         "seed": model.seed,
         "known_labels": list(model.known_labels),
         "config_hash": model.config_hash(),
-        "configs": [
-            {"role": c.role, "n_mlps": c.n_mlps,
-             "hidden_layers": c.hidden_layers,
-             "neurons_per_layer": c.neurons_per_layer,
-             "max_iters": c.max_iters, "mse_goal": c.mse_goal,
-             "batch": c.batch}
-            for c in model.configs
-        ],
+        "configs": [dataclasses.asdict(c) for c in model.configs],
         "stages": [],
     }
     for s, stage in enumerate(model.stages):
@@ -551,24 +531,39 @@ def _train_run(fields: dict) -> TrainRun:
 
 
 def load_model(in_dir) -> MstModel:
+    """Read a saved model; a manifest whose stage groups do not match its
+    configs, or its configs their config_hash, raises ValueError."""
     src = Path(in_dir)
-    manifest = json.loads((src / "manifest.json").read_text())
+    path = src / "manifest.json"
+    manifest = json.loads(path.read_text())
     configs = [StageConfig(**c) for c in manifest["configs"]]
+    groups = manifest["stages"]
+    if len(groups) != len(configs):
+        raise ValueError(f"{path}: {len(groups)} stage groups for "
+                         f"{len(configs)} configured stages")
     stages = []
-    for group in manifest["stages"]:
-        mlps = (unpack_parameters(init_mlp(entry["layer_sizes"], seed=0),
+    for s, (cfg, group) in enumerate(zip(configs, groups)):
+        if len(group) != cfg.n_mlps:
+            raise ValueError(f"{path}: stage {s + 1} has {len(group)} MLPs, "
+                             f"configured {cfg.n_mlps}")
+        fan_in = group[0]["layer_sizes"][0] if s == 0 else configs[s - 1].n_mlps
+        sizes = cfg.layer_sizes(fan_in)
+        if any(tuple(entry["layer_sizes"]) != sizes for entry in group):
+            raise ValueError(f"{path}: stage {s + 1} layer sizes differ from "
+                             f"the configured {sizes}")
+        mlps = (unpack_parameters(init_mlp(sizes, seed=0),
                                   np.fromfile(src / entry["file"], dtype="<f8"))
                 for entry in group)
-        stages.append(pack_stage(mlps, len(group)))
+        stages.append(pack_stage(mlps, cfg.n_mlps))
     traces = []
-    if all("trace" in entry for group in manifest["stages"] for entry in group):
+    if all("trace" in entry for group in groups for entry in group):
         traces = [[_train_run(entry["trace"]) for entry in group]
-                  for group in manifest["stages"]]
+                  for group in groups]
     model = MstModel(configs=configs, stages=stages,
                      n_labels=manifest["n_labels"], order=manifest["order"],
                      seed=manifest["seed"], traces=traces,
                      known_labels=tuple(manifest["known_labels"]))
     if model.config_hash() != manifest["config_hash"]:
-        raise ValueError(f"{src / 'manifest.json'}: configuration does not "
-                         "match its config_hash")
+        raise ValueError(f"{path}: configuration does not match its "
+                         "config_hash")
     return model

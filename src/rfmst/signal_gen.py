@@ -74,7 +74,6 @@ class TransmitterProfile:
     amam_cubic_coeff: float = 0.0         # |c| < 1, compressive for c > 0
     dc_offset: complex = 0.0
     carrier_phase_jitter: float = 0.0     # radians; per-packet uniform phase
-    timing_jitter: float = 0.0            # fractional-sample capture offset
     shared_osc_group: int = 0
 
     def __post_init__(self):
@@ -93,8 +92,6 @@ class TransmitterProfile:
             raise ValueError("phase_noise_bw must be >= 0")
         if not 0 <= self.carrier_phase_jitter <= math.pi:
             raise ValueError("carrier_phase_jitter must be within [0, pi]")
-        if not 0 <= self.timing_jitter <= 1 or not math.isfinite(self.timing_jitter):
-            raise ValueError("timing_jitter must be within [0, 1]")
 
     @property
     def name(self) -> str:
@@ -184,7 +181,8 @@ def apply_impairments(packet: np.ndarray, profile: TransmitterProfile,
                       rng_phase, rng_noise, rng_carrier) -> np.ndarray:
     """Impairment chain in fixed order: IQ imbalance, AM/AM cubic, carrier
     rotation (CFO plus per-packet start phase), phase-noise walk, DC offset,
-    AWGN."""
+    AWGN, drawn from rng_carrier, rng_phase and rng_noise.  The IQ step
+    makes a new array, so the input packet is never written."""
     x = packet
     # IQ imbalance: gain error on I, quadrature skew leaking I into Q
     i = (1.0 + profile.iq_gain_imbalance) * x.real
@@ -215,14 +213,8 @@ def apply_impairments(packet: np.ndarray, profile: TransmitterProfile,
         x = x * np.exp(1j * theta)
     # DC offset radiates only while the transmitter is keyed; the leading
     # silence is receiver noise alone, which keeps onset thresholding honest
-    x = x.copy()
     x[params.silence_len:] += complex(profile.dc_offset)
-    # capture-clock asynchrony: the receiver samples on its own grid, so
-    # every packet lands with a random sub-sample timing offset
-    if profile.timing_jitter > 0.0:
-        delta = profile.timing_jitter * rng_carrier.uniform(0.0, 1.0)
-        freqs = np.fft.fftfreq(len(x))
-        x = np.fft.ifft(np.fft.fft(x) * np.exp(-2j * np.pi * freqs * delta))
+    # receiver noise over the whole capture, scaled to the ideal burst's power
     if noise_snr_db is not None and np.isfinite(noise_snr_db):
         burst = packet[params.silence_len:]
         burst_power = np.mean(np.abs(burst) ** 2)

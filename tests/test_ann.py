@@ -259,6 +259,12 @@ def test_jacobian_rejects_multi_output_nets():
         output_jacobian(net, np.ones((5, 3)))
 
 
+def test_gradient_rejects_multi_output_nets():
+    net = init_mlp((3, 4, 2), seed=0)
+    with pytest.raises(ValueError, match="single-output"):
+        gradient(net, np.ones((5, 3)), np.zeros((5, 2)))
+
+
 def test_acceptance_style_fd_agreement_on_20_random_nets():
     # 20 random nets with <= 50 parameters each, relative error < 1e-5
     rng = np.random.default_rng(42)
@@ -376,6 +382,40 @@ def test_lm_step_forwards_only_candidate_nets(monkeypatch):
         assert all(n is not net for n in calls)
         assert calls[-1] is new
         net = new
+
+
+@pytest.mark.parametrize("n_rows", [6, 40], ids=["dual", "primal"])
+def test_lm_step_retries_a_failed_factorisation_with_mu_raised(monkeypatch,
+                                                               n_rows):
+    from rfmst import ann
+
+    rng = np.random.default_rng(34)
+    x = rng.uniform(-1, 1, size=(n_rows, 2))
+    t = np.sin(2 * x[:, :1]) + x[:, 1:]
+    net = init_mlp((2, 3, 1), seed=35)          # 13 parameters
+    ref, ref_state, _, _ = lm_step(net, x, t, LmState(mu=10 * MU_INIT))
+    seen = []
+
+    def failing_once(a, **kw):
+        seen.append(a.copy())
+        if len(seen) == 1:
+            raise np.linalg.LinAlgError("not positive definite")
+        return cho_factor(a, **kw)
+
+    monkeypatch.setattr(ann, "cho_factor", failing_once)
+    new, state, new_mse, accepted = lm_step(net, x, t, LmState(mu=MU_INIT))
+    assert accepted and new_mse < mse(net, x, t)
+    assert len(seen) == 2
+    # same Gram matrix: the off-diagonal entries are equal, and only mu,
+    # on the diagonal, rose by MU_INC
+    n = seen[0].shape[0]
+    off = ~np.eye(n, dtype=bool)
+    np.testing.assert_array_equal(seen[1][off], seen[0][off])
+    np.testing.assert_allclose(np.diag(seen[1] - seen[0]),
+                               (MU_INC - 1) * MU_INIT, rtol=1e-6)
+    # the retry is the step taken from mu = MU_INC * MU_INIT
+    assert state.mu == ref_state.mu
+    np.testing.assert_array_equal(pack_parameters(new), pack_parameters(ref))
 
 
 def _lm_cases():
@@ -550,7 +590,7 @@ def test_sd_monotone_decrease_on_convex_quadratic():
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(16)
     for _ in range(5):
-        net = random_net(rng)
+        net = random_net(rng, n_out=1)
         x = rng.normal(size=(6, net.layer_sizes[0]))
         t = rng.normal(size=(6, net.layer_sizes[-1]))
         g = gradient(net, x, t)
@@ -695,7 +735,7 @@ def test_pack_unpack_roundtrip(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_gradient_property_random_nets(seed):
     rng = np.random.default_rng(seed)
-    net = random_net(rng, max_hidden=4)
+    net = random_net(rng, max_hidden=4, n_out=1)
     x = rng.uniform(-1, 1, size=(4, net.layer_sizes[0]))
     t = rng.uniform(-1, 1, size=(4, net.layer_sizes[-1]))
     g = gradient(net, x, t)

@@ -17,7 +17,6 @@ import scipy
 
 from rfmst import mst
 from rfmst.mst import (
-    BATCH_BALANCED,
     CLASS_INDEX,
     DETECTOR_BLOCKS,
     StageConfig,
@@ -68,7 +67,7 @@ def _toy():
     rng = np.random.default_rng(0)
     y = np.repeat([1, 2], 10)
     x = rng.normal(size=(20, 3)) + y[:, None]
-    configs = [StageConfig(DETECTOR_BLOCKS, 2, 1, 3, 5, 1e-3, BATCH_BALANCED),
+    configs = [StageConfig(DETECTOR_BLOCKS, 2, 1, 3, 5, 1e-3),
                StageConfig(CLASS_INDEX, 2, 1, 3, 5, 1e-3)]
     return x, y, configs
 
@@ -93,7 +92,7 @@ def test_models_do_not_depend_on_caller_thread_count(two_threads):
     rng = np.random.default_rng(2)
     y = np.repeat([1, 2], 10)
     x = rng.normal(size=(20, 30)) + y[:, None]
-    configs = [StageConfig(DETECTOR_BLOCKS, 2, 1, 3, 5, 1e-3, BATCH_BALANCED),
+    configs = [StageConfig(DETECTOR_BLOCKS, 2, 1, 3, 5, 1e-3),
                StageConfig(CLASS_INDEX, 2, 1, 8, 5, 1e-3)]
     hashes = []
     for n in (1, 2):
@@ -107,7 +106,7 @@ def test_classification_does_not_depend_on_caller_thread_count(two_threads):
     rng = np.random.default_rng(3)
     y = np.repeat([1, 2, 3], 10)
     x = rng.normal(size=(30, 256)) + y[:, None]
-    configs = [StageConfig(DETECTOR_BLOCKS, 6, 1, 16, 5, 1e-3, BATCH_BALANCED),
+    configs = [StageConfig(DETECTOR_BLOCKS, 6, 1, 16, 5, 1e-3),
                StageConfig(CLASS_INDEX, 4, 1, 8, 5, 1e-3)]
     model = train_mst(x, y, x, y, configs, seed=1)
     # a batch big enough for OpenBLAS to split the stage-1 GEMM

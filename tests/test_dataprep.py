@@ -14,10 +14,12 @@ from rfmst.dataprep import (
     detect_onset,
     feature_matrix,
     normalize_corpus,
+    packets_to_segments,
     segment,
     split,
     stratified_indices,
 )
+from rfmst.signal_gen import IqPacket, default_profiles, generate_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +107,7 @@ def test_segment_positions_match_onset():
     seg = segment(f, onset_index=451, n=2048)
     assert seg.g[0] == 451
     assert seg.g[-1] == 2498
-    assert seg.n == 2048
+    assert seg.g.shape == (2048,)
 
 
 def test_segment_length_32():
@@ -126,13 +128,29 @@ def test_segment_roundtrip_recovers_packet_samples():
     np.testing.assert_array_equal(seg.g, f[16:80])
 
 
+def test_packets_to_segments_is_onset_then_segment_per_packet():
+    corpus = generate_corpus(default_profiles()[:3], 2, seed=5)
+    segs = packets_to_segments(corpus.packets, 64, tau=0.04)
+    assert len(segs) == len(corpus.packets)
+    for seg, p in zip(segs, corpus.packets):
+        onset = detect_onset(p.samples, 0.04)
+        assert seg.onset_index == onset
+        assert seg.tx_label == p.tx_label
+        np.testing.assert_array_equal(seg.g,
+                                      segment(p.samples, onset, 64).g)
+    silent = IqPacket(np.zeros(1000, dtype=complex), tx_label=1,
+                      packet_id=0, name="silent")
+    with pytest.raises(NoOnset):
+        packets_to_segments([corpus.packets[0], silent], 64)
+
+
 # ---------------------------------------------------------------------------
 # vectorization
 
 
 def _seg(values, label=1):
     g = np.asarray(values, dtype=complex)
-    return Segment(g=g, n=len(g), onset_index=1, tx_label=label)
+    return Segment(g=g, onset_index=1, tx_label=label)
 
 
 def _vec(values, mode):
@@ -162,6 +180,21 @@ def test_feature_matrix_stacks_rows_and_labels():
     x, y = feature_matrix(segs, "concat_reim")
     assert x.shape == (2, 4)
     np.testing.assert_array_equal(y, [1, 2])
+
+
+@pytest.mark.parametrize("mode", ["concat_reim", "magnitude"])
+def test_feature_matrix_rows_equal_the_stacked_reference(mode):
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
+    x, _ = feature_matrix([_seg(row) for row in g], mode)
+    ref = np.concatenate([g.real, g.imag], axis=1) \
+        if mode == "concat_reim" else np.abs(g)
+    assert x.dtype == np.float64
+    np.testing.assert_array_equal(x, ref)
+    with pytest.raises(ValueError):
+        feature_matrix([_seg(g[0]), _seg(g[1, :8])], mode)
+    with pytest.raises(ValueError):
+        feature_matrix([], mode)
 
 
 def test_vectorize_injective_for_fixed_mode():

@@ -1,13 +1,12 @@
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from rfmst.dataprep import stratified_indices
 from rfmst.mst import (
-    BATCH_BALANCED,
-    BATCH_FULL,
     CLASS_INDEX,
     DETECTOR_BLOCKS,
     DETECTOR_CYCLE,
@@ -44,8 +43,6 @@ def test_default_2nd_order_stage_sizes():
     assert [c.neurons_per_layer for c in cfgs] == [10, 15, 15]
     assert [c.max_iters for c in cfgs] == [100, 150, 250]
     assert [c.mse_goal for c in cfgs] == [1e-3, 1e-5, 1e-7]
-    assert cfgs[0].batch == BATCH_BALANCED
-    assert cfgs[1].batch == BATCH_FULL
 
 
 def test_default_2nd_order_targets():
@@ -142,9 +139,9 @@ def _toy_gaussians(n_classes=3, per_class=40, dim=4, seed=0, spread=0.08):
 
 def _tiny_configs(n_t):
     return [
-        StageConfig(DETECTOR_BLOCKS, 2 * n_t, 2, 6, 30, 1e-4, BATCH_BALANCED),
-        StageConfig(DETECTOR_CYCLE, n_t, 2, 6, 30, 1e-5, BATCH_FULL),
-        StageConfig(CLASS_INDEX, 5, 2, 6, 40, 1e-6, BATCH_FULL),
+        StageConfig(DETECTOR_BLOCKS, 2 * n_t, 2, 6, 30, 1e-4),
+        StageConfig(DETECTOR_CYCLE, n_t, 2, 6, 30, 1e-5),
+        StageConfig(CLASS_INDEX, 5, 2, 6, 40, 1e-6),
     ]
 
 
@@ -206,7 +203,7 @@ def test_stage_freezing_later_stage_changes_leave_earlier_weights():
     xtr, ytr, xva, yva = _split_toy(x, y)
     base = _tiny_configs(3)
     variant = list(base)
-    variant[2] = StageConfig(CLASS_INDEX, 5, 2, 6, 8, 1e-9, BATCH_FULL)
+    variant[2] = StageConfig(CLASS_INDEX, 5, 2, 6, 8, 1e-9)
     m1 = train_mst(xtr, ytr, xva, yva, base, order=2, seed=5)
     m2 = train_mst(xtr, ytr, xva, yva, variant, order=2, seed=5)
     assert m1.stage_hashes()[:2] == m2.stage_hashes()[:2]
@@ -387,9 +384,9 @@ def test_confusion_rejects_labels_outside_range():
 
 
 _MIXED_DEPTH_CONFIGS = [
-    StageConfig(DETECTOR_BLOCKS, 4, 1, 5, 20, 1e-4, BATCH_BALANCED),
-    StageConfig(DETECTOR_CYCLE, 3, 0, 1, 20, 1e-5, BATCH_FULL),
-    StageConfig(CLASS_INDEX, 2, 3, 4, 20, 1e-6, BATCH_FULL),
+    StageConfig(DETECTOR_BLOCKS, 4, 1, 5, 20, 1e-4),
+    StageConfig(DETECTOR_CYCLE, 3, 0, 1, 20, 1e-5),
+    StageConfig(CLASS_INDEX, 2, 3, 4, 20, 1e-6),
 ]
 
 
@@ -494,4 +491,44 @@ def test_load_model_rejects_manifest_not_matching_its_hash(tmp_path):
     manifest["seed"] += 1
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError):
+        load_model(out)
+
+
+@pytest.fixture(scope="module")
+def saved_toy_model(tmp_path_factory):
+    x, y = _toy_gaussians(seed=17)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=18)
+    return save_model(model, tmp_path_factory.mktemp("saved") / "model")
+
+
+def _drop_last_stage(manifest, out):
+    manifest["stages"].pop()
+
+
+def _drop_one_final_mlp(manifest, out):
+    manifest["stages"][-1].pop()
+
+
+def _widen_final_stage(manifest, out):
+    # consistent blobs of another width: they load and pack without error
+    for i, entry in enumerate(manifest["stages"][-1]):
+        net = ann.init_mlp((3, 7, 7, 1), seed=i)
+        ann.pack_parameters(net).astype("<f8").tofile(out / entry["file"])
+        entry["layer_sizes"] = list(net.layer_sizes)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_drop_last_stage, "2 stage groups for 3 configured stages"),
+    (_drop_one_final_mlp, "stage 3 has 4 MLPs, configured 5"),
+    (_widen_final_stage, r"stage 3 layer sizes differ from the configured "
+                         r"\(3, 6, 6, 1\)"),
+], ids=["stage_count", "mlp_count", "layer_sizes"])
+def test_load_model_rejects_stage_groups_not_matching_the_configs(
+        saved_toy_model, tmp_path, tamper, message):
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    manifest = json.loads((out / "manifest.json").read_text())
+    tamper(manifest, out)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: " + message):
         load_model(out)
