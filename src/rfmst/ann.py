@@ -247,13 +247,22 @@ def output_jacobian(net: Mlp, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dual_gram(layers) -> np.ndarray:
-    """J J' summed layer by layer as (A A' + 1) * (D D'), never forming J."""
-    gram = 0.0
-    for a, d in layers:
+    """J J' summed layer by layer as (A A' + 1) * (D D'), never forming J.
+
+    layers come from _backward_sweep, which seeds the output layer's D
+    with ones, so that layer's block is A A' + 1 alone.
+    """
+    gram = None
+    last = len(layers) - 1
+    for l, (a, d) in enumerate(layers):
         block = a @ a.T
         block += 1.0
-        block *= d @ d.T
-        gram += block
+        if l != last:
+            block *= d @ d.T
+        if gram is None:
+            gram = block
+        else:
+            gram += block
     return gram
 
 
@@ -298,8 +307,8 @@ class LmState:
 
 
 def _lm_delta(gram, jt_dot, r, mu, dual):
-    n = gram.shape[0]
-    a = gram + mu * np.eye(n)
+    a = gram.copy()
+    a.flat[:: a.shape[0] + 1] += mu
     factor = cho_factor(a, lower=True, check_finite=False)
     if dual:
         return jt_dot(cho_solve(factor, r, check_finite=False))

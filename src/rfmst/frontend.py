@@ -2,9 +2,11 @@
 
 A self-organizing map trained on patches sampled from training-split
 scalograms supplies the convolution filter weights.  Each scalogram is
-convolved with every node (valid positions, configurable stride), squashed
-with tanh, then reduced by two non-overlapping max-pool stages sized so the
-flattened output has exactly `output_dim` entries.
+convolved with every node (valid positions, configurable stride), reduced
+by two non-overlapping max-pool stages sized so the flattened output has
+exactly `output_dim` entries, then squashed with tanh.  Only the
+convolution positions the pools keep are computed, and tanh, being
+monotone, is applied to the pooled values alone.
 """
 from __future__ import annotations
 
@@ -196,21 +198,17 @@ def sample_patches(scalograms, cfg: FrontEndConfig, n_patches: int,
     return out
 
 
-def _max_pool(maps: np.ndarray, window) -> np.ndarray:
-    """Non-overlapping max pool over the trailing two axes (floor division)."""
-    wh, ww = window
-    k, h, w = maps.shape
-    h2, w2 = h // wh, w // ww
-    trimmed = maps[:, : h2 * wh, : w2 * ww]
-    return trimmed.reshape(k, h2, wh, w2, ww).max(axis=(2, 4))
-
-
 def extract_features(scalogram: np.ndarray, som: SomGrid,
                      cfg: FrontEndConfig) -> np.ndarray:
-    """Convolve with the SOM filters, tanh, max-pool twice, flatten.
+    """Convolve with the SOM filters, max-pool twice, tanh, flatten.
 
     Convolution responses are normalized by the patch size to keep tanh in
-    its active range.  Output length is exactly cfg.output_dim.
+    its active range.  Only the block of convolution positions the floor-
+    dividing pools keep is computed; the nested pool windows tile it, so
+    both pools are one max per (pool1 * pool2) block.  max is exact and
+    tanh and the normalization are monotone, so pooling first gives the
+    same bits as squashing every response.  Output length is exactly
+    cfg.output_dim, ordered filter by filter.
     """
     if not som.trained:
         raise ValueError("SOM filters are untrained")
@@ -220,13 +218,15 @@ def extract_features(scalogram: np.ndarray, som: SomGrid,
     if som.nodes.shape[1] != p * q:
         raise ShapeMismatch("SOM node dimension does not match the patch size")
     sr, sc = cfg.stride
-    windows = sliding_window_view(s, (p, q))[::sr, ::sc]
-    h, w = windows.shape[:2]
-    flat = windows.reshape(h * w, p * q)
-    conv = (flat @ som.nodes.T) / (p * q)          # (h*w, K)
-    maps = np.tanh(conv.T.reshape(som.n_nodes, h, w))
-    pooled = _max_pool(_max_pool(maps, cfg.pool1), cfg.pool2)
-    out = pooled.reshape(-1)
+    h, w = cfg.pooled_shape(s.shape)
+    r = cfg.pool1[0] * cfg.pool2[0]
+    c = cfg.pool1[1] * cfg.pool2[1]
+    k = som.n_nodes
+    windows = sliding_window_view(s, (p, q))[::sr, ::sc][: h * r, : w * c]
+    conv = windows.reshape(h * r * w * c, p * q) @ som.nodes.T
+    pooled = (conv.reshape(h, r, w * c, k).max(axis=1)
+              .reshape(h, w, c, k).max(axis=2))
+    out = np.tanh(pooled.transpose(2, 0, 1).reshape(-1) / (p * q))
     if out.size != cfg.output_dim:
         raise ShapeMismatch(f"got {out.size} features, expected {cfg.output_dim}")
     return out
@@ -247,8 +247,9 @@ class FrontEnd:
     row_scale: np.ndarray
 
     def standardize(self, scalogram: np.ndarray) -> np.ndarray:
-        s = np.asarray(scalogram, dtype=np.float64)
-        return (s - self.row_mean[:, None]) / self.row_scale[:, None]
+        out = np.asarray(scalogram, dtype=np.float64) - self.row_mean[:, None]
+        out /= self.row_scale[:, None]
+        return out
 
     def __call__(self, scalogram: np.ndarray) -> np.ndarray:
         return extract_features(self.standardize(scalogram), self.som, self.cfg)

@@ -51,6 +51,7 @@ from .ann import (
     train,
     unpack_parameters,
 )
+from .manifest import checked_fields
 
 logger = logging.getLogger(__name__)
 
@@ -526,8 +527,10 @@ def save_model(model: MstModel, out_dir) -> Path:
     return out
 
 
-def _train_run(fields: dict) -> TrainRun:
-    return TrainRun(**{**fields, "stop": StopCriteria(**fields["stop"])})
+def _train_run(fields: dict, path) -> TrainRun:
+    fields = checked_fields(TrainRun, fields, path)
+    stop = StopCriteria(**checked_fields(StopCriteria, fields["stop"], path))
+    return TrainRun(**{**fields, "stop": stop})
 
 
 def load_model(in_dir) -> MstModel:
@@ -536,7 +539,8 @@ def load_model(in_dir) -> MstModel:
     src = Path(in_dir)
     path = src / "manifest.json"
     manifest = json.loads(path.read_text())
-    configs = [StageConfig(**c) for c in manifest["configs"]]
+    configs = [StageConfig(**checked_fields(StageConfig, c, path))
+               for c in manifest["configs"]]
     groups = manifest["stages"]
     if len(groups) != len(configs):
         raise ValueError(f"{path}: {len(groups)} stage groups for "
@@ -557,7 +561,7 @@ def load_model(in_dir) -> MstModel:
         stages.append(pack_stage(mlps, cfg.n_mlps))
     traces = []
     if all("trace" in entry for group in groups for entry in group):
-        traces = [[_train_run(entry["trace"]) for entry in group]
+        traces = [[_train_run(entry["trace"], path) for entry in group]
                   for group in groups]
     model = MstModel(configs=configs, stages=stages,
                      n_labels=manifest["n_labels"], order=manifest["order"],

@@ -19,6 +19,8 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import resample_poly
 
+from .manifest import checked_fields
+
 
 @dataclass(frozen=True)
 class OfdmParams:
@@ -414,16 +416,16 @@ def save_corpus(corpus: Corpus, out_dir) -> Path:
 def load_corpus(in_dir) -> Corpus:
     """Read a saved corpus, checking the profile hash and every packet length."""
     src = Path(in_dir)
-    manifest = json.loads((src / "manifest.json").read_text())
-    params = OfdmParams(**manifest["params"])
+    path = src / "manifest.json"
+    manifest = json.loads(path.read_text())
+    params = OfdmParams(**checked_fields(OfdmParams, manifest["params"], path))
     profiles = []
     for d in manifest["profiles"]:
-        d = dict(d)
-        d["dc_offset"] = complex(d["dc_offset"][0], d["dc_offset"][1])
-        profiles.append(TransmitterProfile(**d))
+        d = checked_fields(TransmitterProfile, d, path)
+        profiles.append(TransmitterProfile(
+            **{**d, "dc_offset": complex(d["dc_offset"][0], d["dc_offset"][1])}))
     if profiles_hash(profiles) != manifest["profile_hash"]:
-        raise ValueError(f"{src / 'manifest.json'}: profiles do not match "
-                         "their profile_hash")
+        raise ValueError(f"{path}: profiles do not match their profile_hash")
     packets = []
     for entry in manifest["packets"]:
         iq = np.fromfile(src / entry["file"], dtype="<f4")

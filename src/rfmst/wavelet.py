@@ -16,12 +16,16 @@ Gaussian envelope falls below ~1e-16.  Since every translation b and every
 sample t lie in [0, n), a tap d = t - b only ever meets a sample when
 |d| <= n - 1; taps beyond that multiply the zero padding, so they are
 dropped and the support is K = min(ceil(8.5 a), n - 1).  Each conjugated
-kernel is placed circularly, tap d at index -d mod N, in one FFT length
-N = next_fast_len(n + K_max) <= next_fast_len(2n - 1) shared by all
-scales; N >= n + K keeps the circular convolution free of wrap-around, so
-translation b is sample b of the inverse FFT.  All scales go through one
-batched inverse FFT, done in place.  This matches a direct evaluation of
-the sum to ~1e-15 of the scalogram's peak.
+kernel is placed circularly, tap d at index -d mod N.  The scale grid is
+split between two FFT lengths: the scales with K <= n // 4 share
+N = next_fast_len(n + their largest K), and the rest share
+N = next_fast_len(n + K_max) <= next_fast_len(2n - 1).  At n = 512 that
+is 55 rows at N = 640 and 73 at N = 1024, about 0.8 of the inverse-FFT
+work of one length for all rows.  N >= n + K keeps every row's circular
+convolution free of wrap-around, so translation b is sample b of the
+inverse FFT.  Each group goes through one batched inverse FFT, done in
+place.  This matches a direct evaluation of the sum to ~1e-15 of the
+scalogram's peak.
 """
 from __future__ import annotations
 
@@ -83,12 +87,15 @@ def morlet(t, xi0: float = 6.0) -> np.ndarray:
 _KERNEL_CACHE: dict = {}
 
 
-def _kernel_bank(n: int, params: MorletParams) -> np.ndarray:
+def _kernel_bank(n: int, params: MorletParams) -> list:
     """Spectra of the per-scale correlation kernels, cached per (n, params).
 
-    An (n_scales, N) array, N = next_fast_len(n + K_max): row i is the FFT
-    of scale i's conjugated, 1/sqrt(a)-weighted wavelet on its clipped
-    support |d| <= K_i, tap d placed at index -d mod N.
+    A list of (rows, spectra) per FFT-length group: rows is a slice of the
+    scale grid and spectra an (len(rows), N) array whose row i is the FFT
+    of that scale's conjugated, 1/sqrt(a)-weighted wavelet on its clipped
+    support |d| <= K, tap d placed at index -d mod N.  Scales with
+    K <= n // 4 share N = next_fast_len(n + their largest K); the rest
+    share N = next_fast_len(n + K_max).
     """
     key = (n, params)
     bank = _KERNEL_CACHE.get(key)
@@ -96,17 +103,50 @@ def _kernel_bank(n: int, params: MorletParams) -> np.ndarray:
         return bank
     scales = params.scales(n)
     support = np.minimum(np.ceil(ENVELOPE_CUTOFF * scales).astype(int), n - 1)
-    n_fft = next_fast_len(n + int(support.max()))
-    kernels = np.zeros((len(scales), n_fft), dtype=complex)
-    for row, (a, k) in enumerate(zip(scales, support)):
-        taps = np.arange(-k, k + 1)
-        kernels[row, (-taps) % n_fft] = (np.conj(morlet(taps / a, params.xi0))
-                                         / np.sqrt(a))
-    bank = np.fft.fft(kernels, axis=-1)
+    # scales ascend, so the short supports are a leading block of rows
+    split = int(np.count_nonzero(support <= n // 4))
+    bank = []
+    for rows in (slice(0, split), slice(split, len(scales))):
+        if rows.start == rows.stop:
+            continue
+        n_fft = next_fast_len(n + int(support[rows].max()))
+        kernels = np.zeros((rows.stop - rows.start, n_fft), dtype=complex)
+        for row, a, k in zip(kernels, scales[rows], support[rows]):
+            taps = np.arange(-k, k + 1)
+            row[(-taps) % n_fft] = (np.conj(morlet(taps / a, params.xi0))
+                                    / np.sqrt(a))
+        bank.append((rows, np.fft.fft(kernels, axis=-1)))
     if len(_KERNEL_CACHE) > 4:
         _KERNEL_CACHE.clear()
     _KERNEL_CACHE[key] = bank
     return bank
+
+
+def _transform(v, params: MorletParams, dtype, store) -> np.ndarray:
+    """(n_scales, len(v)) array of the given dtype, into whose rows the
+    ufunc `store` writes each group's coefficients: np.positive keeps
+    them, np.abs takes their magnitudes.
+
+    Every group's product of spectra is inverse-transformed in place in
+    one work buffer sized for the largest group, so a call holds that
+    buffer and the output, not a temporary per group; with more, glibc
+    hands the freed pages back to the kernel and faults them in again on
+    every call.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError("cwt expects a 1-D sequence")
+    n = v.size
+    params = params.resolved(n)
+    bank = _kernel_bank(n, params)
+    out = np.empty((params.n_scales, n), dtype=dtype)
+    buffer = np.empty(max(spectra.size for _, spectra in bank), dtype=complex)
+    for rows, spectra in bank:
+        work = buffer[: spectra.size].reshape(spectra.shape)
+        np.multiply(np.fft.fft(v, spectra.shape[-1]), spectra, out=work)
+        np.fft.ifft(work, axis=-1, out=work)
+        store(work[:, :n], out=out[rows])
+    return out
 
 
 def cwt(v: np.ndarray, params: MorletParams = MorletParams()) -> np.ndarray:
@@ -114,21 +154,12 @@ def cwt(v: np.ndarray, params: MorletParams = MorletParams()) -> np.ndarray:
 
     v must be long enough for the scale grid; see `MorletParams.resolved`.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("cwt expects a 1-D sequence")
-    n = v.size
-    bank = _kernel_bank(n, params.resolved(n))
-    # The inverse FFT overwrites the product, so a call holds one
-    # (n_scales, N) temporary, not two; with two, glibc hands the freed
-    # pages back to the kernel and faults them in again on every call.
-    work = np.fft.fft(v, bank.shape[-1]) * bank
-    return np.fft.ifft(work, axis=-1, out=work)[:, :n]
+    return _transform(v, params, complex, np.positive)
 
 
 def scalogram(v: np.ndarray, params: MorletParams = MorletParams()) -> np.ndarray:
     """Coefficient magnitudes, shape (n_scales, len(v))."""
-    return np.abs(cwt(v, params))
+    return _transform(v, params, np.float64, np.abs)
 
 
 class ShapeMismatch(ValueError):

@@ -515,6 +515,39 @@ def test_dual_gram_and_jt_dot_match_explicit_jacobian():
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("sizes, b_sz", [
+    ((4, 1), 7),             # the input layer is the output layer
+    ((4, 5, 1), 7),
+    ((4, 5, 3, 1), 7),
+    ((60, 15, 15, 1), 216),  # a benchmark stage shape and batch
+])
+def test_dual_gram_and_lm_delta_equal_the_unskipped_formulas(sizes, b_sz):
+    from functools import partial
+
+    from rfmst import ann
+
+    rng = np.random.default_rng(b_sz + len(sizes))
+    net = init_mlp(sizes, rng=rng)
+    x = rng.uniform(-1, 1, size=(b_sz, sizes[0]))
+    _, layers = ann._backward_sweep(net, x)
+    want = 0.0
+    for a, d in layers:
+        block = a @ a.T
+        block += 1.0
+        block *= d @ d.T
+        want += block
+    gram = ann._dual_gram(layers)
+    assert np.array_equal(gram, want)
+    r = rng.normal(size=b_sz)
+    mu = 1e-3
+    jt_dot = partial(ann._jt_dot, layers)
+    factor = cho_factor(want + mu * np.eye(b_sz), lower=True,
+                        check_finite=False)
+    expected = jt_dot(cho_solve(factor, r, check_finite=False))
+    assert np.array_equal(ann._lm_delta(gram, jt_dot, r, mu, True), expected)
+    assert np.array_equal(gram, want)  # the damping went into a copy
+
+
 def test_dual_lm_step_never_forms_the_jacobian(monkeypatch):
     from rfmst import ann
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -219,6 +220,45 @@ def test_translation_tolerance_within_pool_window():
     mask = np.zeros_like(pooled, dtype=bool)
     mask[:, :, untouched] = True
     np.testing.assert_array_equal(a[mask.reshape(-1)], b[mask.reshape(-1)])
+
+
+def _reference_features(scalogram, som, cfg):
+    """Every valid convolution position, tanh, then two floor-dividing
+    max pools, flattened filter by filter."""
+
+    def max_pool(maps, window):
+        wh, ww = window
+        k, h, w = maps.shape
+        h2, w2 = h // wh, w // ww
+        trimmed = maps[:, : h2 * wh, : w2 * ww]
+        return trimmed.reshape(k, h2, wh, w2, ww).max(axis=(2, 4))
+
+    p, q = cfg.patch
+    sr, sc = cfg.stride
+    windows = sliding_window_view(scalogram, (p, q))[::sr, ::sc]
+    h, w = windows.shape[:2]
+    conv = (windows.reshape(h * w, p * q) @ som.nodes.T) / (p * q)
+    maps = np.tanh(conv.T.reshape(som.n_nodes, h, w))
+    return max_pool(max_pool(maps, cfg.pool1), cfg.pool2).reshape(-1)
+
+
+@pytest.mark.parametrize("shape, output_dim, som_filters", [
+    ((32, 64), 16, 4),       # conv 7 x 15, pools keep 6 x 14
+    ((32, 128), 16, 4),      # conv 7 x 31, pools keep 7 x 28
+    ((128, 512), 256, 16),   # conv 31 x 127, pools keep 30 x 120
+    ((128, 2048), 256, 16),  # conv 31 x 511, pools keep 31 x 496
+])
+def test_extraction_equals_tanh_first_two_pool_reference(shape, output_dim,
+                                                         som_filters):
+    cfg = default_frontend_config(shape, output_dim=output_dim,
+                                  som_filters=som_filters)
+    rng = np.random.default_rng(shape[1])
+    som = SomGrid(nodes=rng.normal(size=(som_filters, 64)),
+                  grid_shape=(1, som_filters), trained=True)
+    for _ in range(3):
+        s = rng.normal(size=shape)
+        expected = _reference_features(s, som, cfg)
+        np.testing.assert_array_equal(extract_features(s, som, cfg), expected)
 
 
 def test_extraction_is_pure_and_deterministic():

@@ -532,3 +532,36 @@ def test_load_model_rejects_stage_groups_not_matching_the_configs(
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=r"manifest\.json: " + message):
         load_model(out)
+
+
+def _unknown_config_key(manifest):
+    manifest["configs"][0]["batch"] = "balanced"
+
+
+def _missing_config_key(manifest):
+    del manifest["configs"][1]["role"]
+
+
+def _unknown_trace_key(manifest):
+    manifest["stages"][0][0]["trace"]["wall_s"] = 0.1
+
+
+def _missing_stop_key(manifest):
+    del manifest["stages"][2][1]["trace"]["stop"]["max_iters"]
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_unknown_config_key, "unknown StageConfig key 'batch'"),
+    (_missing_config_key, "StageConfig key 'role' is missing"),
+    (_unknown_trace_key, "unknown TrainRun key 'wall_s'"),
+    (_missing_stop_key, "StopCriteria key 'max_iters' is missing"),
+], ids=["unknown_config_key", "missing_config_key", "unknown_trace_key",
+        "missing_stop_key"])
+def test_load_model_names_the_manifest_and_an_unknown_or_missing_key(
+        saved_toy_model, tmp_path, tamper, message):
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    manifest = json.loads((out / "manifest.json").read_text())
+    tamper(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: " + message):
+        load_model(out)

@@ -294,3 +294,36 @@ def test_load_rejects_truncated_packet(tmp_path):
     path.write_bytes(path.read_bytes()[:8000])      # 1000 of 1500 samples
     with pytest.raises(ValueError):
         load_corpus(out)
+
+
+def _unknown_profile_key(manifest):
+    manifest["profiles"][0]["timing_jitter"] = 1.0
+
+
+def _missing_profile_key(manifest):
+    del manifest["profiles"][1]["dc_offset"]
+
+
+def _unknown_params_key(manifest):
+    manifest["params"]["symbol_rate"] = 3750.0
+
+
+def _missing_params_key(manifest):
+    del manifest["params"]["packet_len"]
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_unknown_profile_key, "unknown TransmitterProfile key 'timing_jitter'"),
+    (_missing_profile_key, "TransmitterProfile key 'dc_offset' is missing"),
+    (_unknown_params_key, "unknown OfdmParams key 'symbol_rate'"),
+    (_missing_params_key, "OfdmParams key 'packet_len' is missing"),
+], ids=["unknown_profile_key", "missing_profile_key", "unknown_params_key",
+        "missing_params_key"])
+def test_load_names_the_manifest_and_an_unknown_or_missing_key(
+        tmp_path, tamper, message):
+    out = _saved_corpus(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    tamper(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: " + message):
+        load_corpus(out)

@@ -113,23 +113,51 @@ def test_too_short_signal_names_its_length_and_the_shortest(n, params,
 
 @pytest.mark.parametrize("n", [64, 512, 2048])
 def test_fft_length_follows_signal_not_widest_wavelet(n):
-    bank = wavelet._kernel_bank(n, MorletParams().resolved(n))
-    assert bank.shape[0] == 128
-    assert bank.shape[-1] <= next_fast_len(2 * n - 1)
+    params = MorletParams().resolved(n)
+    support = np.minimum(np.ceil(ENVELOPE_CUTOFF * params.scales(n)), n - 1)
+    bank = wavelet._kernel_bank(n, params)
+    assert [rows.start for rows, _ in bank] == [0] + [
+        rows.stop for rows, _ in bank[:-1]]
+    assert bank[-1][0].stop == 128
+    for rows, spectra in bank:
+        n_fft = spectra.shape[-1]
+        assert spectra.shape[0] == rows.stop - rows.start
+        assert n_fft <= next_fast_len(2 * n - 1)
+        assert n_fft >= n + support[rows].max()  # no wrap-around
+
+
+@pytest.mark.parametrize("n, groups", [
+    (64, [(128, 128)]),  # no scale has K <= n // 4
+    (512, [(55, 640), (73, 1024)]),
+])
+def test_short_supports_share_a_shorter_fft(n, groups):
+    params = MorletParams().resolved(n)
+    bank = wavelet._kernel_bank(n, params)
+    assert [spectra.shape for _, spectra in bank] == groups
+    v = np.random.default_rng(n + 1).normal(size=n)
+    direct = direct_cwt(v, params.scales(n))
+    fast = cwt(v, params)
+    for rows, _ in bank:
+        err = np.abs(fast[rows] - direct[rows]).max() / np.abs(direct).max()
+        assert err < 1e-12
+    assert np.array_equal(scalogram(v, params), np.abs(fast))
 
 
 def test_cwt_holds_one_bank_sized_temporary():
-    # Two live (n_scales, N) temporaries made glibc return and re-fault
-    # about 4 MB per call at n = 512, which made identification unsteady.
+    # Two live temporaries per FFT group made glibc return and re-fault
+    # megabytes per call at n = 512, which made identification unsteady;
+    # the groups share one work buffer sized for the largest.
     v = np.random.default_rng(11).normal(size=512)
     bank = wavelet._kernel_bank(512, MorletParams().resolved(512))
-    tracemalloc.start()
-    try:
-        cwt(v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * bank.nbytes
+    largest = max(spectra.nbytes for _, spectra in bank)
+    for transform in (cwt, scalogram):
+        tracemalloc.start()
+        try:
+            out = transform(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 1.5 * largest
 
 
 def test_scalogram_bit_identical_across_calls_and_cache_rebuilds():
