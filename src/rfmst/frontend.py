@@ -188,10 +188,12 @@ def sample_patches(scalograms, cfg: FrontEndConfig, n_patches: int,
     if n == 0:
         raise EmptyPatchSet("no scalograms to sample from")
     which = rng.integers(0, n, size=n_patches)
-    for i, s_idx in enumerate(which):
+    # each patch's row then column corner, in the order of a scalar draw
+    # per coordinate
+    shapes = np.array([s.shape for s in scalograms])
+    corners = rng.integers(0, shapes[which] - (p - 1, q - 1))
+    for i, (s_idx, (r, c)) in enumerate(zip(which, corners)):
         s = scalograms[s_idx]
-        r = rng.integers(0, s.shape[0] - p + 1)
-        c = rng.integers(0, s.shape[1] - q + 1)
         rows = slice(r, r + p)
         out[i] = ((s[rows, c : c + q] - row_mean[rows, None])
                   / row_scale[rows, None]).reshape(-1)

@@ -26,13 +26,17 @@ convolution free of wrap-around, so translation b is sample b of the
 inverse FFT.  Each group goes through one batched inverse FFT, done in
 place.  This matches a direct evaluation of the sum to ~1e-15 of the
 scalogram's peak.
+
+`next_fast_len` is local: the smallest 11-smooth length (2^a 3^b 5^c 7^d
+11^e) at or above the target, the lengths numpy's pocketfft transforms
+fastest and what `scipy.fft.next_fast_len` returns.  Importing scipy.fft
+would also load scipy.special.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 ENVELOPE_CUTOFF = 8.5  # wavelet support in units of the Gaussian width
 
@@ -82,6 +86,19 @@ def morlet(t, xi0: float = 6.0) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     correction = np.exp(-xi0**2 / 2)
     return np.pi**-0.25 * (np.exp(-1j * xi0 * t) - correction) * np.exp(-t**2 / 2)
+
+
+def next_fast_len(target: int) -> int:
+    """Smallest 2^a * 3^b * 5^c * 7^d * 11^e that is >= target."""
+    n = max(1, target)
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 _KERNEL_CACHE: dict = {}

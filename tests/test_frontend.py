@@ -279,6 +279,28 @@ def test_patch_sampler_is_seeded():
     assert a.shape == (10, 64)
 
 
+def test_patch_corners_follow_per_patch_scalar_draws():
+    # oracle: one scalar draw for each patch's row, then one for its column
+    rng = np.random.default_rng(15)
+    shapes = [(16, 16), (8, 40), (30, 9), (12, 12)]
+    scalos = [rng.uniform(size=shape) for shape in shapes]
+    cfg = FrontEndConfig()
+    p, q = cfg.patch
+    mean, scale = rng.uniform(size=30), rng.uniform(1, 2, size=30)
+    seed = 16
+    draws = np.random.default_rng(np.random.SeedSequence([0x5A7C4, seed]))
+    which = draws.integers(0, len(scalos), size=500)
+    expected = np.empty((500, p * q))
+    for i, s_idx in enumerate(which):
+        s = scalos[s_idx]
+        r = draws.integers(0, s.shape[0] - p + 1)
+        c = draws.integers(0, s.shape[1] - q + 1)
+        expected[i] = ((s[r:r + p, c:c + q] - mean[r:r + p, None])
+                       / scale[r:r + p, None]).reshape(-1)
+    got = sample_patches(scalos, cfg, 500, mean, scale, seed=seed)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_patches_standardized_alone_match_whole_scalogram_oracle():
     # oracle: standardize every source scalogram whole, then sample
     rng = np.random.default_rng(13)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.signal import resample_poly
 
 from rfmst import signal_gen
 from rfmst.signal_gen import (
@@ -104,6 +105,19 @@ def test_cfo_phase_advance_matches_oracle():
                                atol=1e-9)
 
 
+@pytest.mark.parametrize("field, kw", [
+    ("baseband_rate", {"baseband_rate": 1.92e6 + 0.4}),
+    ("capture_rate", {"capture_rate": 5e6 + 0.5}),
+    ("subcarrier_spacing", {"subcarrier_spacing": 3700.0}),
+    ("subcarrier_spacing", {"subcarrier_spacing": 0.0}),
+])
+def test_params_reject_rates_that_would_be_rounded(field, kw):
+    # a fractional rate used to be resampled as its rounded value, and a
+    # spacing that does not divide the baseband rate used to round n_fft
+    with pytest.raises(ValueError, match=field):
+        OfdmParams(**kw)
+
+
 def test_profile_validation_rejects_out_of_range():
     with pytest.raises(ValueError):
         quiet_profile(amam_cubic_coeff=1.5)
@@ -111,6 +125,52 @@ def test_profile_validation_rejects_out_of_range():
         quiet_profile(carrier_freq_offset=float("nan"))
     with pytest.raises(ValueError):
         quiet_profile(tx=3)
+
+
+# ---------------------------------------------------------------------------
+# resampling: bit-identical to scipy.signal.resample_poly
+
+
+@pytest.mark.parametrize("up, down", [(125, 48), (3, 2), (2, 3), (5, 1),
+                                      (1, 1), (250, 96)])
+@pytest.mark.parametrize("n", [1, 7, 777, 11_084])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_resampler_equals_resample_poly_byte_for_byte(up, down, n, dtype):
+    # n = 1 and 7 are shorter than the filter's half-length, 10*max(up, down)
+    rng = np.random.default_rng(n + up)
+    x = rng.normal(size=n)
+    if dtype is np.complex128:
+        x = x + 1j * rng.normal(size=n)
+    got = signal_gen._resample(x, up, down)
+    want = resample_poly(x, up, down)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, x)   # 1/1 copies, as scipy does
+
+
+@pytest.mark.parametrize("params", [OfdmParams(), FAST])
+def test_modulate_equals_a_resample_poly_reference(params, monkeypatch):
+    got = [modulate(generate_payload(seed, params), params)
+           for seed in (0, 1, 17)]
+    monkeypatch.setattr(signal_gen, "_resample", resample_poly)
+    for seed, packet in zip((0, 1, 17), got):
+        want = modulate(generate_payload(seed, params), params)
+        assert packet.tobytes() == want.tobytes()
+
+
+def test_resampling_filter_is_designed_once(monkeypatch):
+    designs = []
+    design = signal_gen._lowpass_taps
+
+    def counting(numtaps, cutoff):
+        designs.append(numtaps)
+        return design(numtaps, cutoff)
+
+    monkeypatch.setattr(signal_gen, "_lowpass_taps", counting)
+    monkeypatch.setattr(signal_gen, "_RESAMPLER_CACHE", {})
+    for seed in range(3):
+        modulate(generate_payload(seed, FAST), FAST)
+    assert designs == [2 * 10 * 125 + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,12 @@ def test_too_short_signal_names_its_length_and_the_shortest(n, params,
         scalogram(np.ones(n), params)
 
 
+def test_next_fast_len_matches_scipy():
+    targets = range(1, 8193)
+    assert [wavelet.next_fast_len(t) for t in targets] == \
+        [next_fast_len(t) for t in targets]
+
+
 @pytest.mark.parametrize("n", [64, 512, 2048])
 def test_fft_length_follows_signal_not_widest_wavelet(n):
     params = MorletParams().resolved(n)
