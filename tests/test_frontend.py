@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -258,7 +260,80 @@ def test_extraction_equals_tanh_first_two_pool_reference(shape, output_dim,
     for _ in range(3):
         s = rng.normal(size=shape)
         expected = _reference_features(s, som, cfg)
-        np.testing.assert_array_equal(extract_features(s, som, cfg), expected)
+        # the phase GEMMs sum each response in another order
+        np.testing.assert_allclose(extract_features(s, som, cfg), expected,
+                                   rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape, patch, stride, pool1, pool2", [
+    # taps split 3 + 3 + 1 of 3 slabs; the last phases run 2 columns past
+    # the scalogram, and the pools keep every position
+    ((32, 64), (5, 7), (2, 3), (7, 2), (2, 2)),
+    # pools that keep part of the block: 18 of 19 rows, 32 of 33 columns
+    ((41, 103), (5, 7), (2, 3), (3, 4), (2, 2)),
+    # windows that do not overlap: one slab, and the phase is the window
+    ((64, 128), (8, 8), (8, 8), (2, 3), (2, 2)),
+    # stride 1: a single phase, and every tap column is its own slab
+    ((16, 40), (8, 8), (1, 1), (3, 4), (3, 2)),
+    # a row stride larger than the patch skips rows between windows
+    ((60, 50), (3, 4), (5, 2), (2, 3), (2, 2)),
+])
+def test_extraction_matches_reference_off_the_default_config(shape, patch,
+                                                             stride, pool1,
+                                                             pool2):
+    cfg = FrontEndConfig(patch=patch, stride=stride, som_filters=3,
+                         pool1=pool1, pool2=pool2)
+    h, w = cfg.pooled_shape(shape)
+    cfg = replace(cfg, output_dim=3 * h * w)
+    rng = np.random.default_rng(sum(shape))
+    som = SomGrid(nodes=rng.normal(size=(3, patch[0] * patch[1])),
+                  grid_shape=(1, 3), trained=True)
+    for _ in range(3):
+        s = rng.normal(size=shape)
+        expected = _reference_features(s, som, cfg)
+        np.testing.assert_allclose(extract_features(s, som, cfg), expected,
+                                   rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_pixel_raises(value):
+    # tanh would squash an infinite response to a plausible 1.0
+    fe = _trained_frontend(seed=17)
+    s = np.random.default_rng(18).uniform(size=(32, 64))
+    s[5, 9] = value
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        fe(s)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        extract_features(fe.standardize(s), fe.som, fe.cfg)
+
+
+def test_infinite_pixel_read_only_by_padding_taps_raises():
+    # patch (5, 7) at column stride 3 pads each filter to 9 taps.  The pools
+    # keep windows 0..19, which cover columns 0..63; the padded taps of the
+    # last window read columns 64 and 65, and 0 * inf would be NaN
+    cfg = FrontEndConfig(patch=(5, 7), stride=(2, 3), som_filters=3,
+                         pool1=(7, 2), pool2=(2, 2), output_dim=15)
+    rng = np.random.default_rng(19)
+    som = SomGrid(nodes=rng.normal(size=(3, 35)), grid_shape=(1, 3),
+                  trained=True)
+    s = rng.normal(size=(32, 70))
+    s[0, 65] = np.inf
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        extract_features(s, som, cfg)
+
+
+def test_pixel_statistics_must_match_the_scalogram_rows():
+    fe = _trained_frontend(seed=20)
+    with pytest.raises(ShapeMismatch):
+        fe(np.zeros((40, 64)))
+
+
+def test_call_equals_extraction_on_the_standardized_scalogram():
+    # standardizing only the pixels read does the same arithmetic
+    fe = _trained_frontend(shape=(128, 512), seed=21)
+    s = np.random.default_rng(22).gamma(2.0, size=(128, 512))
+    assert fe(s).tobytes() == extract_features(fe.standardize(s), fe.som,
+                                               fe.cfg).tobytes()
 
 
 def test_extraction_is_pure_and_deterministic():
