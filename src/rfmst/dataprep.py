@@ -28,7 +28,8 @@ class ZeroCorpus(ValueError):
 
 @dataclass
 class Segment:
-    g: np.ndarray              # complex, the n samples from the onset
+    g: np.ndarray              # the n samples from the onset, in the
+                               # packet's dtype (complex64 for a corpus)
     onset_index: int           # 1-based N_o
     tx_label: int = 0
 
@@ -66,10 +67,12 @@ def detect_onset(f: np.ndarray, tau: float = DEFAULT_TAU) -> int:
     every sample before that window was already found below tau, and the
     first crossing in it is the first of the whole packet: the answer of a
     full scan, at the cost of the samples up to the onset's window.  A NaN
-    sample never crosses.  f must be 1-D.
+    sample never crosses.  f must be 1-D.  tau is compared in float64, so a
+    complex64 packet gives the onset of its exact complex128 upcast.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
+    tau = np.float64(tau)
     f = _as_packet(f)
     if f.size == 0:
         raise ValueError("empty signal")
@@ -116,7 +119,7 @@ def normalize_corpus(matrix: np.ndarray, stats: NormStats | None = None):
     if stats is None:
         if matrix.size == 0:
             raise ZeroCorpus("empty training set")
-        max_abs = float(np.abs(matrix).max())
+        max_abs = float(np.maximum(matrix.max(), -matrix.min()))
         if not np.isfinite(max_abs):
             raise ValueError("training corpus has non-finite entries")
         if max_abs == 0.0:
@@ -174,7 +177,8 @@ def feature_matrix(segments, mode: str = "concat_reim"):
     """Stack segments into (n_packets, dim) float64 features + labels.
 
     concat_reim: (Re g_1..Re g_N, Im g_1..Im g_N), length 2N.
-    magnitude: |g_i|, length N.
+    magnitude: |g_i|, length N, taken in float64 precision.
+    Complex64 segments give the rows of their exact complex128 upcast.
     """
     if not segments:
         raise ValueError("no segments")
@@ -184,7 +188,7 @@ def feature_matrix(segments, mode: str = "concat_reim"):
         np.stack([s.g.real for s in segments], out=x[:, :n])
         np.stack([s.g.imag for s in segments], out=x[:, n:])
     elif mode == "magnitude":
-        x = np.stack([np.abs(s.g) for s in segments], dtype=np.float64)
+        x = np.stack([np.abs(s.g, dtype=np.float64) for s in segments])
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return x, np.array([s.tx_label for s in segments])

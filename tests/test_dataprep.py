@@ -197,6 +197,34 @@ def test_feature_matrix_rows_equal_the_stacked_reference(mode):
         feature_matrix([], mode)
 
 
+@pytest.mark.parametrize("tau, expected", [(0.05, 1201), (0.7, 1301)])
+def test_complex64_packet_matches_its_complex128_upcast(tau, expected):
+    # corpus packets are complex64.  The onset, the segment and both feature
+    # modes must give what the exact complex128 upcast gives; tau = 0.7
+    # rounds down in float32, so a float32 comparison would put the onset
+    # at a sample that lies below tau.
+    rng = np.random.default_rng(11)
+    f = (rng.uniform(-0.04, 0.04, 3000)
+         + 1j * rng.uniform(-1.0, 1.0, 3000)).astype(np.complex64)
+    f[1500:] += rng.normal(size=1500) + 1j * rng.normal(size=1500)
+    f[1200] = np.float32(tau)            # just below tau when tau = 0.7
+    f[1300] = np.nextafter(np.float32(tau), np.float32(1))
+    f[1400] = 1.5
+    wide = f.astype(np.complex128)
+    onset = detect_onset(f, tau)
+    assert onset == detect_onset(wide, tau) == _full_scan_onset(wide, tau)
+    assert onset == expected
+    segs = [segment(f, onset, 1024, tx_label=3)]
+    wide_segs = [segment(wide, onset, 1024, tx_label=3)]
+    assert segs[0].g.dtype == np.complex64
+    for mode in ("concat_reim", "magnitude"):
+        x, y = feature_matrix(segs, mode)
+        x_wide, y_wide = feature_matrix(wide_segs, mode)
+        assert x.dtype == np.float64
+        assert x.tobytes() == x_wide.tobytes()
+        np.testing.assert_array_equal(y, y_wide)
+
+
 def test_vectorize_injective_for_fixed_mode():
     a = _vec([1 + 2j, 0 + 1j], "concat_reim")
     b = _vec([1 + 1j, 2 + 0j], "concat_reim")

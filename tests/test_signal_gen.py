@@ -10,6 +10,7 @@ from rfmst.signal_gen import (
     IqPacket,
     OfdmParams,
     TransmitterProfile,
+    apply_impairments,
     default_profiles,
     generate_corpus,
     generate_payload,
@@ -29,6 +30,13 @@ FAST = OfdmParams(subcarrier_count=38, subcarrier_spacing=30_000.0,
 
 def quiet_profile(radio="R01v1", tx=1, **kw):
     return TransmitterProfile(radio_id=radio, tx_index=tx, **kw)
+
+
+def float64_chain(payload, profile):
+    """The complex128 impairment chain of one packet, without noise."""
+    rngs = (np.random.default_rng(s) for s in (1, 2, 3))
+    return apply_impairments(modulate(payload, FAST), profile, FAST, None,
+                             *rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +78,9 @@ def test_payload_constellation_frequencies_are_uniform():
 
 def test_zero_impairments_and_no_noise_is_identity_chain():
     payload = generate_payload(1, FAST)
-    pkt = synthesize_packet(payload, quiet_profile(), FAST, noise_snr_db=None)
-    np.testing.assert_array_equal(pkt.samples, modulate(payload, FAST))
-    assert len(pkt.samples) == FAST.packet_len
+    samples = float64_chain(payload, quiet_profile())
+    np.testing.assert_array_equal(samples, modulate(payload, FAST))
+    assert len(samples) == FAST.packet_len
 
 
 def test_dc_offset_shifts_samples_exactly():
@@ -80,13 +88,12 @@ def test_dc_offset_shifts_samples_exactly():
     # leading silence stays receiver-noise only
     payload = generate_payload(2, FAST)
     c = 0.03 - 0.01j
-    pkt = synthesize_packet(payload, quiet_profile(dc_offset=c), FAST,
-                            noise_snr_db=None)
+    samples = float64_chain(payload, quiet_profile(dc_offset=c))
     ideal = modulate(payload, FAST)
     keyed = slice(FAST.silence_len, FAST.packet_len)
-    np.testing.assert_allclose(pkt.samples[keyed], ideal[keyed] + c,
+    np.testing.assert_allclose(samples[keyed], ideal[keyed] + c,
                                rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(pkt.samples[: FAST.silence_len],
+    np.testing.assert_array_equal(samples[: FAST.silence_len],
                                   ideal[: FAST.silence_len])
 
 
@@ -95,11 +102,10 @@ def test_cfo_phase_advance_matches_oracle():
     # 2*pi*df/capture_rate per sample over the burst
     payload = generate_payload(3, FAST)
     df = 12_345.0
-    pkt = synthesize_packet(payload, quiet_profile(carrier_freq_offset=df),
-                            FAST, noise_snr_db=None)
+    samples = float64_chain(payload, quiet_profile(carrier_freq_offset=df))
     ideal = modulate(payload, FAST)
     burst = slice(FAST.silence_len + FAST.ramp_len, FAST.packet_len)
-    rot = pkt.samples[burst] * np.conj(ideal[burst])
+    rot = samples[burst] * np.conj(ideal[burst])
     steps = np.angle(rot[1:] * np.conj(rot[:-1]))
     np.testing.assert_allclose(steps, 2 * np.pi * df / FAST.capture_rate,
                                atol=1e-9)
@@ -209,19 +215,37 @@ def test_same_payload_sent_through_every_profile():
 @pytest.mark.parametrize("seed", [3, 8])
 @pytest.mark.parametrize("snr_db", [25.0, None])
 def test_corpus_equals_packet_by_packet_synthesis(seed, snr_db):
+    # each packet is also its float64 impairment chain rounded once to
+    # complex64, the format save_corpus writes
     profiles = default_profiles()[:3]
     corpus = generate_corpus(profiles, 4, seed=seed, params=FAST,
                              noise_snr_db=snr_db)
-    expected = [synthesize_packet(generate_payload(seed * 1_000_003 + m, FAST),
-                                  profile, FAST, snr_db, tx_label=label,
-                                  packet_id=m, corpus_seed=seed)
-                for label, profile in enumerate(profiles, start=1)
-                for m in range(4)]
-    assert len(corpus.packets) == len(expected)
-    for got, want in zip(corpus.packets, expected):
+    keys = [(label, profile, m)
+            for label, profile in enumerate(profiles, start=1)
+            for m in range(4)]
+    assert len(corpus.packets) == len(keys)
+    for got, (label, profile, m) in zip(corpus.packets, keys):
+        payload = generate_payload(seed * 1_000_003 + m, FAST)
+        want = synthesize_packet(payload, profile, FAST, snr_db,
+                                 tx_label=label, packet_id=m,
+                                 corpus_seed=seed)
+        rngs = [signal_gen._noise_rng(seed, label, m, stream)
+                for stream in (1, 2, 3)]
+        chain = apply_impairments(modulate(payload, FAST), profile, FAST,
+                                  snr_db, *rngs)
+        assert got.samples.dtype == np.complex64
         assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.samples.tobytes() == chain.astype(np.complex64).tobytes()
         assert (got.name, got.tx_label, got.packet_id) == \
             (want.name, want.tx_label, want.packet_id)
+
+
+def test_sample_past_the_float32_range_raises():
+    # finite in the float64 chain, infinite once rounded to complex64
+    payload = generate_payload(1, FAST)
+    with pytest.raises(ValueError, match="non-finite"):
+        synthesize_packet(payload, quiet_profile(dc_offset=1e39), FAST,
+                          noise_snr_db=None)
 
 
 def test_corpus_modulates_each_payload_once(monkeypatch):
@@ -328,8 +352,9 @@ def test_save_load_roundtrip(tmp_path):
     for pa, pb in zip(corpus.packets, loaded.packets):
         assert pa.name == pb.name
         assert pa.tx_label == pb.tx_label
-        # float32 storage: round-trip accurate to single precision
-        np.testing.assert_allclose(pb.samples, pa.samples, atol=1e-6)
+        # the file holds the complex64 samples' own bytes
+        assert pb.samples.dtype == np.complex64
+        np.testing.assert_array_equal(pb.samples, pa.samples)
 
 
 def _saved_corpus(tmp_path):
@@ -353,6 +378,15 @@ def test_load_rejects_truncated_packet(tmp_path):
         "packets"][0]["file"]
     path.write_bytes(path.read_bytes()[:8000])      # 1000 of 1500 samples
     with pytest.raises(ValueError):
+        load_corpus(out)
+
+
+def test_load_rejects_trailing_partial_sample(tmp_path):
+    out = _saved_corpus(tmp_path)
+    name = json.loads((out / "manifest.json").read_text())["packets"][1]["file"]
+    with open(out / name, "ab") as f:
+        f.write(b"\0" * 4)                    # half of one more sample
+    with pytest.raises(ValueError, match=name):
         load_corpus(out)
 
 
