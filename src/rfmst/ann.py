@@ -56,13 +56,16 @@ class Mlp:
         )
 
 
-def init_mlp(layer_sizes, seed=None, rng=None) -> Mlp:
-    """Create an MLP with weights uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
+def init_mlp(layer_sizes, seed=None) -> Mlp:
+    """Create an MLP with weights uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
+
+    seed is anything np.random.default_rng takes, a Generator included, which
+    it uses as it is.
+    """
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError(f"invalid layer sizes {sizes}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         lim = 1.0 / np.sqrt(fan_in)
@@ -190,18 +193,23 @@ def pack_parameters(net: Mlp) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def unpack_parameters(net: Mlp, theta: np.ndarray) -> Mlp:
-    """New Mlp with the same shape and parameters taken from the flat vector."""
+def unpack_parameters(layer_sizes, theta: np.ndarray) -> Mlp:
+    """New Mlp of the given layer sizes, its parameters copied from the flat
+    vector in pack_parameters order."""
+    sizes = tuple(int(s) for s in layer_sizes)
+    expected = count_parameters(sizes)
+    if theta.size != expected:
+        raise ValueError(
+            f"parameter vector length {theta.size}, expected {expected}")
     weights, biases = [], []
     k = 0
-    for w, b in zip(net.weights, net.biases):
-        weights.append(theta[k : k + w.size].reshape(w.shape).copy())
-        k += w.size
-        biases.append(theta[k : k + b.size].copy())
-        k += b.size
-    if k != theta.size:
-        raise ValueError(f"parameter vector length {theta.size}, expected {k}")
-    return Mlp(net.layer_sizes, weights, biases)
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(theta[k : k + fan_in * fan_out]
+                       .reshape(fan_in, fan_out).copy())
+        k += fan_in * fan_out
+        biases.append(theta[k : k + fan_out].copy())
+        k += fan_out
+    return Mlp(sizes, weights, biases)
 
 
 def _backward_sweep(net: Mlp, x):
@@ -289,6 +297,7 @@ def gradient(net: Mlp, x, t) -> np.ndarray:
 #
 # An optimizer's step(net, x, t) returns (net', train_mse, mu, accepted),
 # where mu is the damping factor after the step (0.0 for first-order steps).
+# lm_step returns that tuple itself, so LmState.step only passes its state.
 
 
 @dataclass
@@ -302,8 +311,7 @@ class LmState:
             raise ValueError("mu must be positive")
 
     def step(self, net, x, t):
-        net, _, new_mse, accepted = lm_step(net, x, t, self)
-        return net, new_mse, self.mu, accepted
+        return lm_step(net, x, t, self)
 
 
 def _lm_delta(gram, jt_dot, r, mu, dual):
@@ -328,8 +336,8 @@ def lm_step(net: Mlp, x, t, state: LmState):
     The net must have a single output and t shape (B, 1).  The step is
     accepted only if the batch MSE strictly decreases; otherwise mu is
     raised and the solve retried with the same Gram matrix, so a step is
-    rejected only with mu at MU_CEILING.  Returns (net', state', mse',
-    accepted).
+    rejected only with mu at MU_CEILING.  Updates state.mu in place and
+    returns (net', mse', mu', accepted), the optimizer step's tuple.
     """
     x = _as_batch(x, net.layer_sizes[0])
     t = _as_targets(t, x.shape[0], net.layer_sizes[-1])
@@ -351,14 +359,14 @@ def lm_step(net: Mlp, x, t, state: LmState):
         except np.linalg.LinAlgError:
             delta = None
         if delta is not None:
-            cand = unpack_parameters(net, theta + delta)
+            cand = unpack_parameters(net.layer_sizes, theta + delta)
             y1 = forward(cand, x)
             mse1 = float(np.mean((t - y1) ** 2))
             if np.isfinite(mse1) and mse1 < mse0:
                 state.mu = max(state.mu * MU_DEC, MU_FLOOR)
-                return cand, state, mse1, True
+                return cand, mse1, state.mu, True
         if state.mu >= MU_CEILING:
-            return net, state, mse0, False
+            return net, mse0, state.mu, False
         state.mu = min(state.mu * MU_INC, MU_CEILING)
 
 
@@ -369,7 +377,7 @@ def sd_step(net: Mlp, x, t, lr: float) -> Mlp:
     if lr == 0.0:
         return net.copy()
     theta = pack_parameters(net) - lr * gradient(net, x, t)
-    return unpack_parameters(net, theta)
+    return unpack_parameters(net.layer_sizes, theta)
 
 
 @dataclass

@@ -22,10 +22,6 @@ class TooShort(ValueError):
     """Packet too short for the requested segment."""
 
 
-class ZeroCorpus(ValueError):
-    """Normalization impossible: the training corpus is identically zero."""
-
-
 @dataclass
 class Segment:
     g: np.ndarray              # the n samples from the onset, in the
@@ -118,12 +114,12 @@ def normalize_corpus(matrix: np.ndarray, stats: NormStats | None = None):
     matrix = np.asarray(matrix, dtype=np.float64)
     if stats is None:
         if matrix.size == 0:
-            raise ZeroCorpus("empty training set")
+            raise ValueError("empty training set")
         max_abs = float(np.maximum(matrix.max(), -matrix.min()))
         if not np.isfinite(max_abs):
             raise ValueError("training corpus has non-finite entries")
         if max_abs == 0.0:
-            raise ZeroCorpus("training corpus is identically zero")
+            raise ValueError("training corpus is identically zero")
         stats = NormStats(max_abs=max_abs)
     return matrix / stats.max_abs, stats
 

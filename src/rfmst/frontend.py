@@ -1,12 +1,15 @@
 """Scalogram front-end: SOM-selected convolution filters plus max pooling.
 
-A self-organizing map trained on patches sampled from training-split
-scalograms supplies the convolution filter weights.  Each scalogram is
-convolved with every node (valid positions, configurable stride), reduced
-by two non-overlapping max-pool stages sized so the flattened output has
-exactly `output_dim` entries, then squashed with tanh.  Only the
-convolution positions the pools keep are computed, and tanh, being
-monotone, is applied to the pooled values alone.
+`train_frontend` fits a `FrontEnd` on training-split scalograms, and
+calling that `FrontEnd` is the one way to extract features.  A
+self-organizing map trained on patches sampled from those scalograms
+supplies the convolution filter weights, and per-scale pixel statistics
+standardize each row.  Each scalogram is convolved with every node (valid
+positions, configurable stride), reduced by two non-overlapping max-pool
+stages sized so the flattened output has exactly `output_dim` entries,
+then squashed with tanh.  Only the convolution positions the pools keep
+are computed, and tanh, being monotone, is applied to the pooled values
+alone.
 
 The convolution runs by column phase instead of im2col: the pixels it
 reads are standardized once into a layout where each filter slab sees
@@ -20,12 +23,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-
-from .wavelet import ShapeMismatch
-
-
-class EmptyPatchSet(ValueError):
-    pass
 
 
 @dataclass
@@ -65,12 +62,12 @@ def train_som(patches: np.ndarray, grid: SomGrid, epochs: int = 5) -> SomGrid:
     """
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim != 2 or patches.shape[0] == 0:
-        raise EmptyPatchSet("need a (n_patches, patch_dim) sample set")
+        raise ValueError("need a (n_patches, patch_dim) sample set")
     if patches.shape[0] < grid.n_nodes:
-        raise EmptyPatchSet(
+        raise ValueError(
             f"need at least {grid.n_nodes} patches, got {patches.shape[0]}")
     if patches.shape[1] != grid.nodes.shape[1]:
-        raise ShapeMismatch("patch dimension does not match the node vectors")
+        raise ValueError("patch dimension does not match the node vectors")
     nodes = grid.nodes.copy()
     coords = grid.node_coords()
     # grid_dist2[k] holds the squared grid distances from node k to every node
@@ -108,7 +105,7 @@ class FrontEndConfig:
         p, q = self.patch
         sr, sc = self.stride
         if rows < p or cols < q:
-            raise ShapeMismatch(f"scalogram {scalogram_shape} smaller than patch")
+            raise ValueError(f"scalogram {scalogram_shape} smaller than patch")
         return (rows - p) // sr + 1, (cols - q) // sc + 1
 
     def pooled_shape(self, scalogram_shape) -> tuple[int, int]:
@@ -121,7 +118,7 @@ class FrontEndConfig:
         h, w = self.pooled_shape(scalogram_shape)
         got = self.som_filters * h * w
         if h < 1 or w < 1 or got != self.output_dim:
-            raise ShapeMismatch(
+            raise ValueError(
                 f"pipeline on {scalogram_shape} yields {got} features "
                 f"({self.som_filters} filters x {h} x {w}), expected "
                 f"{self.output_dim}")
@@ -137,7 +134,7 @@ def default_frontend_config(scalogram_shape, output_dim: int = 256,
     base = FrontEndConfig(som_filters=som_filters, output_dim=output_dim)
     conv_h, conv_w = base.conv_shape(scalogram_shape)
     if output_dim % som_filters:
-        raise ShapeMismatch("output_dim must be a multiple of som_filters")
+        raise ValueError("output_dim must be a multiple of som_filters")
     per_map = output_dim // som_filters
 
     def stage_options(extent):
@@ -167,7 +164,7 @@ def default_frontend_config(scalogram_shape, output_dim: int = 256,
         if best is None or cand > best:
             best = cand
     if best is None:
-        raise ShapeMismatch(
+        raise ValueError(
             f"no two-stage pooling reaches {output_dim} features on "
             f"{scalogram_shape}")
     _, (_, _, h1, h2), (_, _, w1, w2) = best
@@ -192,7 +189,7 @@ def sample_patches(scalograms, cfg: FrontEndConfig, n_patches: int,
     out = np.empty((n_patches, p * q))
     n = len(scalograms)
     if n == 0:
-        raise EmptyPatchSet("no scalograms to sample from")
+        raise ValueError("no scalograms to sample from")
     which = rng.integers(0, n, size=n_patches)
     # each patch's row then column corner, in the order of a scalar draw
     # per coordinate
@@ -206,100 +203,13 @@ def sample_patches(scalograms, cfg: FrontEndConfig, n_patches: int,
     return out
 
 
-def extract_features(scalogram: np.ndarray, som: SomGrid,
-                     cfg: FrontEndConfig) -> np.ndarray:
-    """Convolve with the SOM filters, max-pool twice, tanh, flatten.
-
-    Convolution responses are normalized by the patch size to keep tanh in
-    its active range.  Only the block of convolution positions the floor-
-    dividing pools keep is computed; the nested pool windows tile it, so
-    both pools are one max per (pool1 * pool2) block.  max is exact and
-    tanh and the normalization are monotone, so pooling first gives the
-    same result as squashing every response.  Output length is exactly
-    cfg.output_dim, ordered filter by filter.
-
-    The block is convolved by column phase, without copying overlapping
-    windows.  With stride (sr, sc), the pixels the block reads are laid out
-    as P[row, f, m] = z[row, sc * m + f], and each filter splits into
-    ceil(q / sc) slabs of p * sc taps, zero-padded where sc does not divide
-    q.  Slab e of every window in convolution row i is then one strided
-    view of P (rows sr * i ... sr * i + p - 1, columns j + e), so the
-    convolution is one batched GEMM per slab, summed over the slabs.  The
-    sums run in another order than one dot product per window, so the
-    features move in the last bits: against an im2col convolution they
-    differ by at most 4e-16 over default, strided and non-dividing
-    configurations, and the normalized seed-101 wavelet_w512 benchmark
-    features by at most 7.8e-16.
-
-    Raises ValueError if a pixel the convolution reads is NaN or infinite:
-    tanh would squash it to a plausible +-1, and a zero-padded tap would
-    turn it into NaN.
-    """
-    return _pooled_features(scalogram, som, cfg)
-
-
-def _pooled_features(scalogram, som: SomGrid, cfg: FrontEndConfig,
-                     row_mean=None, row_scale=None) -> np.ndarray:
-    """extract_features; given row_mean and row_scale, it standardizes the
-    scalogram's rows as it lays out the pixels the convolution reads."""
-    if not som.trained:
-        raise ValueError("SOM filters are untrained")
-    s = np.asarray(scalogram, dtype=np.float64)
-    cfg.validate(s.shape)
-    p, q = cfg.patch
-    if som.nodes.shape[1] != p * q:
-        raise ShapeMismatch("SOM node dimension does not match the patch size")
-    sr, sc = cfg.stride
-    h, w = cfg.pooled_shape(s.shape)
-    r = cfg.pool1[0] * cfg.pool2[0]
-    c = cfg.pool1[1] * cfg.pool2[1]
-    k = som.n_nodes
-    n_i, n_j = h * r, w * c               # the convolution block kept
-    slabs = -(-q // sc)
-    n_m = n_j + slabs - 1                 # columns of each phase
-    rows = sr * (n_i - 1) + p
-    block = s[:rows, : sc * n_m]
-    if block.shape[1] < sc * n_m:
-        # the last phases run past the scalogram; only zero taps read them
-        block = np.pad(block, ((0, 0), (0, sc * n_m - block.shape[1])))
-    phases = np.empty((rows, sc, n_m))
-    phases[...] = block.reshape(rows, n_m, sc).transpose(0, 2, 1)
-    if row_mean is not None:
-        phases -= row_mean[:rows, None, None]
-        phases /= row_scale[:rows, None, None]
-    if not np.isfinite(phases).all():
-        raise ValueError("scalogram has a NaN or infinite pixel")
-    taps = np.zeros((k, p, slabs * sc))
-    taps[:, :, :q] = som.nodes.reshape(k, p, q)
-    # weights[e][a * sc + f] is tap (a, sc * e + f) of every filter
-    weights = taps.reshape(k, p, slabs, sc).transpose(2, 1, 3, 0) \
-        .reshape(slabs, p * sc, k)
-    # windows[i, j, a * sc + f] = P[sr * i + a, f, j + e], starting at column e
-    row_step, phase_step, col_step = phases.strides
-    conv = None
-    for e in range(slabs):
-        windows = as_strided(phases[:, :, e:], shape=(n_i, n_j, p * sc),
-                             strides=(sr * row_step, col_step, phase_step),
-                             writeable=False)
-        term = windows @ weights[e]
-        conv = term if conv is None else np.add(conv, term, out=conv)
-    pooled = (conv.reshape(h, r, n_j, k).max(axis=1)
-              .reshape(h, w, c, k).max(axis=2))
-    out = np.tanh(pooled.transpose(2, 0, 1).reshape(-1) / (p * q))
-    if out.size != cfg.output_dim:
-        raise ShapeMismatch(f"got {out.size} features, expected {cfg.output_dim}")
-    return out
-
-
 @dataclass
 class FrontEnd:
     """Trained front-end bundle: filters, config and per-scale pixel stats.
 
     Scalogram rows are standardized with training-split statistics before
     convolution; raw coefficient magnitudes span orders of magnitude across
-    scales and would otherwise drown the fine-scale texture.  Calling it
-    standardizes only the pixels the convolution reads, with the same
-    arithmetic as `standardize`.
+    scales and would otherwise drown the fine-scale texture.
     """
 
     som: SomGrid
@@ -307,19 +217,91 @@ class FrontEnd:
     row_mean: np.ndarray
     row_scale: np.ndarray
 
-    def standardize(self, scalogram: np.ndarray) -> np.ndarray:
-        out = np.asarray(scalogram, dtype=np.float64) - self.row_mean[:, None]
-        out /= self.row_scale[:, None]
-        return out
-
     def __call__(self, scalogram: np.ndarray) -> np.ndarray:
-        rows = np.shape(scalogram)[0]
-        if self.row_mean.shape != (rows,) or self.row_scale.shape != (rows,):
-            raise ShapeMismatch(
+        """Standardize, convolve with the SOM filters, max-pool twice, tanh,
+        flatten.
+
+        Only the pixels the convolution reads are standardized, each row as
+        (pixel - row_mean) / row_scale.  Convolution responses are
+        normalized by the patch size to keep tanh in its active range.
+        Only the block of convolution positions the floor-dividing pools
+        keep is computed; the nested pool windows tile it, so both pools
+        are one max per (pool1 * pool2) block.  max is exact and tanh and
+        the normalization are monotone, so pooling first gives the same
+        result as squashing every response.  Output length is exactly
+        cfg.output_dim, ordered filter by filter.
+
+        The block is convolved by column phase, without copying overlapping
+        windows.  With stride (sr, sc), the pixels the block reads are laid
+        out as P[row, f, m] = z[row, sc * m + f], and each filter splits
+        into ceil(q / sc) slabs of p * sc taps, zero-padded where sc does
+        not divide q.  Slab e of every window in convolution row i is then
+        one strided view of P (rows sr * i ... sr * i + p - 1, columns
+        j + e), so the convolution is one batched GEMM per slab, summed
+        over the slabs.  The sums run in another order than one dot product
+        per window, so the features move in the last bits: against an
+        im2col convolution they differ by at most 4e-16 over default,
+        strided and non-dividing configurations, and the normalized
+        seed-101 wavelet_w512 benchmark features by at most 7.8e-16.
+
+        Raises ValueError if the pixel statistics do not match the
+        scalogram's rows, or if a standardized pixel the convolution reads
+        is NaN or infinite: tanh would squash it to a plausible +-1, and a
+        zero-padded tap would turn it into NaN.
+        """
+        som, cfg = self.som, self.cfg
+        s = np.asarray(scalogram, dtype=np.float64)
+        if self.row_mean.shape != s.shape[:1] \
+                or self.row_scale.shape != s.shape[:1]:
+            raise ValueError(
                 f"pixel statistics for {self.row_mean.shape[0]} scales, "
-                f"scalogram has {rows}")
-        return _pooled_features(scalogram, self.som, self.cfg,
-                                self.row_mean, self.row_scale)
+                f"scalogram has {s.shape[0]}")
+        if not som.trained:
+            raise ValueError("SOM filters are untrained")
+        cfg.validate(s.shape)
+        p, q = cfg.patch
+        if som.nodes.shape[1] != p * q:
+            raise ValueError("SOM node dimension does not match the patch size")
+        sr, sc = cfg.stride
+        h, w = cfg.pooled_shape(s.shape)
+        r = cfg.pool1[0] * cfg.pool2[0]
+        c = cfg.pool1[1] * cfg.pool2[1]
+        k = som.n_nodes
+        n_i, n_j = h * r, w * c               # the convolution block kept
+        slabs = -(-q // sc)
+        n_m = n_j + slabs - 1                 # columns of each phase
+        rows = sr * (n_i - 1) + p
+        block = s[:rows, : sc * n_m]
+        if block.shape[1] < sc * n_m:
+            # the last phases run past the scalogram; only zero taps read them
+            block = np.pad(block, ((0, 0), (0, sc * n_m - block.shape[1])))
+        phases = np.empty((rows, sc, n_m))
+        phases[...] = block.reshape(rows, n_m, sc).transpose(0, 2, 1)
+        phases -= self.row_mean[:rows, None, None]
+        phases /= self.row_scale[:rows, None, None]
+        if not np.isfinite(phases).all():
+            raise ValueError("scalogram has a NaN or infinite pixel")
+        taps = np.zeros((k, p, slabs * sc))
+        taps[:, :, :q] = som.nodes.reshape(k, p, q)
+        # weights[e][a * sc + f] is tap (a, sc * e + f) of every filter
+        weights = taps.reshape(k, p, slabs, sc).transpose(2, 1, 3, 0) \
+            .reshape(slabs, p * sc, k)
+        # windows[i, j, a * sc + f] = P[sr * i + a, f, j + e], from column e
+        row_step, phase_step, col_step = phases.strides
+        conv = None
+        for e in range(slabs):
+            windows = as_strided(phases[:, :, e:], shape=(n_i, n_j, p * sc),
+                                 strides=(sr * row_step, col_step, phase_step),
+                                 writeable=False)
+            term = windows @ weights[e]
+            conv = term if conv is None else np.add(conv, term, out=conv)
+        pooled = (conv.reshape(h, r, n_j, k).max(axis=1)
+                  .reshape(h, w, c, k).max(axis=2))
+        out = np.tanh(pooled.transpose(2, 0, 1).reshape(-1) / (p * q))
+        if out.size != cfg.output_dim:
+            raise ValueError(
+                f"got {out.size} features, expected {cfg.output_dim}")
+        return out
 
 
 def train_frontend(train_scalograms, cfg: FrontEndConfig | None = None,
@@ -328,7 +310,7 @@ def train_frontend(train_scalograms, cfg: FrontEndConfig | None = None,
     """Fit the pixel statistics and SOM filters on training-split scalograms."""
     n = len(train_scalograms)
     if n == 0:
-        raise EmptyPatchSet("no training scalograms")
+        raise ValueError("no training scalograms")
     shape = np.asarray(train_scalograms[0]).shape
     if cfg is None:
         cfg = default_frontend_config(shape)

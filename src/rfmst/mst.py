@@ -45,6 +45,7 @@ from .ann import (
     SdOptimizer,
     StopCriteria,
     TrainRun,
+    count_parameters,
     forward,  # noqa: F401  (kept as mst.forward: perfbench/tracing.py wraps it)
     init_mlp,
     pack_parameters,
@@ -58,14 +59,6 @@ logger = logging.getLogger(__name__)
 DETECTOR_BLOCKS = "detector_blocks"   # stage 1: contiguous blocks of MLPs per class
 DETECTOR_CYCLE = "detector_cycle"     # later stages: targets cycle over classes
 CLASS_INDEX = "class_index"           # final stages: regress the label value
-
-
-class MissingClass(ValueError):
-    pass
-
-
-class UntrainedModel(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -161,7 +154,7 @@ def plan_batches(labels: np.ndarray, configs, seed: int,
         else all_classes
     missing = set(known) - set(all_classes)
     if missing:
-        raise MissingClass(f"no training data for classes {sorted(missing)}")
+        raise ValueError(f"no training data for classes {sorted(missing)}")
     known_pool = np.nonzero(np.isin(labels, known))[0]
     stage_plans = []
     for s, cfg in enumerate(configs):
@@ -173,10 +166,10 @@ def plan_batches(labels: np.ndarray, configs, seed: int,
             if cfg.role == DETECTOR_BLOCKS:
                 pos = np.nonzero(labels == t)[0]
                 if pos.size == 0:
-                    raise MissingClass(f"no positives for class {t}")
+                    raise ValueError(f"no positives for class {t}")
                 neg_pool = known_pool[labels[known_pool] != t]
                 if neg_pool.size == 0:
-                    raise MissingClass("no negative examples available")
+                    raise ValueError("no negative examples available")
                 neg = rng.choice(neg_pool, size=pos.size,
                                  replace=neg_pool.size < pos.size)
                 idx = np.concatenate([pos, neg])
@@ -373,6 +366,8 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 (gradient) or 2 (damped Gauss-Newton)")
+    if not configs:
+        raise ValueError("need at least one stage config")
     train_x = np.asarray(train_x, dtype=np.float64)
     val_x = np.asarray(val_x, dtype=np.float64)
     train_y = np.asarray(train_y)
@@ -450,7 +445,7 @@ def fuse_labels(final_outputs: np.ndarray, n_labels: int) -> np.ndarray:
 
 def classify_batch(model: MstModel, x) -> np.ndarray:
     if not model.stages:
-        raise UntrainedModel("model has untrained stages")
+        raise ValueError("model has untrained stages")
     cur = np.asarray(x, dtype=np.float64)
     if cur.ndim == 1:
         cur = cur[None, :]
@@ -501,6 +496,11 @@ def evaluate(model: MstModel, test_x, test_y) -> ConfusionMatrix:
 
 
 def save_model(model: MstModel, out_dir) -> Path:
+    """Write a model with its training traces, one per MLP; a model without
+    them raises ValueError."""
+    if [len(runs) for runs in model.traces] != \
+            [len(stage.mlps) for stage in model.stages]:
+        raise ValueError("a saved model needs one training trace per MLP")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -517,11 +517,9 @@ def save_model(model: MstModel, out_dir) -> Path:
         for i, net in enumerate(stage.mlps):
             blob = f"stage{s + 1}_mlp{i + 1}.f64"
             pack_parameters(net).astype("<f8").tofile(out / blob)
-            entry = {"file": blob, "layer_sizes": list(net.layer_sizes),
-                     "activation": ["tanh", "linear"]}
-            if model.traces:
-                entry["trace"] = dataclasses.asdict(model.traces[s][i])
-            entries.append(entry)
+            entries.append({"file": blob, "layer_sizes": list(net.layer_sizes),
+                            "activation": ["tanh", "linear"],
+                            "trace": dataclasses.asdict(model.traces[s][i])})
         manifest["stages"].append(entries)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
     return out
@@ -534,8 +532,9 @@ def _train_run(fields: dict, path) -> TrainRun:
 
 
 def load_model(in_dir) -> MstModel:
-    """Read a saved model; a manifest whose stage groups do not match its
-    configs, or its configs their config_hash, raises ValueError."""
+    """Read a saved model.  Raises ValueError, naming the manifest, when its
+    stage groups do not match its configs or its configs their config_hash,
+    and when an MLP has no trace or a parameter file of the wrong size."""
     src = Path(in_dir)
     path = src / "manifest.json"
     manifest = json.loads(path.read_text())
@@ -545,7 +544,7 @@ def load_model(in_dir) -> MstModel:
     if len(groups) != len(configs):
         raise ValueError(f"{path}: {len(groups)} stage groups for "
                          f"{len(configs)} configured stages")
-    stages = []
+    stages, traces = [], []
     for s, (cfg, group) in enumerate(zip(configs, groups)):
         if len(group) != cfg.n_mlps:
             raise ValueError(f"{path}: stage {s + 1} has {len(group)} MLPs, "
@@ -555,14 +554,20 @@ def load_model(in_dir) -> MstModel:
         if any(tuple(entry["layer_sizes"]) != sizes for entry in group):
             raise ValueError(f"{path}: stage {s + 1} layer sizes differ from "
                              f"the configured {sizes}")
-        mlps = (unpack_parameters(init_mlp(sizes, seed=0),
+        n_bytes = 8 * count_parameters(sizes)
+        for i, entry in enumerate(group, start=1):
+            if "trace" not in entry:
+                raise ValueError(f"{path}: stage {s + 1} MLP {i} has no trace")
+            file = src / entry["file"]
+            size = file.stat().st_size
+            if size != n_bytes:
+                raise ValueError(f"{path}: stage {s + 1} MLP {i}: {file} has "
+                                 f"{size} bytes, expected {n_bytes}")
+        mlps = (unpack_parameters(sizes,
                                   np.fromfile(src / entry["file"], dtype="<f8"))
                 for entry in group)
         stages.append(pack_stage(mlps, cfg.n_mlps))
-    traces = []
-    if all("trace" in entry for group in groups for entry in group):
-        traces = [[_train_run(entry["trace"], path) for entry in group]
-                  for group in groups]
+        traces.append([_train_run(entry["trace"], path) for entry in group])
     model = MstModel(configs=configs, stages=stages,
                      n_labels=manifest["n_labels"], order=manifest["order"],
                      seed=manifest["seed"], traces=traces,

@@ -326,9 +326,10 @@ def apply_impairments(packet: np.ndarray, profile: TransmitterProfile,
     """Impairment chain in fixed order: IQ imbalance, AM/AM cubic, carrier
     rotation (CFO plus per-packet start phase, with the phase-noise walk
     added to the same phase, so one complex exp), DC offset, AWGN, drawn
-    from rng_carrier, rng_phase and rng_noise.  The IQ step makes a new
-    array, so the input packet is never written.  Returns the complex128
-    chain; a corpus packet is this rounded once to complex64."""
+    from rng_carrier, rng_phase and rng_noise.  noise_snr_db None means no
+    noise; a NaN or infinite one raises ValueError.  The IQ step makes a
+    new array, so the input packet is never written.  Returns the
+    complex128 chain; a corpus packet is this rounded once to complex64."""
     x = packet
     # IQ imbalance: gain error on I, quadrature skew leaking I into Q
     i = (1.0 + profile.iq_gain_imbalance) * x.real
@@ -360,7 +361,10 @@ def apply_impairments(packet: np.ndarray, profile: TransmitterProfile,
     # silence is receiver noise alone, which keeps onset thresholding honest
     x[params.silence_len:] += complex(profile.dc_offset)
     # receiver noise over the whole capture, scaled to the ideal burst's power
-    if noise_snr_db is not None and np.isfinite(noise_snr_db):
+    if noise_snr_db is not None:
+        if not math.isfinite(noise_snr_db):
+            raise ValueError(f"noise_snr_db must be finite or None, got "
+                             f"{noise_snr_db}")
         burst = packet[params.silence_len:]
         burst_power = np.mean(np.abs(burst) ** 2)
         noise_power = burst_power / 10 ** (noise_snr_db / 10)
@@ -451,13 +455,13 @@ def validate_profiles(profiles: list[TransmitterProfile]) -> None:
         seen.add(key)
         by_radio.setdefault(p.radio_id, []).append(p)
     for radio, members in by_radio.items():
-        cfos = {p.carrier_freq_offset for p in members}
-        groups = {p.shared_osc_group for p in members}
-        if len(cfos) > 1 or len(groups) > 1:
+        shared = {(p.carrier_freq_offset, p.phase_noise_bw, p.shared_osc_group)
+                  for p in members}
+        if len(shared) > 1:
             raise ValueError(
                 f"radio {radio}: transmitters on one radio share a reference "
-                "oscillator, so carrier_freq_offset and shared_osc_group "
-                "must match")
+                "oscillator, so carrier_freq_offset, phase_noise_bw and "
+                "shared_osc_group must match")
 
 
 def generate_corpus(profiles: list[TransmitterProfile], packets_per_tx: int,

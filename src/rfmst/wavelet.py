@@ -179,10 +179,6 @@ def scalogram(v: np.ndarray, params: MorletParams = MorletParams()) -> np.ndarra
     return _transform(v, params, np.float64, np.abs)
 
 
-class ShapeMismatch(ValueError):
-    """Array shapes that do not fit together."""
-
-
 @dataclass
 class VarianceMap:
     var: np.ndarray
@@ -199,11 +195,11 @@ def variance_map(scalograms: np.ndarray) -> VarianceMap:
     """
     s = np.asarray(scalograms, dtype=np.float64)
     if s.ndim != 4:
-        raise ShapeMismatch("expected (n_tx, n_sig, rows, cols)")
+        raise ValueError("expected (n_tx, n_sig, rows, cols)")
     n_tx, n_sig = s.shape[:2]
     count = n_tx * n_sig
     if count < 2:
-        raise ShapeMismatch("need at least two scalograms")
+        raise ValueError("need at least two scalograms")
     flat = s.reshape(count, *s.shape[2:])
     mean = flat.mean(axis=0)
     var = ((flat - mean) ** 2).sum(axis=0) / (count - 1)
@@ -214,7 +210,7 @@ def difference_scalogram(s: np.ndarray, mean: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     if s.shape != mean.shape:
-        raise ShapeMismatch(f"{s.shape} vs {mean.shape}")
+        raise ValueError(f"{s.shape} vs {mean.shape}")
     return s - mean
 
 
@@ -225,7 +221,7 @@ def difference_timedomain(magnitudes: np.ndarray) -> np.ndarray:
     """
     f = np.asarray(magnitudes, dtype=np.float64)
     if f.ndim != 3:
-        raise ShapeMismatch("expected (n_tx, n_sig, n)")
+        raise ValueError("expected (n_tx, n_sig, n)")
     mean = f.mean(axis=(0, 1))
     return f - mean
 

@@ -64,8 +64,8 @@ def fd_output_jacobian(net, x, h=1e-6):
         tp[p] += h
         tm = theta.copy()
         tm[p] -= h
-        yp = forward(unpack_parameters(net, tp), x).reshape(-1)
-        ym = forward(unpack_parameters(net, tm), x).reshape(-1)
+        yp = forward(unpack_parameters(net.layer_sizes, tp), x).reshape(-1)
+        ym = forward(unpack_parameters(net.layer_sizes, tm), x).reshape(-1)
         jac[:, p] = (yp - ym) / (2 * h)
     return jac
 
@@ -78,8 +78,8 @@ def fd_gradient(net, x, t, h=1e-6):
         tp[p] += h
         tm = theta.copy()
         tm[p] -= h
-        g[p] = (mse(unpack_parameters(net, tp), x, t)
-                - mse(unpack_parameters(net, tm), x, t)) / (2 * h)
+        g[p] = (mse(unpack_parameters(net.layer_sizes, tp), x, t)
+                - mse(unpack_parameters(net.layer_sizes, tm), x, t)) / (2 * h)
     return g
 
 
@@ -162,7 +162,7 @@ class TwoPassLm:
                 delta = jac.T @ cho_solve(factor, r, check_finite=False)
             else:
                 delta = cho_solve(factor, jac.T @ r, check_finite=False)
-            cand = unpack_parameters(net, theta + delta)
+            cand = unpack_parameters(net.layer_sizes, theta + delta)
             mse1 = float(np.mean((t - forward(cand, x)) ** 2))
             if np.isfinite(mse1) and mse1 < mse0:
                 self.mu = max(self.mu * MU_DEC, MU_FLOOR)
@@ -180,7 +180,7 @@ def random_net(rng, max_hidden=6, n_out=None):
     n_hidden = int(rng.integers(1, 3))
     sizes = [n_in] + [int(rng.integers(2, max_hidden))] * n_hidden
     sizes.append(int(rng.integers(1, 3)) if n_out is None else n_out)
-    return init_mlp(sizes, rng=rng)
+    return init_mlp(sizes, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def test_lm_linear_least_squares_one_accepted_step():
     t = x @ w_true + 0.7
     net = init_mlp((3, 1), seed=7)
     state = LmState(mu=1e-12)  # mu -> 0 limit: pure Gauss-Newton
-    net2, state, mse1, accepted = lm_step(net, x, t, state)
+    net2, mse1, _, accepted = lm_step(net, x, t, state)
     assert accepted
     assert mse1 < 1e-20
     np.testing.assert_allclose(net2.weights[0], w_true, atol=1e-8)
@@ -315,7 +315,7 @@ def test_lm_matches_scalar_oracle_trace():
     # freeze the bias by fitting targets with zero-intercept structure:
     # keep bias column but targets are exactly representable with b = 0.
     for _ in range(6):
-        net, state, _, _ = lm_step_bias_free(net, x_in, ts[:, None], state)
+        net, _, _, _ = lm_step_bias_free(net, x_in, ts[:, None], state)
         iterates.append(net.weights[0][0, 0])
     np.testing.assert_allclose(iterates, oracle, rtol=1e-10)
 
@@ -338,10 +338,10 @@ def lm_step_bias_free(net, x, t, state):
         mse1 = mse(cand, x, t)
         if mse1 < mse0:
             state.mu *= 0.1
-            return cand, state, mse1, True
+            return cand, mse1, state.mu, True
         state.mu *= 10
         if state.mu > 1e9:
-            return net, state, mse0, False
+            return net, mse0, state.mu, False
 
 
 def test_lm_mu_ceiling_patience_signals_stop():
@@ -377,7 +377,7 @@ def test_lm_step_forwards_only_candidate_nets(monkeypatch):
     net, state = init_mlp((2, 5, 1), seed=15), LmState()
     for _ in range(5):
         calls.clear()
-        new, state, _, accepted = lm_step(net, x, t, state)
+        new, _, _, accepted = lm_step(net, x, t, state)
         assert accepted and calls
         assert all(n is not net for n in calls)
         assert calls[-1] is new
@@ -393,7 +393,7 @@ def test_lm_step_retries_a_failed_factorisation_with_mu_raised(monkeypatch,
     x = rng.uniform(-1, 1, size=(n_rows, 2))
     t = np.sin(2 * x[:, :1]) + x[:, 1:]
     net = init_mlp((2, 3, 1), seed=35)          # 13 parameters
-    ref, ref_state, _, _ = lm_step(net, x, t, LmState(mu=10 * MU_INIT))
+    ref, _, ref_mu, _ = lm_step(net, x, t, LmState(mu=10 * MU_INIT))
     seen = []
 
     def failing_once(a, **kw):
@@ -403,7 +403,7 @@ def test_lm_step_retries_a_failed_factorisation_with_mu_raised(monkeypatch,
         return cho_factor(a, **kw)
 
     monkeypatch.setattr(ann, "cho_factor", failing_once)
-    new, state, new_mse, accepted = lm_step(net, x, t, LmState(mu=MU_INIT))
+    new, new_mse, mu, accepted = lm_step(net, x, t, LmState(mu=MU_INIT))
     assert accepted and new_mse < mse(net, x, t)
     assert len(seen) == 2
     # same Gram matrix: the off-diagonal entries are equal, and only mu,
@@ -414,7 +414,7 @@ def test_lm_step_retries_a_failed_factorisation_with_mu_raised(monkeypatch,
     np.testing.assert_allclose(np.diag(seen[1] - seen[0]),
                                (MU_INC - 1) * MU_INIT, rtol=1e-6)
     # the retry is the step taken from mu = MU_INC * MU_INIT
-    assert state.mu == ref_state.mu
+    assert mu == ref_mu
     np.testing.assert_array_equal(pack_parameters(new), pack_parameters(ref))
 
 
@@ -496,7 +496,7 @@ def _dual_cases():
         cases.append((net, rng.uniform(-1, 1, size=(int(rng.integers(1, 6)),
                                                     net.layer_sizes[0]))))
     for sizes, b_sz in (((2048, 10, 10, 1), 36), ((60, 15, 15, 1), 216)):
-        net = init_mlp(sizes, rng=rng)
+        net = init_mlp(sizes, rng)
         cases.append((net, rng.uniform(-1, 1, size=(b_sz, sizes[0]))))
     return cases
 
@@ -527,7 +527,7 @@ def test_dual_gram_and_lm_delta_equal_the_unskipped_formulas(sizes, b_sz):
     from rfmst import ann
 
     rng = np.random.default_rng(b_sz + len(sizes))
-    net = init_mlp(sizes, rng=rng)
+    net = init_mlp(sizes, rng)
     x = rng.uniform(-1, 1, size=(b_sz, sizes[0]))
     _, layers = ann._backward_sweep(net, x)
     want = 0.0
@@ -556,10 +556,10 @@ def test_dual_lm_step_never_forms_the_jacobian(monkeypatch):
 
     monkeypatch.setattr(ann, "output_jacobian", no_jacobian)
     rng = np.random.default_rng(32)
-    net = init_mlp((60, 15, 15, 1), rng=rng)
+    net = init_mlp((60, 15, 15, 1), rng)
     x = rng.uniform(-1, 1, size=(36, 60))
     t = np.sin(x[:, :1])
-    new, _, new_mse, accepted = lm_step(net, x, t, LmState())
+    new, new_mse, _, accepted = lm_step(net, x, t, LmState())
     assert accepted
     assert new_mse < mse(net, x, t)
 
@@ -584,7 +584,8 @@ def test_lm_accepted_steps_never_increase_mse():
     state = LmState()
     last = mse(net, x, t)
     for _ in range(25):
-        net, state, new_mse, accepted = lm_step(net, x, t, state)
+        net, new_mse, mu, accepted = lm_step(net, x, t, state)
+        assert mu == state.mu
         if accepted:
             assert new_mse < last
         else:
@@ -760,7 +761,7 @@ def test_pack_unpack_roundtrip(seed):
     rng = np.random.default_rng(seed)
     net = random_net(rng)
     theta = pack_parameters(net)
-    net2 = unpack_parameters(net, theta)
+    net2 = unpack_parameters(net.layer_sizes, theta)
     np.testing.assert_array_equal(pack_parameters(net2), theta)
 
 

@@ -17,7 +17,7 @@ import pytest
 import scipy
 
 from rfmst import mst
-from rfmst.frontend import SomGrid, default_frontend_config, extract_features
+from rfmst.frontend import FrontEnd, SomGrid, default_frontend_config
 from rfmst.mst import (
     CLASS_INDEX,
     DETECTOR_BLOCKS,
@@ -129,12 +129,13 @@ def test_frontend_features_do_not_depend_on_caller_thread_count(two_threads):
     cfg = default_frontend_config((128, 512))
     som = SomGrid(nodes=rng.normal(size=(16, 64)), grid_shape=(4, 4),
                   trained=True)
+    front = FrontEnd(som, cfg, np.zeros(128), np.ones(128))
     scalograms = rng.normal(size=(4, 128, 512))
     features = []
     for n in (1, 2):
         for setter, _ in BLAS:
             setter(n)
-        features.append([extract_features(s, som, cfg) for s in scalograms])
+        features.append([front(s) for s in scalograms])
     np.testing.assert_array_equal(features[0], features[1])
 
 

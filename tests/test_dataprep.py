@@ -10,7 +10,6 @@ from rfmst.dataprep import (
     Segment,
     SplitSpec,
     TooShort,
-    ZeroCorpus,
     detect_onset,
     feature_matrix,
     normalize_corpus,
@@ -257,7 +256,7 @@ def test_normalize_deterministic():
 
 
 def test_normalize_zero_corpus_raises():
-    with pytest.raises(ZeroCorpus):
+    with pytest.raises(ValueError, match="identically zero"):
         normalize_corpus(np.zeros((3, 3)))
 
 

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 from rfmst.ann import count_hidden_parameters
 from rfmst.frontend import (
-    EmptyPatchSet,
     FrontEnd,
     FrontEndConfig,
-    ShapeMismatch,
     SomGrid,
     default_frontend_config,
-    extract_features,
     init_som,
     sample_patches,
     train_frontend,
@@ -106,11 +103,11 @@ def test_som_equals_step_by_step_reference():
 
 def test_som_rejects_empty_or_mismatched_patches():
     grid = init_som(4, (2, 2), seed=0)
-    with pytest.raises(EmptyPatchSet):
+    with pytest.raises(ValueError, match="sample set"):
         train_som(np.empty((0, 4)), grid)
-    with pytest.raises(EmptyPatchSet):
+    with pytest.raises(ValueError, match="need at least 4 patches, got 2"):
         train_som(np.ones((2, 4)), grid)  # fewer patches than nodes
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError, match="patch dimension does not match"):
         train_som(np.ones((10, 5)), grid)
 
 
@@ -134,7 +131,8 @@ def test_default_config_adapts_to_1024_translations():
 
 def test_config_validation_rejects_wrong_arithmetic():
     cfg = FrontEndConfig(pool1=(2, 2), pool2=(2, 2))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError,
+                       match=r"pipeline on \(128, 2048\) yields \d+ features"):
         cfg.validate((128, 2048))
 
 
@@ -150,6 +148,17 @@ def test_dimensional_contract_any_valid_config(rows, cols):
 # feature extraction
 
 
+def _unscaled(som, cfg, rows):
+    """A FrontEnd that leaves every pixel as it is: x - 0.0 and x / 1.0
+    are exact."""
+    return FrontEnd(som, cfg, np.zeros(rows), np.ones(rows))
+
+
+def _standardized(fe, s):
+    """Whole-scalogram oracle of the FrontEnd's per-row standardization."""
+    return (s - fe.row_mean[:, None]) / fe.row_scale[:, None]
+
+
 def _trained_frontend(shape=(32, 64), seed=0):
     rng = np.random.default_rng(seed)
     scalos = [rng.uniform(size=shape) for _ in range(4)]
@@ -160,7 +169,7 @@ def _trained_frontend(shape=(32, 64), seed=0):
 def test_zero_scalogram_gives_zero_features():
     # bias-free convolution + tanh + max pooling carries zero through
     fe = _trained_frontend()
-    out = extract_features(np.zeros((32, 64)), fe.som, fe.cfg)
+    out = _unscaled(fe.som, fe.cfg, 32)(np.zeros((32, 64)))
     np.testing.assert_array_equal(out, np.zeros(16))
 
 
@@ -175,8 +184,8 @@ def test_output_length_is_256_on_full_size_input():
 
 def test_untrained_som_rejected():
     som = init_som(64, (4, 4), seed=0)
-    with pytest.raises(ValueError):
-        extract_features(np.zeros((128, 2048)), som, FrontEndConfig())
+    with pytest.raises(ValueError, match="untrained"):
+        _unscaled(som, FrontEndConfig(), 128)(np.zeros((128, 2048)))
 
 
 def test_brightening_pixel_never_decreases_covering_feature():
@@ -187,10 +196,11 @@ def test_brightening_pixel_never_decreases_covering_feature():
                   trained=True)
     rng = np.random.default_rng(8)
     s = rng.uniform(0.1, 0.5, size=(32, 64))
-    base = extract_features(s, som, fe.cfg)
+    extract = _unscaled(som, fe.cfg, 32)
+    base = extract(s)
     s2 = s.copy()
     s2[10, 20] = 10.0  # large enough to win its pool windows
-    boosted = extract_features(s2, som, fe.cfg)
+    boosted = extract(s2)
     changed = np.nonzero(boosted != base)[0]
     assert changed.size > 0
     assert np.all(boosted[changed] >= base[changed])
@@ -261,8 +271,8 @@ def test_extraction_equals_tanh_first_two_pool_reference(shape, output_dim,
         s = rng.normal(size=shape)
         expected = _reference_features(s, som, cfg)
         # the phase GEMMs sum each response in another order
-        np.testing.assert_allclose(extract_features(s, som, cfg), expected,
-                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_unscaled(som, cfg, shape[0])(s),
+                                   expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("shape, patch, stride, pool1, pool2", [
@@ -291,8 +301,8 @@ def test_extraction_matches_reference_off_the_default_config(shape, patch,
     for _ in range(3):
         s = rng.normal(size=shape)
         expected = _reference_features(s, som, cfg)
-        np.testing.assert_allclose(extract_features(s, som, cfg), expected,
-                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_unscaled(som, cfg, shape[0])(s),
+                                   expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -304,7 +314,7 @@ def test_non_finite_pixel_raises(value):
     with pytest.raises(ValueError, match="NaN or infinite"):
         fe(s)
     with pytest.raises(ValueError, match="NaN or infinite"):
-        extract_features(fe.standardize(s), fe.som, fe.cfg)
+        _unscaled(fe.som, fe.cfg, 32)(s)
 
 
 def test_infinite_pixel_read_only_by_padding_taps_raises():
@@ -319,12 +329,13 @@ def test_infinite_pixel_read_only_by_padding_taps_raises():
     s = rng.normal(size=(32, 70))
     s[0, 65] = np.inf
     with pytest.raises(ValueError, match="NaN or infinite"):
-        extract_features(s, som, cfg)
+        _unscaled(som, cfg, 32)(s)
 
 
 def test_pixel_statistics_must_match_the_scalogram_rows():
     fe = _trained_frontend(seed=20)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ValueError,
+                       match="pixel statistics for 32 scales, scalogram has 40"):
         fe(np.zeros((40, 64)))
 
 
@@ -332,8 +343,8 @@ def test_call_equals_extraction_on_the_standardized_scalogram():
     # standardizing only the pixels read does the same arithmetic
     fe = _trained_frontend(shape=(128, 512), seed=21)
     s = np.random.default_rng(22).gamma(2.0, size=(128, 512))
-    assert fe(s).tobytes() == extract_features(fe.standardize(s), fe.som,
-                                               fe.cfg).tobytes()
+    assert fe(s).tobytes() == \
+        _unscaled(fe.som, fe.cfg, 128)(_standardized(fe, s)).tobytes()
 
 
 def test_extraction_is_pure_and_deterministic():
@@ -387,7 +398,7 @@ def test_patches_standardized_alone_match_whole_scalogram_oracle():
                         max_patch_sources=8)
     sources = np.random.default_rng(
         np.random.SeedSequence([0x5A7C5, seed])).choice(12, 8, replace=False)
-    whole = [fe.standardize(scalos[i]) for i in sources]
+    whole = [_standardized(fe, scalos[i]) for i in sources]
     expected = sample_patches(whole, cfg, 300, np.zeros(32), np.ones(32),
                               seed=seed)
     got = sample_patches([scalos[i] for i in sources], cfg, 300, fe.row_mean,

@@ -11,10 +11,8 @@ from rfmst.mst import (
     DETECTOR_BLOCKS,
     DETECTOR_CYCLE,
     ConfusionMatrix,
-    MissingClass,
     MstModel,
     StageConfig,
-    UntrainedModel,
     classify_batch,
     confusion_from_predictions,
     default_config_1st,
@@ -118,7 +116,7 @@ def test_plan_is_deterministic_per_seed():
 
 def test_plan_missing_class_raises():
     y = _labels(3, 10)
-    with pytest.raises(MissingClass):
+    with pytest.raises(ValueError, match=r"no training data for classes \[.*9"):
         plan_batches(y, default_config_2nd(3), seed=0, known_labels=[1, 2, 9])
 
 
@@ -186,6 +184,14 @@ def test_train_mst_rejects_validation_labels_outside_training_labels():
     xtr, ytr, xva, yva = _split_toy(x, y)
     with pytest.raises(ValueError, match="validation labels"):
         train_mst(xtr, ytr, xva, yva + 5, _tiny_configs(3), seed=1)
+
+
+def test_train_mst_rejects_empty_configs():
+    # a model with no stages would fail only later, in classify_batch
+    x, y = _toy_gaussians()
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    with pytest.raises(ValueError, match="need at least one stage config"):
+        train_mst(xtr, ytr, xva, yva, [], seed=1)
 
 
 @pytest.mark.parametrize("where", ["train", "val"])
@@ -303,7 +309,7 @@ def test_classify_rejects_non_finite_rows_by_index(monkeypatch):
 
 def test_untrained_model_rejected():
     model = MstModel(configs=[], stages=[], n_labels=3, order=2, seed=0)
-    with pytest.raises(UntrainedModel):
+    with pytest.raises(ValueError, match="model has untrained stages"):
         classify_batch(model, np.zeros((1, 4)))
 
 
@@ -494,6 +500,16 @@ def test_load_model_rejects_manifest_not_matching_its_hash(tmp_path):
         load_model(out)
 
 
+def test_save_model_needs_one_trace_per_mlp(tmp_path):
+    x, y = _toy_gaussians(seed=17)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=18)
+    untraced = dataclasses.replace(model, traces=[])
+    with pytest.raises(ValueError, match="one training trace per MLP"):
+        save_model(untraced, tmp_path / "model")
+    assert not (tmp_path / "model").exists()
+
+
 @pytest.fixture(scope="module")
 def saved_toy_model(tmp_path_factory):
     x, y = _toy_gaussians(seed=17)
@@ -510,6 +526,15 @@ def _drop_one_final_mlp(manifest, out):
     manifest["stages"][-1].pop()
 
 
+def _drop_one_trace(manifest, out):
+    del manifest["stages"][1][2]["trace"]
+
+
+def _cut_one_blob(manifest, out):
+    blob = out / manifest["stages"][0][1]["file"]
+    blob.write_bytes(blob.read_bytes()[:-8])
+
+
 def _widen_final_stage(manifest, out):
     # consistent blobs of another width: they load and pack without error
     for i, entry in enumerate(manifest["stages"][-1]):
@@ -523,7 +548,11 @@ def _widen_final_stage(manifest, out):
     (_drop_one_final_mlp, "stage 3 has 4 MLPs, configured 5"),
     (_widen_final_stage, r"stage 3 layer sizes differ from the configured "
                          r"\(3, 6, 6, 1\)"),
-], ids=["stage_count", "mlp_count", "layer_sizes"])
+    (_drop_one_trace, "stage 2 MLP 3 has no trace"),
+    (_cut_one_blob, r"stage 1 MLP 2: \S*stage1_mlp2\.f64 has 624 bytes, "
+                    r"expected 632"),
+], ids=["stage_count", "mlp_count", "layer_sizes", "missing_trace",
+        "short_blob"])
 def test_load_model_rejects_stage_groups_not_matching_the_configs(
         saved_toy_model, tmp_path, tamper, message):
     out = shutil.copytree(saved_toy_model, tmp_path / "model")

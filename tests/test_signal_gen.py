@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -292,6 +293,16 @@ def test_shared_oscillator_must_match_within_radio():
         validate_profiles([p1, p2])
 
 
+def test_shared_phase_noise_must_match_within_radio():
+    profiles = default_profiles()
+    validate_profiles(profiles)
+    i = next(k for k, p in enumerate(profiles) if p.radio_id == "Y06v2")
+    profiles[i] = dataclasses.replace(
+        profiles[i], phase_noise_bw=2 * profiles[i].phase_noise_bw + 1.0)
+    with pytest.raises(ValueError, match="radio Y06v2: .* phase_noise_bw"):
+        validate_profiles(profiles)
+
+
 def test_corpus_determinism_bit_identical():
     profiles = default_profiles()[:4]
     a = generate_corpus(profiles, 2, seed=9, params=FAST, noise_snr_db=20.0)
@@ -339,6 +350,14 @@ def test_snr_contract_within_half_db():
         noise_power += np.mean(np.abs(noise) ** 2)
     measured_db = 10 * np.log10(sig_power / noise_power)
     assert abs(measured_db - snr_db) <= 0.5
+
+
+@pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf])
+def test_non_finite_snr_raises(snr_db):
+    # None is the one spelling of "no noise"
+    with pytest.raises(ValueError, match="noise_snr_db must be finite or None"):
+        generate_corpus([quiet_profile()], 1, seed=3, params=FAST,
+                        noise_snr_db=snr_db)
 
 
 def test_save_load_roundtrip(tmp_path):
