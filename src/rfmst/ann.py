@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from time import perf_counter
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -405,7 +406,8 @@ class StopCriteria:
 
 @dataclass
 class TrainRun:
-    """Per-iteration trace of one training run."""
+    """Per-iteration trace of one training run; seconds is the wall time
+    of the train call that made it."""
 
     stop: StopCriteria
     train_mse: list[float] = field(default_factory=list)
@@ -414,6 +416,7 @@ class TrainRun:
     stop_reason: str = ""
     best_iteration: int = 0
     best_val_mse: float = float("inf")
+    seconds: float = 0.0
 
     @property
     def iterations(self) -> int:
@@ -429,6 +432,7 @@ def train(net: Mlp, train_xy, val_xy, optimizer, stop: StopCriteria):
     or max_iters.  Returns the weight snapshot with the best validation MSE
     seen, including the untrained starting point.
     """
+    t0 = perf_counter()
     x_tr, t_tr = train_xy
     x_va, t_va = val_xy
     run = TrainRun(stop=stop)
@@ -463,4 +467,5 @@ def train(net: Mlp, train_xy, val_xy, optimizer, stop: StopCriteria):
             break
     else:
         run.stop_reason = "max_iters"
+    run.seconds = perf_counter() - t0
     return best_net, run

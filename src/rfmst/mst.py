@@ -18,10 +18,24 @@ later layer, both for the next stage's training inputs and in
 classify_batch: for the 2048-input raw stage 1, one (B, 2048) x
 (2048, 600) GEMM instead of 60 skinny ones.
 
+Stage workers: a stage's MLPs are independent, so train_mst trains them in
+one process per CPU it may run on (os.sched_getaffinity), at most one per
+MLP: itself plus workers forked once the stage's inputs are ready.  Every
+process takes the next MLP index from one shared queue, a file of 4-byte
+indices, and trains that MLP from its own seed, so the model is the same
+whichever process trained which MLP.  A worker sends its (index, net,
+trace) records back when the queue is empty, and the parent packs each by
+index as it arrives.  An exception in a worker is raised in the parent
+with its type and message; on every exit the parent kills and reaps the
+workers it has left.  With one CPU there are no workers.  Each TrainRun's
+seconds is timed in the process that trained it.
+
 BLAS policy: training runs with the OpenBLAS that numpy and scipy bundle
-pinned to one thread, so a trained model does not depend on the BLAS
-thread count.  Classification is not pinned and keeps the caller's
-threading.
+pinned to one thread in every process, parent and workers, so a trained
+model does not depend on the BLAS thread count.  The workers inherit the
+pin through fork; OpenBLAS shuts its thread pool down before a fork, so
+the parent forks with one thread.  Classification is not pinned and keeps
+the caller's threading.
 """
 from __future__ import annotations
 
@@ -33,6 +47,10 @@ import hashlib
 import json
 import logging
 import math
+import os
+import pickle
+import signal
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -154,7 +172,8 @@ def plan_batches(labels: np.ndarray, configs, seed: int,
         else all_classes
     missing = set(known) - set(all_classes)
     if missing:
-        raise ValueError(f"no training data for classes {sorted(missing)}")
+        raise ValueError("no training data for classes "
+                         f"{sorted(int(c) for c in missing)}")
     known_pool = np.nonzero(np.isin(labels, known))[0]
     stage_plans = []
     for s, cfg in enumerate(configs):
@@ -214,13 +233,15 @@ class Stage:
 def pack_stage(mlps, n_mlps: int) -> Stage:
     """Copy n_mlps MLPs of one layer-size tuple into packed, read-only arrays.
 
-    `mlps` may be a generator: each MLP is copied as it arrives and not held
-    after, so a stage trained or loaded through one holds its weights once,
-    not twice.
+    `mlps` yields (index, net) pairs in any order, each index of
+    range(n_mlps) exactly once.  It may be a generator: each MLP is copied
+    to its index as it arrives and not held after, so a stage trained or
+    loaded through one holds its weights once, not twice.
     """
-    count = 0
-    for i, net in enumerate(mlps):
-        if i == 0:
+    arrived = np.zeros(max(n_mlps, 0), dtype=bool)
+    sizes = None
+    for i, net in mlps:
+        if sizes is None:
             sizes, h = net.layer_sizes, net.layer_sizes[1]
             first_w = np.empty((sizes[0], n_mlps * h))
             first_b = np.empty(n_mlps * h)
@@ -229,8 +250,11 @@ def pack_stage(mlps, n_mlps: int) -> Stage:
             biases = tuple(np.empty((n_mlps, 1, b)) for b in sizes[2:])
         elif net.layer_sizes != sizes:
             raise ValueError("the MLPs of a stage must share their layer sizes")
-        if i == n_mlps:
-            raise ValueError(f"more than {n_mlps} MLPs for the stage")
+        if not 0 <= i < n_mlps:
+            raise ValueError(f"MLP index {i} outside 0..{n_mlps - 1}")
+        if arrived[i]:
+            raise ValueError(f"MLP index {i} arrived twice")
+        arrived[i] = True
         cols = slice(i * h, (i + 1) * h)
         first_w[:, cols] = net.weights[0]
         first_b[cols] = net.biases[0]
@@ -238,7 +262,7 @@ def pack_stage(mlps, n_mlps: int) -> Stage:
                                       net.biases[1:]):
             w[i] = net_w
             b[i, 0] = net_b
-        count += 1
+    count = int(arrived.sum())
     if n_mlps < 1 or count != n_mlps:
         raise ValueError(f"expected {n_mlps} >= 1 MLPs, got {count}")
     for arr in (first_w, first_b, *weights, *biases):
@@ -346,6 +370,98 @@ def single_threaded_blas():
         logger.debug("BLAS threads restored to %s", saved)
 
 
+def _stage_processes(n_mlps: int) -> int:
+    """Processes that train a stage: one per CPU this process may run on,
+    at most one per MLP."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else min(len(affinity(0)), n_mlps)
+
+
+def _queued(queue: int):
+    """MLP indices taken one at a time from the shared queue until it is
+    empty.  The queue is a file of 4-byte indices whose descriptor, and so
+    whose read offset, every process of the stage shares; the kernel
+    advances a shared offset atomically, so each index is read once."""
+    while item := os.read(queue, 4):
+        yield int.from_bytes(item, "little")
+
+
+def _received(results):
+    """The (index, net, run) records a worker sent, in order; an exception
+    it sent instead is raised."""
+    while True:
+        try:
+            record = pickle.load(results)
+        except EOFError:
+            return
+        if isinstance(record, BaseException):
+            raise record
+        yield record
+
+
+def _stage_worker(train_one, queue: int, result_w: int):
+    """Body of a forked stage worker: train the MLPs it takes from the
+    queue, then send their records, or the exception that stopped it, to
+    the parent.  It never returns: it ends its process with os._exit, exit
+    status 0 once every record is sent."""
+    code = 1
+    try:
+        with os.fdopen(result_w, "wb") as results:
+            try:
+                records = []
+                for i in _queued(queue):
+                    records.append((i, *train_one(i)))
+            except Exception as exc:
+                pickle.dump(exc, results)
+            else:
+                for record in records:
+                    pickle.dump(record, results)
+                code = 0
+    finally:
+        os._exit(code)
+
+
+def _train_stage(train_one, n_mlps: int) -> tuple[Stage, list[TrainRun]]:
+    """Train and pack a stage's MLPs, train_one(i) returning MLP i and its
+    TrainRun, in this process and in forked stage workers (see the module
+    docstring).  No worker outlives the call, also when it raises."""
+    runs = [None] * n_mlps
+    workers = {}                # pid -> the read end of its result pipe
+    queue = tempfile.TemporaryFile()
+    try:
+        queue.write(np.arange(n_mlps, dtype="<u4").tobytes())
+        queue.seek(0)
+        for _ in range(_stage_processes(n_mlps) - 1):
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _stage_worker(train_one, queue.fileno(), result_w)
+            os.close(result_w)
+            workers[pid] = os.fdopen(result_r, "rb")
+
+        def trained():
+            for i in _queued(queue.fileno()):
+                net, runs[i] = train_one(i)
+                yield i, net
+            for pid in list(workers):
+                for i, net, run in _received(workers[pid]):
+                    runs[i] = run
+                    yield i, net
+                workers.pop(pid).close()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if status:
+                    raise RuntimeError(f"stage worker {pid} exited with "
+                                       f"status {status}")
+
+        return pack_stage(trained(), n_mlps), runs
+    finally:
+        queue.close()
+        for pid, results in workers.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            results.close()
+
+
 @single_threaded_blas()
 def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
               seed: int = 0, known_labels=None, sd_lr: float = 0.01,
@@ -393,22 +509,19 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
             else min(cfg.max_iters, iter_cap)
         stop = StopCriteria(max_iters=max_iters, mse_goal=cfg.mse_goal,
                             val_patience=val_patience)
-        runs = []
 
-        def trained_mlps():
-            for i, mlp_plan in enumerate(plan[s]):
-                net = init_mlp(
-                    cfg.layer_sizes(cur_tr.shape[1]),
-                    seed=np.random.SeedSequence([0x3117, seed, s, i]))
-                xb = cur_tr[mlp_plan.indices]
-                tb = mlp_plan.targets[:, None]
-                tv = _mlp_targets(mlp_plan.target_class, val_y)[:, None]
-                opt = LmState() if order == 2 else SdOptimizer(lr=sd_lr)
-                net, run = train(net, (xb, tb), (cur_va, tv), opt, stop)
-                runs.append(run)
-                yield net
+        def train_one(i):
+            mlp_plan = plan[s][i]
+            net = init_mlp(
+                cfg.layer_sizes(cur_tr.shape[1]),
+                seed=np.random.SeedSequence([0x3117, seed, s, i]))
+            xb = cur_tr[mlp_plan.indices]
+            tb = mlp_plan.targets[:, None]
+            tv = _mlp_targets(mlp_plan.target_class, val_y)[:, None]
+            opt = LmState() if order == 2 else SdOptimizer(lr=sd_lr)
+            return train(net, (xb, tb), (cur_va, tv), opt, stop)
 
-        stage = pack_stage(trained_mlps(), cfg.n_mlps)
+        stage, runs = _train_stage(train_one, cfg.n_mlps)
         stages.append(stage)
         traces.append(runs)
         if s + 1 < len(configs):
@@ -563,9 +676,10 @@ def load_model(in_dir) -> MstModel:
             if size != n_bytes:
                 raise ValueError(f"{path}: stage {s + 1} MLP {i}: {file} has "
                                  f"{size} bytes, expected {n_bytes}")
-        mlps = (unpack_parameters(sizes,
-                                  np.fromfile(src / entry["file"], dtype="<f8"))
-                for entry in group)
+        mlps = enumerate(
+            unpack_parameters(sizes,
+                              np.fromfile(src / entry["file"], dtype="<f8"))
+            for entry in group)
         stages.append(pack_stage(mlps, cfg.n_mlps))
         traces.append([_train_run(entry["trace"], path) for entry in group])
     model = MstModel(configs=configs, stages=stages,

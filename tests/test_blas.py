@@ -9,7 +9,10 @@ starts from two threads, so that a pin to one shows on any host.
 """
 import ctypes
 import glob
+import json
 import logging
+import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -74,18 +77,27 @@ def _toy():
     return x, y, configs
 
 
-def test_training_runs_on_one_blas_thread(two_threads, monkeypatch):
-    seen = []
-    train = mst.train
+def test_training_runs_on_one_blas_thread(two_threads, monkeypatch, tmp_path):
+    # mst.train runs in the stage workers too, so each call appends its
+    # process and counts to a file instead of to a list only the parent
+    # would see; a slow MLP in the parent leaves the other to a worker
+    seen = tmp_path / "seen.jsonl"
+    parent, train = os.getpid(), mst.train
 
     def counting_train(*args, **kwargs):
-        seen.append(_counts())
+        with open(seen, "a") as f:
+            f.write(json.dumps([os.getpid(), _counts()]) + "\n")
+        if os.getpid() == parent:
+            time.sleep(0.05)
         return train(*args, **kwargs)
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(mst, "train", counting_train)
     x, y, configs = _toy()
     train_mst(x, y, x, y, configs, seed=1)
-    assert seen == [[1] * len(BLAS)] * 4
+    records = [json.loads(line) for line in seen.read_text().splitlines()]
+    assert [counts for _, counts in records] == [[1] * len(BLAS)] * 4
+    assert len({pid for pid, _ in records}) > 1
 
 
 def test_models_do_not_depend_on_caller_thread_count(two_threads):

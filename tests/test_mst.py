@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import os
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -116,7 +118,7 @@ def test_plan_is_deterministic_per_seed():
 
 def test_plan_missing_class_raises():
     y = _labels(3, 10)
-    with pytest.raises(ValueError, match=r"no training data for classes \[.*9"):
+    with pytest.raises(ValueError, match=r"no training data for classes \[9\]"):
         plan_batches(y, default_config_2nd(3), seed=0, known_labels=[1, 2, 9])
 
 
@@ -225,6 +227,109 @@ def test_first_order_training_runs_with_iter_cap():
     assert all(run.iterations <= 200 for runs in model.traces for run in runs)
     preds = classify_batch(model, xtr)
     assert (preds == ytr).mean() > 0.5
+
+
+# ---------------------------------------------------------------------------
+# stage workers
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _logged_train(monkeypatch, log, fail=lambda: None):
+    """Patch mst.train to append its process id to `log` and call `fail`
+    before it trains; a slow MLP in the parent leaves work to the workers."""
+    parent, train = os.getpid(), mst.train
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        fail()
+        if os.getpid() == parent:
+            time.sleep(0.02)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(mst, "train", logged)
+    return parent
+
+
+def _traces_without_seconds(model):
+    return [[{k: v for k, v in dataclasses.asdict(run).items()
+              if k != "seconds"} for run in runs] for runs in model.traces]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_stage_workers_train_the_same_models_as_one_process(monkeypatch,
+                                                           tmp_path):
+    x, y = _toy_gaussians(n_classes=5, per_class=20, seed=30)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    configs = _tiny_configs(5)
+    assert min(c.n_mlps for c in configs) >= 5
+    models, pids = [], []
+    for n in (1, 4):
+        _cpus(monkeypatch, n)
+        log = tmp_path / f"pids{n}"
+        _logged_train(monkeypatch, log)
+        models.append(train_mst(xtr, ytr, xva, yva, configs, seed=31))
+        pids.append(set(log.read_text().split()))
+        monkeypatch.undo()
+    one, several = models
+    assert len(pids[0]) == 1 and len(pids[1]) > 1
+    assert several.stage_hashes() == one.stage_hashes()
+    assert _traces_without_seconds(several) == _traces_without_seconds(one)
+    assert all(run.seconds > 0 for runs in several.traces for run in runs)
+    _assert_no_child_left()
+
+
+def test_an_error_in_a_worker_reaches_the_caller(monkeypatch, tmp_path):
+    x, y = _toy_gaussians(seed=32)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    _cpus(monkeypatch, 4)
+
+    def fail_in_a_worker():
+        if os.getpid() != parent:
+            raise ValueError(f"MLP failed in worker {os.getpid()}")
+
+    parent = _logged_train(monkeypatch, tmp_path / "pids", fail_in_a_worker)
+    with pytest.raises(ValueError, match=r"MLP failed in worker \d+"):
+        train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=33)
+    _assert_no_child_left()
+
+
+def test_an_error_in_the_parent_leaves_no_worker(monkeypatch, tmp_path):
+    x, y = _toy_gaussians(seed=34)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    _cpus(monkeypatch, 4)
+
+    def fail_in_the_parent():
+        if os.getpid() == parent:
+            raise ValueError("MLP failed in the parent")
+
+    parent = _logged_train(monkeypatch, tmp_path / "pids", fail_in_the_parent)
+    with pytest.raises(ValueError, match="MLP failed in the parent"):
+        train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=35)
+    _assert_no_child_left()
+
+
+def test_a_worker_that_dies_is_reported(monkeypatch, tmp_path):
+    x, y = _toy_gaussians(seed=36)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    _cpus(monkeypatch, 2)
+
+    def die_in_a_worker():
+        if os.getpid() != parent:
+            os._exit(3)
+
+    parent = _logged_train(monkeypatch, tmp_path / "pids", die_in_a_worker)
+    with pytest.raises(RuntimeError, match=r"stage worker \d+ exited with "
+                                           r"status 3"):
+        train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=37)
+    _assert_no_child_left()
 
 
 def test_label_permutation_equivariance_on_separable_toy():
@@ -443,11 +548,25 @@ def test_pack_stage_rejects_wrong_counts_and_mixed_shapes():
     with pytest.raises(ValueError):
         mst.pack_stage([], 0)
     with pytest.raises(ValueError, match="got 2"):
-        mst.pack_stage(nets[:2], 3)
-    with pytest.raises(ValueError, match="more than 2"):
-        mst.pack_stage(nets, 2)
+        mst.pack_stage(enumerate(nets[:2]), 3)
+    with pytest.raises(ValueError, match=r"MLP index 2 outside 0\.\.1"):
+        mst.pack_stage(enumerate(nets), 2)
+    with pytest.raises(ValueError, match="MLP index 0 arrived twice"):
+        mst.pack_stage([(0, nets[0]), (0, nets[1])], 2)
     with pytest.raises(ValueError, match="layer sizes"):
-        mst.pack_stage([nets[0], ann.init_mlp((3, 5, 1), seed=0)], 2)
+        mst.pack_stage(enumerate([nets[0], ann.init_mlp((3, 5, 1), seed=0)]),
+                       2)
+
+
+def test_pack_stage_takes_mlps_in_any_order():
+    nets = [ann.init_mlp((3, 4, 2, 1), seed=k) for k in range(3)]
+    in_order = mst.pack_stage(enumerate(nets), 3)
+    shuffled = mst.pack_stage([(2, nets[2]), (0, nets[0]), (1, nets[1])], 3)
+    for a, b in zip((in_order.first_w, in_order.first_b, *in_order.weights,
+                     *in_order.biases),
+                    (shuffled.first_w, shuffled.first_b, *shuffled.weights,
+                     *shuffled.biases)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_classify_rejects_rows_of_the_wrong_width():
@@ -575,6 +694,10 @@ def _unknown_trace_key(manifest):
     manifest["stages"][0][0]["trace"]["wall_s"] = 0.1
 
 
+def _missing_trace_key(manifest):
+    del manifest["stages"][1][0]["trace"]["seconds"]
+
+
 def _missing_stop_key(manifest):
     del manifest["stages"][2][1]["trace"]["stop"]["max_iters"]
 
@@ -583,9 +706,10 @@ def _missing_stop_key(manifest):
     (_unknown_config_key, "unknown StageConfig key 'batch'"),
     (_missing_config_key, "StageConfig key 'role' is missing"),
     (_unknown_trace_key, "unknown TrainRun key 'wall_s'"),
+    (_missing_trace_key, "TrainRun key 'seconds' is missing"),
     (_missing_stop_key, "StopCriteria key 'max_iters' is missing"),
 ], ids=["unknown_config_key", "missing_config_key", "unknown_trace_key",
-        "missing_stop_key"])
+        "missing_trace_key", "missing_stop_key"])
 def test_load_model_names_the_manifest_and_an_unknown_or_missing_key(
         saved_toy_model, tmp_path, tamper, message):
     out = shutil.copytree(saved_toy_model, tmp_path / "model")
