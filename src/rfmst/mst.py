@@ -18,17 +18,12 @@ later layer, both for the next stage's training inputs and in
 classify_batch: for the 2048-input raw stage 1, one (B, 2048) x
 (2048, 600) GEMM instead of 60 skinny ones.
 
-Stage workers: a stage's MLPs are independent, so train_mst trains them in
-one process per CPU it may run on (os.sched_getaffinity), at most one per
-MLP: itself plus workers forked once the stage's inputs are ready.  Every
-process takes the next MLP index from one shared queue, a file of 4-byte
-indices, and trains that MLP from its own seed, so the model is the same
-whichever process trained which MLP.  A worker sends its (index, net,
-trace) records back when the queue is empty, and the parent packs each by
-index as it arrives.  An exception in a worker is raised in the parent
-with its type and message; on every exit the parent kills and reaps the
-workers it has left.  With one CPU there are no workers.  Each TrainRun's
-seconds is timed in the process that trained it.
+Stage workers: a stage's MLPs are independent, so train_mst trains them
+with rfmst.parallel.fork_map, once its inputs are ready: in this process
+and in workers forked for the stage, one process per CPU it may run on.
+Each MLP trains from its own seed, so the model is the same whichever
+process trained which MLP, and the parent packs each MLP by index as it
+arrives.  Each TrainRun's seconds is timed in the process that trained it.
 
 BLAS policy: training runs with the OpenBLAS that numpy and scipy bundle
 pinned to one thread in every process, parent and workers, so a trained
@@ -47,10 +42,6 @@ import hashlib
 import json
 import logging
 import math
-import os
-import pickle
-import signal
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,6 +62,7 @@ from .ann import (
     unpack_parameters,
 )
 from .manifest import checked_fields
+from .parallel import fork_map
 
 logger = logging.getLogger(__name__)
 
@@ -370,96 +362,19 @@ def single_threaded_blas():
         logger.debug("BLAS threads restored to %s", saved)
 
 
-def _stage_processes(n_mlps: int) -> int:
-    """Processes that train a stage: one per CPU this process may run on,
-    at most one per MLP."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return 1 if affinity is None else min(len(affinity(0)), n_mlps)
-
-
-def _queued(queue: int):
-    """MLP indices taken one at a time from the shared queue until it is
-    empty.  The queue is a file of 4-byte indices whose descriptor, and so
-    whose read offset, every process of the stage shares; the kernel
-    advances a shared offset atomically, so each index is read once."""
-    while item := os.read(queue, 4):
-        yield int.from_bytes(item, "little")
-
-
-def _received(results):
-    """The (index, net, run) records a worker sent, in order; an exception
-    it sent instead is raised."""
-    while True:
-        try:
-            record = pickle.load(results)
-        except EOFError:
-            return
-        if isinstance(record, BaseException):
-            raise record
-        yield record
-
-
-def _stage_worker(train_one, queue: int, result_w: int):
-    """Body of a forked stage worker: train the MLPs it takes from the
-    queue, then send their records, or the exception that stopped it, to
-    the parent.  It never returns: it ends its process with os._exit, exit
-    status 0 once every record is sent."""
-    code = 1
-    try:
-        with os.fdopen(result_w, "wb") as results:
-            try:
-                records = []
-                for i in _queued(queue):
-                    records.append((i, *train_one(i)))
-            except Exception as exc:
-                pickle.dump(exc, results)
-            else:
-                for record in records:
-                    pickle.dump(record, results)
-                code = 0
-    finally:
-        os._exit(code)
-
-
 def _train_stage(train_one, n_mlps: int) -> tuple[Stage, list[TrainRun]]:
     """Train and pack a stage's MLPs, train_one(i) returning MLP i and its
     TrainRun, in this process and in forked stage workers (see the module
     docstring).  No worker outlives the call, also when it raises."""
     runs = [None] * n_mlps
-    workers = {}                # pid -> the read end of its result pipe
-    queue = tempfile.TemporaryFile()
-    try:
-        queue.write(np.arange(n_mlps, dtype="<u4").tobytes())
-        queue.seek(0)
-        for _ in range(_stage_processes(n_mlps) - 1):
-            result_r, result_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _stage_worker(train_one, queue.fileno(), result_w)
-            os.close(result_w)
-            workers[pid] = os.fdopen(result_r, "rb")
 
-        def trained():
-            for i in _queued(queue.fileno()):
-                net, runs[i] = train_one(i)
-                yield i, net
-            for pid in list(workers):
-                for i, net, run in _received(workers[pid]):
-                    runs[i] = run
-                    yield i, net
-                workers.pop(pid).close()
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if status:
-                    raise RuntimeError(f"stage worker {pid} exited with "
-                                       f"status {status}")
+    def nets(trained):
+        for i, (net, run) in trained:
+            runs[i] = run
+            yield i, net
 
-        return pack_stage(trained(), n_mlps), runs
-    finally:
-        queue.close()
-        for pid, results in workers.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            results.close()
+    with contextlib.closing(fork_map(train_one, n_mlps)) as trained:
+        return pack_stage(nets(trained), n_mlps), runs
 
 
 @single_threaded_blas()

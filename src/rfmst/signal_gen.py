@@ -7,6 +7,12 @@ offset, phase-noise random walk, DC offset, AWGN).  Transmitters that share
 a radio share the reference-oscillator impairments (CFO, phase-noise
 bandwidth); everything else is per-transmitter.
 
+`generate_corpus` synthesises on every usable CPU (rfmst.parallel): each
+process modulates whole payloads and sends each through every profile.
+Every packet draws its noise from streams seeded by (corpus seed,
+transmitter, payload), never from state one packet leaves for the next,
+so the corpus is the same bit for bit however many CPUs made it.
+
 The capture is complex64: each packet's impairment chain runs in float64
 and is rounded once, at the end, to the bytes `save_corpus` writes.  The
 rounding error's power is about 150 dB below the burst and 120 dB below
@@ -23,6 +29,7 @@ process for one function.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import hashlib
 import json
 import math
@@ -32,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .manifest import checked_fields
+from .parallel import fork_map
 
 
 @dataclass(frozen=True)
@@ -475,20 +483,28 @@ def generate_corpus(profiles: list[TransmitterProfile], packets_per_tx: int,
     corrupting the other transmitters' packets.  The result equals
     `synthesize_packet` called packet by packet, bit for bit.
 
-    tx_label follows the profile list order (1-based).
+    Each process of rfmst.parallel.fork_map modulates the payloads it takes
+    and sends each through every profile, and the parent puts the packets
+    in order; the module docstring says why the CPU count changes no bit.
+
+    tx_label follows the profile list order (1-based), and the packets are
+    transmitter-major: every packet of transmitter 1, then of 2, ...
     """
     if packets_per_tx < 1:
         raise ValueError("packets_per_tx must be >= 1")
     validate_profiles(profiles)
-    ideals = []
-    for m in range(packets_per_tx):
+
+    def payload_packets(m):
         ideal = modulate(generate_payload(seed * 1_000_003 + m, params), params)
         ideal.flags.writeable = False
-        ideals.append(ideal)
-    packets = [_impair(ideal, profile, params, noise_snr_db, tx_label=label,
-                       packet_id=m, corpus_seed=seed)
-               for label, profile in enumerate(profiles, start=1)
-               for m, ideal in enumerate(ideals)]
+        return [_impair(ideal, profile, params, noise_snr_db, tx_label=label,
+                        packet_id=m, corpus_seed=seed)
+                for label, profile in enumerate(profiles, start=1)]
+
+    with contextlib.closing(fork_map(payload_packets, packets_per_tx)) as sent:
+        by_payload = dict(sent)
+    packets = [by_payload[m][t] for t in range(len(profiles))
+               for m in range(packets_per_tx)]
     return Corpus(packets=packets, profiles=list(profiles), params=params,
                   seed=seed, snr_db=noise_snr_db)
 

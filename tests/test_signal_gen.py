@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -241,6 +244,20 @@ def test_corpus_equals_packet_by_packet_synthesis(seed, snr_db):
             (want.name, want.tx_label, want.packet_id)
 
 
+def test_corpus_does_not_depend_on_the_cpu_count(monkeypatch):
+    # synthesised by one process, then by three forked ones
+    corpora = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)))
+        corpus = generate_corpus(default_profiles()[:4], 6, seed=11)
+        corpora.append([(p.samples.tobytes(), p.name, p.tx_label, p.packet_id)
+                        for p in corpus.packets])
+    one, three = corpora
+    assert len(one) == 24
+    assert three == one
+
+
 def test_sample_past_the_float32_range_raises():
     # finite in the float64 chain, infinite once rounded to complex64
     payload = generate_payload(1, FAST)
@@ -249,33 +266,66 @@ def test_sample_past_the_float32_range_raises():
                           noise_snr_db=None)
 
 
-def test_corpus_modulates_each_payload_once(monkeypatch):
-    calls = []
+def _two_cpus_recording(monkeypatch, log, name, record):
+    """On two CPUs, patch signal_gen.<name> to append record(*args), with
+    its process id, to the file `log`, not to a list, since it also runs in
+    the forked synthesis workers; it sleeps in the parent, so that a worker
+    takes at least one payload.  Returns a reader of the file's records."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, fn = os.getpid(), getattr(signal_gen, name)
 
-    def counting_modulate(payload, params):
-        calls.append(payload)
-        return modulate(payload, params)
+    def recording(*args):
+        with open(log, "a") as f:
+            f.write(json.dumps([os.getpid(), *record(*args)]) + "\n")
+        if os.getpid() == parent:
+            time.sleep(0.05)
+        return fn(*args)
 
-    monkeypatch.setattr(signal_gen, "modulate", counting_modulate)
+    monkeypatch.setattr(signal_gen, name, recording)
+    return lambda: [json.loads(line) for line in log.read_text().splitlines()]
+
+
+def _digest(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+def test_corpus_modulates_each_payload_once(monkeypatch, tmp_path):
+    records = _two_cpus_recording(monkeypatch, tmp_path / "log", "modulate",
+                                  lambda payload, params: [_digest(payload)])
     generate_corpus(default_profiles()[:3], 4, seed=2, params=FAST)
-    assert len(calls) == 4
+    calls = records()
+    assert sorted(digest for _, digest in calls) == sorted(
+        _digest(generate_payload(2 * 1_000_003 + m, FAST)) for m in range(4))
+    assert len({pid for pid, _ in calls}) > 1
 
 
-def test_shared_ideal_packets_are_read_only(monkeypatch):
-    inputs = []
-    apply_impairments = signal_gen.apply_impairments
+def test_shared_ideal_packets_are_read_only(monkeypatch, tmp_path):
+    def write_and_record(packet, profile, *args):
+        try:
+            packet[0] = 1.0
+        except ValueError as exc:
+            read_only = "read-only" in str(exc)
+        else:
+            read_only = False
+        return [id(packet), _digest(packet), profile.name, read_only]
 
-    def recording_impairments(packet, *args):
-        inputs.append(packet)
-        return apply_impairments(packet, *args)
-
-    monkeypatch.setattr(signal_gen, "apply_impairments", recording_impairments)
-    generate_corpus(default_profiles()[:3], 2, seed=2, params=FAST)
-    # transmitter-major order: packet m of every transmitter shares one ideal
-    assert all(inputs[m] is inputs[2 + m] is inputs[4 + m] for m in range(2))
-    for ideal in inputs:
-        with pytest.raises(ValueError, match="read-only"):
-            ideal[0] = 1.0
+    records = _two_cpus_recording(monkeypatch, tmp_path / "log",
+                                  "apply_impairments", write_and_record)
+    profiles = default_profiles()[:3]
+    generate_corpus(profiles, 2, seed=2, params=FAST)
+    inputs = records()
+    assert len(inputs) == 6
+    assert all(read_only for *_, read_only in inputs)
+    assert len({pid for pid, *_ in inputs}) > 1
+    # in the process that modulated it, one ideal goes to every transmitter
+    by_payload = {}
+    for pid, ident, digest, name, _ in inputs:
+        by_payload.setdefault(digest, []).append((pid, ident, name))
+    assert len(by_payload) == 2
+    for sent in by_payload.values():
+        assert len({(pid, ident) for pid, ident, _ in sent}) == 1
+        assert sorted(name for *_, name in sent) == \
+            sorted(p.name for p in profiles)
 
 
 def test_duplicate_radio_tx_rejected():
