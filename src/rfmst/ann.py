@@ -395,13 +395,12 @@ class StopCriteria:
     max_iters: int
     mse_goal: float
     val_patience: int = 10
-    mu_patience: int = 10
 
     def __post_init__(self):
         if self.max_iters < 1 or self.mse_goal <= 0:
             raise ValueError("max_iters and mse_goal must be positive")
-        if self.val_patience < 1 or self.mu_patience < 1:
-            raise ValueError("patience values must be positive")
+        if self.val_patience < 1:
+            raise ValueError("val_patience must be positive")
 
 
 @dataclass
@@ -427,10 +426,11 @@ def train(net: Mlp, train_xy, val_xy, optimizer, stop: StopCriteria):
     """Iterate the optimizer until a stopping criterion fires.
 
     Criteria: train MSE at or below mse_goal, validation MSE not improving
-    for val_patience consecutive iterations, mu_patience consecutive
-    rejected steps (the damping stuck at its ceiling; second-order only),
-    or max_iters.  Returns the weight snapshot with the best validation MSE
-    seen, including the untrained starting point.
+    for val_patience consecutive iterations, the first rejected step
+    ("mu_ceiling"), or max_iters.  An LM step is rejected only with mu at
+    MU_CEILING, and the next step would repeat it exactly: the same net,
+    batch and mu.  Returns the weight snapshot with the best validation
+    MSE seen, including the untrained starting point.
     """
     t0 = perf_counter()
     x_tr, t_tr = train_xy
@@ -440,10 +440,8 @@ def train(net: Mlp, train_xy, val_xy, optimizer, stop: StopCriteria):
     best_val = mse(net, x_va, t_va)
     run.best_val_mse = best_val
     val_fail = 0
-    rejected = 0
     for it in range(1, stop.max_iters + 1):
         net, train_mse_now, mu, accepted = optimizer.step(net, x_tr, t_tr)
-        rejected = 0 if accepted else rejected + 1
         val_now = mse(net, x_va, t_va)
         run.train_mse.append(train_mse_now)
         run.val_mse.append(val_now)
@@ -462,7 +460,7 @@ def train(net: Mlp, train_xy, val_xy, optimizer, stop: StopCriteria):
         if val_fail >= stop.val_patience:
             run.stop_reason = "val_patience"
             break
-        if rejected >= stop.mu_patience:
+        if not accepted:
             run.stop_reason = "mu_ceiling"
             break
     else:

@@ -91,6 +91,8 @@ def segment(f: np.ndarray, onset_index: int, n: int,
     f = _as_packet(f)
     if onset_index < 1:
         raise ValueError("onset_index is 1-based and must be >= 1")
+    if n < 1:
+        raise ValueError(f"segment length n must be >= 1, got {n}")
     if onset_index + n - 1 > len(f):
         raise TooShort(
             f"packet of length {len(f)} too short for onset {onset_index} "

@@ -504,6 +504,9 @@ class ConfusionMatrix:
 
 def confusion_from_predictions(y_true, y_pred, n_labels: int) -> ConfusionMatrix:
     y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
+    if y_true.size != y_pred.size:
+        raise ValueError(f"{y_true.size} true labels and {y_pred.size} "
+                         "predicted")
     for which, y in (("true", y_true), ("predicted", y_pred)):
         if y.size and (y.min() < 1 or y.max() > n_labels):
             raise ValueError(f"{which} labels must lie in 1..{n_labels}")

@@ -34,6 +34,7 @@ would also load scipy.special.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,9 +102,7 @@ def next_fast_len(target: int) -> int:
         n += 1
 
 
-_KERNEL_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _kernel_bank(n: int, params: MorletParams) -> list:
     """Spectra of the per-scale correlation kernels, cached per (n, params).
 
@@ -114,10 +113,6 @@ def _kernel_bank(n: int, params: MorletParams) -> list:
     K <= n // 4 share N = next_fast_len(n + their largest K); the rest
     share N = next_fast_len(n + K_max).
     """
-    key = (n, params)
-    bank = _KERNEL_CACHE.get(key)
-    if bank is not None:
-        return bank
     scales = params.scales(n)
     support = np.minimum(np.ceil(ENVELOPE_CUTOFF * scales).astype(int), n - 1)
     # scales ascend, so the short supports are a leading block of rows
@@ -133,9 +128,6 @@ def _kernel_bank(n: int, params: MorletParams) -> list:
             row[(-taps) % n_fft] = (np.conj(morlet(taps / a, params.xi0))
                                     / np.sqrt(a))
         bank.append((rows, np.fft.fft(kernels, axis=-1)))
-    if len(_KERNEL_CACHE) > 4:
-        _KERNEL_CACHE.clear()
-    _KERNEL_CACHE[key] = bank
     return bank
 
 

@@ -120,6 +120,18 @@ def test_segment_too_short():
         segment(f, 9_990, 32)
 
 
+@pytest.mark.parametrize("onset, n, message", [
+    (0, 32, "1-based"),
+    (5, 0, "n must be >= 1"),
+    (5, -3, "n must be >= 1"),   # used to cut an empty segment
+])
+def test_segment_rejects_an_onset_or_length_out_of_range(onset, n, message):
+    f = np.zeros(100, dtype=complex)
+    with pytest.raises(ValueError, match=message) as err:
+        segment(f, onset, n)
+    assert not isinstance(err.value, TooShort)
+
+
 def test_segment_roundtrip_recovers_packet_samples():
     rng = np.random.default_rng(1)
     f = rng.normal(size=500) + 1j * rng.normal(size=500)

@@ -490,6 +490,12 @@ def test_confusion_rejects_labels_outside_range():
         confusion_from_predictions([1, 2], [1, 3], 2)
 
 
+def test_confusion_rejects_labels_of_unequal_length():
+    # zip used to drop the unmatched label and report accuracy 1.0
+    with pytest.raises(ValueError, match="3 true labels and 2 predicted"):
+        confusion_from_predictions([1, 2, 3], [1, 2], 3)
+
+
 # ---------------------------------------------------------------------------
 # packed stages
 
@@ -702,14 +708,20 @@ def _missing_stop_key(manifest):
     del manifest["stages"][2][1]["trace"]["stop"]["max_iters"]
 
 
+def _old_stop_key(manifest):
+    # saved before a rejected LM step stopped training at once
+    manifest["stages"][0][0]["trace"]["stop"]["mu_patience"] = 10
+
+
 @pytest.mark.parametrize("tamper, message", [
     (_unknown_config_key, "unknown StageConfig key 'batch'"),
     (_missing_config_key, "StageConfig key 'role' is missing"),
     (_unknown_trace_key, "unknown TrainRun key 'wall_s'"),
     (_missing_trace_key, "TrainRun key 'seconds' is missing"),
     (_missing_stop_key, "StopCriteria key 'max_iters' is missing"),
+    (_old_stop_key, "unknown StopCriteria key 'mu_patience'"),
 ], ids=["unknown_config_key", "missing_config_key", "unknown_trace_key",
-        "missing_trace_key", "missing_stop_key"])
+        "missing_trace_key", "missing_stop_key", "old_stop_key"])
 def test_load_model_names_the_manifest_and_an_unknown_or_missing_key(
         saved_toy_model, tmp_path, tamper, message):
     out = shutil.copytree(saved_toy_model, tmp_path / "model")
