@@ -308,7 +308,7 @@ class LmState:
     mu: float = MU_INIT
 
     def __post_init__(self):
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError("mu must be positive")
 
     def step(self, net, x, t):
@@ -397,9 +397,9 @@ class StopCriteria:
     val_patience: int = 10
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.mse_goal <= 0:
+        if not self.max_iters >= 1 or not self.mse_goal > 0:
             raise ValueError("max_iters and mse_goal must be positive")
-        if self.val_patience < 1:
+        if not self.val_patience >= 1:
             raise ValueError("val_patience must be positive")
 
 

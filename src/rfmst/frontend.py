@@ -5,11 +5,10 @@ calling that `FrontEnd` is the one way to extract features.  A
 self-organizing map trained on patches sampled from those scalograms
 supplies the convolution filter weights, and per-scale pixel statistics
 standardize each row.  Each scalogram is convolved with every node (valid
-positions, configurable stride), reduced by two non-overlapping max-pool
-stages sized so the flattened output has exactly `output_dim` entries,
-then squashed with tanh.  Only the convolution positions the pools keep
-are computed, and tanh, being monotone, is applied to the pooled values
-alone.
+positions), reduced by two non-overlapping max-pool stages sized so the
+flattened output has exactly `OUTPUT_DIM` entries, then squashed with
+tanh.  Only the convolution positions the pools keep are computed, and
+tanh, being monotone, is applied to the pooled values alone.
 
 The convolution runs by column phase instead of im2col: the pixels it
 reads are standardized once into a layout where each filter slab sees
@@ -19,123 +18,80 @@ features agree with an im2col convolution to within 1e-15.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-
-@dataclass
-class SomGrid:
-    nodes: np.ndarray                  # (K, patch_dim)
-    grid_shape: tuple[int, int]
-    lr_initial: float = 0.5
-    lr_final: float = 0.02
-    radius_initial: float = 1.5
-    radius_final: float = 0.3
-    seed: int = 0
-    trained: bool = False
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-    def node_coords(self) -> np.ndarray:
-        rows, cols = self.grid_shape
-        rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-        return np.stack([rr.reshape(-1), cc.reshape(-1)], axis=1).astype(float)
+PATCH = (8, 8)             # filter rows (scales) x columns (translations)
+STRIDE = (4, 4)            # divides PATCH, so every filter tap reads a pixel
+SOM_GRID = (4, 4)          # SOM nodes, one convolution filter each
+OUTPUT_DIM = 256           # features per scalogram
+SOM_LR = (0.5, 0.02)       # learning rate, first and last SOM step
+SOM_RADIUS = (1.5, 0.3)    # neighbourhood radius, first and last SOM step
+SOM_EPOCHS = 3
+N_PATCHES = 4000           # patches the SOM trains on
+MAX_PATCH_SOURCES = 256    # training scalograms the patches come from
 
 
-def init_som(patch_dim: int, grid_shape=(4, 4), seed: int = 0, **schedule) -> SomGrid:
-    rows, cols = grid_shape
-    rng = np.random.default_rng(np.random.SeedSequence([0x50F, seed]))
-    nodes = rng.uniform(0.0, 1.0, size=(rows * cols, patch_dim))
-    return SomGrid(nodes=nodes, grid_shape=(rows, cols), seed=seed, **schedule)
+def train_som(patches: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Classical online SOM on a SOM_GRID of nodes; returns the trained
+    (n_nodes, patch_dim) node vectors, row-major over the grid.
 
-
-def train_som(patches: np.ndarray, grid: SomGrid, epochs: int = 5) -> SomGrid:
-    """Classical online SOM.
-
-    Per sample: the best-matching node (Euclidean) and its grid neighbors
-    move toward the sample, with learning rate and neighborhood radius
-    decaying geometrically over the schedule.  Deterministic per seed.
+    The nodes start uniform on [0, 1).  Per sample: the best-matching node
+    (Euclidean) and its grid neighbors move toward the sample, with
+    learning rate and neighborhood radius decaying geometrically from
+    SOM_LR[0] to SOM_LR[1] and SOM_RADIUS[0] to SOM_RADIUS[1] over
+    SOM_EPOCHS passes.  Deterministic per seed.
     """
     patches = np.asarray(patches, dtype=np.float64)
+    n_nodes = SOM_GRID[0] * SOM_GRID[1]
     if patches.ndim != 2 or patches.shape[0] == 0:
         raise ValueError("need a (n_patches, patch_dim) sample set")
-    if patches.shape[0] < grid.n_nodes:
+    if patches.shape[0] < n_nodes:
         raise ValueError(
-            f"need at least {grid.n_nodes} patches, got {patches.shape[0]}")
-    if patches.shape[1] != grid.nodes.shape[1]:
-        raise ValueError("patch dimension does not match the node vectors")
-    nodes = grid.nodes.copy()
-    coords = grid.node_coords()
+            f"need at least {n_nodes} patches, got {patches.shape[0]}")
+    rng = np.random.default_rng(np.random.SeedSequence([0x50F, seed]))
+    nodes = rng.uniform(0.0, 1.0, size=(n_nodes, patches.shape[1]))
+    coords = np.indices(SOM_GRID).reshape(2, -1).T.astype(float)
     # grid_dist2[k] holds the squared grid distances from node k to every node
     grid_dist2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-    rng = np.random.default_rng(np.random.SeedSequence([0x50F + 1, grid.seed]))
-    total_steps = epochs * patches.shape[0]
+    (lr_initial, lr_final), (radius_initial, radius_final) = SOM_LR, SOM_RADIUS
+    rng = np.random.default_rng(np.random.SeedSequence([0x50F + 1, seed]))
+    total_steps = SOM_EPOCHS * patches.shape[0]
     step = 0
-    for _ in range(epochs):
+    for _ in range(SOM_EPOCHS):
         order = rng.permutation(patches.shape[0])
         for idx in order:
             x = patches[idx]
             frac = step / max(total_steps - 1, 1)
-            lr = grid.lr_initial * (grid.lr_final / grid.lr_initial) ** frac
-            radius = grid.radius_initial \
-                * (grid.radius_final / grid.radius_initial) ** frac
+            lr = lr_initial * (lr_final / lr_initial) ** frac
+            radius = radius_initial * (radius_final / radius_initial) ** frac
             diff = nodes - x
             best = int(np.argmin((diff ** 2).sum(axis=1)))
             influence = lr * np.exp(-grid_dist2[best] / (2 * radius**2))
             nodes -= influence[:, None] * diff
             step += 1
-    return replace(grid, nodes=nodes, trained=True)
+    return nodes
 
 
-@dataclass(frozen=True)
-class FrontEndConfig:
-    patch: tuple[int, int] = (8, 8)
-    stride: tuple[int, int] = (4, 4)
-    som_filters: int = 16
-    pool1: tuple[int, int] = (5, 9)
-    pool2: tuple[int, int] = (3, 7)
-    output_dim: int = 256
-
-    def conv_shape(self, scalogram_shape) -> tuple[int, int]:
-        rows, cols = scalogram_shape
-        p, q = self.patch
-        sr, sc = self.stride
-        if rows < p or cols < q:
-            raise ValueError(f"scalogram {scalogram_shape} smaller than patch")
-        return (rows - p) // sr + 1, (cols - q) // sc + 1
-
-    def pooled_shape(self, scalogram_shape) -> tuple[int, int]:
-        h, w = self.conv_shape(scalogram_shape)
-        h = h // self.pool1[0] // self.pool2[0]
-        w = w // self.pool1[1] // self.pool2[1]
-        return h, w
-
-    def validate(self, scalogram_shape) -> None:
-        h, w = self.pooled_shape(scalogram_shape)
-        got = self.som_filters * h * w
-        if h < 1 or w < 1 or got != self.output_dim:
-            raise ValueError(
-                f"pipeline on {scalogram_shape} yields {got} features "
-                f"({self.som_filters} filters x {h} x {w}), expected "
-                f"{self.output_dim}")
+def _conv_shape(scalogram_shape) -> tuple[int, int]:
+    rows, cols = scalogram_shape
+    (p, q), (sr, sc) = PATCH, STRIDE
+    if rows < p or cols < q:
+        raise ValueError(f"scalogram {scalogram_shape} smaller than patch")
+    return (rows - p) // sr + 1, (cols - q) // sc + 1
 
 
-def default_frontend_config(scalogram_shape, output_dim: int = 256,
-                            som_filters: int = 16) -> FrontEndConfig:
-    """Pick pool windows so the pipeline lands exactly on output_dim.
+def pool_windows(scalogram_shape) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(pool1, pool2) windows, each (rows, cols), so the pipeline lands
+    exactly on OUTPUT_DIM features.
 
     Deterministic small search over two-stage non-overlapping max pools;
     among valid window pairs the one covering the most conv pixels wins.
     """
-    base = FrontEndConfig(som_filters=som_filters, output_dim=output_dim)
-    conv_h, conv_w = base.conv_shape(scalogram_shape)
-    if output_dim % som_filters:
-        raise ValueError("output_dim must be a multiple of som_filters")
-    per_map = output_dim // som_filters
+    conv_h, conv_w = _conv_shape(scalogram_shape)
+    per_map = OUTPUT_DIM // (SOM_GRID[0] * SOM_GRID[1])
 
     def stage_options(extent):
         opts = {}
@@ -165,27 +121,23 @@ def default_frontend_config(scalogram_shape, output_dim: int = 256,
             best = cand
     if best is None:
         raise ValueError(
-            f"no two-stage pooling reaches {output_dim} features on "
+            f"no two-stage pooling reaches {OUTPUT_DIM} features on "
             f"{scalogram_shape}")
     _, (_, _, h1, h2), (_, _, w1, w2) = best
-    cfg = FrontEndConfig(patch=base.patch, stride=base.stride,
-                         som_filters=som_filters, pool1=(h1, w1),
-                         pool2=(h2, w2), output_dim=output_dim)
-    cfg.validate(scalogram_shape)
-    return cfg
+    return (h1, w1), (h2, w2)
 
 
-def sample_patches(scalograms, cfg: FrontEndConfig, n_patches: int,
-                   row_mean: np.ndarray, row_scale: np.ndarray,
-                   seed: int = 0) -> np.ndarray:
-    """Random patch sample across a set of scalograms (training split only).
+def sample_patches(scalograms, n_patches: int, row_mean: np.ndarray,
+                   row_scale: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Random PATCH-sized sample across a set of scalograms (training split
+    only).
 
     Each patch is standardized with the per-scale statistics of the rows it
     covers, so only the sampled pixels are standardized, never a whole
     scalogram.
     """
     rng = np.random.default_rng(np.random.SeedSequence([0x5A7C4, seed]))
-    p, q = cfg.patch
+    p, q = PATCH
     out = np.empty((n_patches, p * q))
     n = len(scalograms)
     if n == 0:
@@ -205,15 +157,18 @@ def sample_patches(scalograms, cfg: FrontEndConfig, n_patches: int,
 
 @dataclass
 class FrontEnd:
-    """Trained front-end bundle: filters, config and per-scale pixel stats.
+    """Trained front-end bundle: filters, pool windows and per-scale pixel
+    stats.
 
-    Scalogram rows are standardized with training-split statistics before
-    convolution; raw coefficient magnitudes span orders of magnitude across
-    scales and would otherwise drown the fine-scale texture.
+    filters is the (n_filters, PATCH[0] * PATCH[1]) trained SOM, and pools
+    the (pool1, pool2) windows of `pool_windows`.  Scalogram rows are
+    standardized with training-split statistics before convolution; raw
+    coefficient magnitudes span orders of magnitude across scales and would
+    otherwise drown the fine-scale texture.
     """
 
-    som: SomGrid
-    cfg: FrontEndConfig
+    filters: np.ndarray
+    pools: tuple[tuple[int, int], tuple[int, int]]
     row_mean: np.ndarray
     row_scale: np.ndarray
 
@@ -229,62 +184,54 @@ class FrontEnd:
         are one max per (pool1 * pool2) block.  max is exact and tanh and
         the normalization are monotone, so pooling first gives the same
         result as squashing every response.  Output length is exactly
-        cfg.output_dim, ordered filter by filter.
+        OUTPUT_DIM, ordered filter by filter.
 
         The block is convolved by column phase, without copying overlapping
         windows.  With stride (sr, sc), the pixels the block reads are laid
         out as P[row, f, m] = z[row, sc * m + f], and each filter splits
-        into ceil(q / sc) slabs of p * sc taps, zero-padded where sc does
-        not divide q.  Slab e of every window in convolution row i is then
-        one strided view of P (rows sr * i ... sr * i + p - 1, columns
-        j + e), so the convolution is one batched GEMM per slab, summed
-        over the slabs.  The sums run in another order than one dot product
-        per window, so the features move in the last bits: against an
-        im2col convolution they differ by at most 4e-16 over default,
-        strided and non-dividing configurations, and the normalized
-        seed-101 wavelet_w512 benchmark features by at most 7.8e-16.
+        into q / sc slabs of p * sc taps.  Slab e of every window in
+        convolution row i is then one strided view of P (rows
+        sr * i ... sr * i + p - 1, columns j + e), so the convolution is
+        one batched GEMM per slab, summed over the slabs.  The sums run in
+        another order than one dot product per window, so the features move
+        in the last bits: against an im2col convolution they differ by at
+        most 4e-16, and the normalized seed-101 wavelet_w512 benchmark
+        features by at most 7.8e-16.
 
         Raises ValueError if the pixel statistics do not match the
-        scalogram's rows, or if a standardized pixel the convolution reads
-        is NaN or infinite: tanh would squash it to a plausible +-1, and a
-        zero-padded tap would turn it into NaN.
+        scalogram's rows, if the pools do not reduce the scalogram to
+        OUTPUT_DIM features, or if a standardized pixel the convolution
+        reads is NaN or infinite: tanh would squash it to a plausible +-1.
         """
-        som, cfg = self.som, self.cfg
         s = np.asarray(scalogram, dtype=np.float64)
         if self.row_mean.shape != s.shape[:1] \
                 or self.row_scale.shape != s.shape[:1]:
             raise ValueError(
                 f"pixel statistics for {self.row_mean.shape[0]} scales, "
                 f"scalogram has {s.shape[0]}")
-        if not som.trained:
-            raise ValueError("SOM filters are untrained")
-        cfg.validate(s.shape)
-        p, q = cfg.patch
-        if som.nodes.shape[1] != p * q:
-            raise ValueError("SOM node dimension does not match the patch size")
-        sr, sc = cfg.stride
-        h, w = cfg.pooled_shape(s.shape)
-        r = cfg.pool1[0] * cfg.pool2[0]
-        c = cfg.pool1[1] * cfg.pool2[1]
-        k = som.n_nodes
+        (p, q), (sr, sc) = PATCH, STRIDE
+        (h1, w1), (h2, w2) = self.pools
+        k = len(self.filters)
+        conv_h, conv_w = _conv_shape(s.shape)
+        h, w = conv_h // h1 // h2, conv_w // w1 // w2
+        if k * h * w != OUTPUT_DIM:
+            raise ValueError(
+                f"pipeline on {s.shape} yields {k * h * w} features "
+                f"({k} filters x {h} x {w}), expected {OUTPUT_DIM}")
+        r, c = h1 * h2, w1 * w2
         n_i, n_j = h * r, w * c               # the convolution block kept
-        slabs = -(-q // sc)
+        slabs = q // sc
         n_m = n_j + slabs - 1                 # columns of each phase
         rows = sr * (n_i - 1) + p
-        block = s[:rows, : sc * n_m]
-        if block.shape[1] < sc * n_m:
-            # the last phases run past the scalogram; only zero taps read them
-            block = np.pad(block, ((0, 0), (0, sc * n_m - block.shape[1])))
         phases = np.empty((rows, sc, n_m))
-        phases[...] = block.reshape(rows, n_m, sc).transpose(0, 2, 1)
+        phases[...] = s[:rows, : sc * n_m].reshape(rows, n_m, sc) \
+            .transpose(0, 2, 1)
         phases -= self.row_mean[:rows, None, None]
         phases /= self.row_scale[:rows, None, None]
         if not np.isfinite(phases).all():
             raise ValueError("scalogram has a NaN or infinite pixel")
-        taps = np.zeros((k, p, slabs * sc))
-        taps[:, :, :q] = som.nodes.reshape(k, p, q)
         # weights[e][a * sc + f] is tap (a, sc * e + f) of every filter
-        weights = taps.reshape(k, p, slabs, sc).transpose(2, 1, 3, 0) \
+        weights = self.filters.reshape(k, p, slabs, sc).transpose(2, 1, 3, 0) \
             .reshape(slabs, p * sc, k)
         # windows[i, j, a * sc + f] = P[sr * i + a, f, j + e], from column e
         row_step, phase_step, col_step = phases.strides
@@ -297,24 +244,18 @@ class FrontEnd:
             conv = term if conv is None else np.add(conv, term, out=conv)
         pooled = (conv.reshape(h, r, n_j, k).max(axis=1)
                   .reshape(h, w, c, k).max(axis=2))
-        out = np.tanh(pooled.transpose(2, 0, 1).reshape(-1) / (p * q))
-        if out.size != cfg.output_dim:
-            raise ValueError(
-                f"got {out.size} features, expected {cfg.output_dim}")
-        return out
+        return np.tanh(pooled.transpose(2, 0, 1).reshape(-1) / (p * q))
 
 
-def train_frontend(train_scalograms, cfg: FrontEndConfig | None = None,
-                   seed: int = 0, n_patches: int = 4000,
-                   epochs: int = 3, max_patch_sources: int = 256) -> FrontEnd:
-    """Fit the pixel statistics and SOM filters on training-split scalograms."""
+def train_frontend(train_scalograms, seed: int = 0) -> FrontEnd:
+    """Fit the pixel statistics and SOM filters on training-split scalograms:
+    the SOM trains on N_PATCHES patches drawn from at most
+    MAX_PATCH_SOURCES of them."""
     n = len(train_scalograms)
     if n == 0:
         raise ValueError("no training scalograms")
     shape = np.asarray(train_scalograms[0]).shape
-    if cfg is None:
-        cfg = default_frontend_config(shape)
-    cfg.validate(shape)
+    pools = pool_windows(shape)
     # one-pass per-scale moments, without a stacked copy of the scalograms
     total = np.zeros(shape[0])
     total_sq = np.zeros(shape[0])
@@ -327,17 +268,7 @@ def train_frontend(train_scalograms, cfg: FrontEndConfig | None = None,
     row_scale = np.sqrt(np.maximum(total_sq / count - row_mean**2, 0.0))
     row_scale[row_scale == 0.0] = 1.0
     rng = np.random.default_rng(np.random.SeedSequence([0x5A7C5, seed]))
-    sources = rng.choice(n, size=min(n, max_patch_sources), replace=False)
-    patches = sample_patches([train_scalograms[i] for i in sources], cfg,
-                             n_patches, row_mean, row_scale, seed=seed)
-    grid = init_som(cfg.patch[0] * cfg.patch[1],
-                    grid_shape=_square_grid(cfg.som_filters), seed=seed)
-    som = train_som(patches, grid, epochs=epochs)
-    return FrontEnd(som=som, cfg=cfg, row_mean=row_mean, row_scale=row_scale)
-
-
-def _square_grid(k: int) -> tuple[int, int]:
-    r = int(np.sqrt(k))
-    while k % r:
-        r -= 1
-    return (r, k // r)
+    sources = rng.choice(n, size=min(n, MAX_PATCH_SOURCES), replace=False)
+    patches = sample_patches([train_scalograms[i] for i in sources],
+                             N_PATCHES, row_mean, row_scale, seed=seed)
+    return FrontEnd(train_som(patches, seed=seed), pools, row_mean, row_scale)

@@ -85,6 +85,8 @@ class StageConfig:
             raise ValueError(f"unknown stage role {self.role!r}")
         if self.n_mlps < 1:
             raise ValueError("n_mlps must be >= 1")
+        if not self.max_iters >= 1 or not self.mse_goal > 0:
+            raise ValueError("max_iters and mse_goal must be positive")
 
     def layer_sizes(self, input_dim: int) -> tuple[int, ...]:
         return (input_dim, *([self.neurons_per_layer] * self.hidden_layers), 1)
@@ -162,6 +164,10 @@ def plan_batches(labels: np.ndarray, configs, seed: int,
     all_classes = np.unique(labels)
     known = np.asarray(sorted(known_labels)) if known_labels is not None \
         else all_classes
+    if known.size == 0:
+        raise ValueError("known_labels is empty")
+    if np.unique(known).size != known.size:
+        raise ValueError(f"known_labels repeats a label: {known.tolist()}")
     missing = set(known) - set(all_classes)
     if missing:
         raise ValueError("no training data for classes "

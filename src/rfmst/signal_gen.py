@@ -109,7 +109,6 @@ class TransmitterProfile:
     amam_cubic_coeff: float = 0.0         # |c| < 1, compressive for c > 0
     dc_offset: complex = 0.0
     carrier_phase_jitter: float = 0.0     # radians; per-packet uniform phase
-    shared_osc_group: int = 0
 
     def __post_init__(self):
         if self.tx_index not in (1, 2):
@@ -423,13 +422,12 @@ def validate_profiles(profiles: list[TransmitterProfile]) -> None:
         seen.add(key)
         by_radio.setdefault(p.radio_id, []).append(p)
     for radio, members in by_radio.items():
-        shared = {(p.carrier_freq_offset, p.phase_noise_bw, p.shared_osc_group)
-                  for p in members}
+        shared = {(p.carrier_freq_offset, p.phase_noise_bw) for p in members}
         if len(shared) > 1:
             raise ValueError(
                 f"radio {radio}: transmitters on one radio share a reference "
-                "oscillator, so carrier_freq_offset, phase_noise_bw and "
-                "shared_osc_group must match")
+                "oscillator, so carrier_freq_offset and phase_noise_bw must "
+                "match")
 
 
 def generate_corpus(profiles: list[TransmitterProfile], packets_per_tx: int,
@@ -478,13 +476,13 @@ def generate_corpus(profiles: list[TransmitterProfile], packets_per_tx: int,
 # wavelet_w512.
 
 _RADIO_DEFS = [
-    # radio_id, cfo_hz, phase_noise_bw_hz, osc_group
-    ("Y06v2", -21_400.0, 640.0, 1),
-    ("R05v1", -12_700.0, 920.0, 2),
-    ("R04v1", -4_300.0, 1_260.0, 3),
-    ("Y04v2", 3_900.0, 780.0, 4),
-    ("R03v1", 12_300.0, 1_080.0, 5),
-    ("Y10v2", 20_800.0, 1_560.0, 6),
+    # radio_id, cfo_hz, phase_noise_bw_hz
+    ("Y06v2", -21_400.0, 640.0),
+    ("R05v1", -12_700.0, 920.0),
+    ("R04v1", -4_300.0, 1_260.0),
+    ("Y04v2", 3_900.0, 780.0),
+    ("R03v1", 12_300.0, 1_080.0),
+    ("Y10v2", 20_800.0, 1_560.0),
 ]
 
 _TX_DEFS = {
@@ -506,7 +504,7 @@ _TX_DEFS = {
 
 def default_profiles() -> list[TransmitterProfile]:
     profiles = []
-    for radio_id, cfo, pn_bw, group in _RADIO_DEFS:
+    for radio_id, cfo, pn_bw in _RADIO_DEFS:
         for tx in (1, 2):
             gain, phase, cubic, dc = _TX_DEFS[(radio_id, tx)]
             profiles.append(TransmitterProfile(
@@ -514,8 +512,7 @@ def default_profiles() -> list[TransmitterProfile]:
                 iq_gain_imbalance=gain, iq_phase_imbalance=phase,
                 carrier_freq_offset=cfo, phase_noise_bw=pn_bw,
                 amam_cubic_coeff=cubic, dc_offset=dc,
-                carrier_phase_jitter=0.25,
-                shared_osc_group=group))
+                carrier_phase_jitter=0.25))
     return profiles
 
 

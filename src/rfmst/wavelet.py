@@ -40,50 +40,33 @@ from dataclasses import dataclass
 import numpy as np
 
 ENVELOPE_CUTOFF = 8.5  # wavelet support in units of the Gaussian width
+XI0 = 6.0              # the mother wavelet's centre frequency
 
 
 @dataclass(frozen=True)
 class MorletParams:
-    xi0: float = 6.0
+    """The scale grid: n_scales log-spaced scales covering digital periods
+    2 .. n/2 of a length-n signal, period p being scale XI0*p / (2*pi)."""
+
     n_scales: int = 128
-    scale_min: float = 0.0   # samples; 0 means derive from signal length
-    scale_max: float = 0.0
 
     def __post_init__(self):
         if self.n_scales < 1:
             raise ValueError("n_scales must be >= 1")
-        if self.scale_min < 0 or self.scale_max < 0:
-            raise ValueError("scales must be nonnegative")
-        if self.scale_max and not (0 < self.scale_min < self.scale_max):
-            raise ValueError("need 0 < scale_min < scale_max")
 
-    def resolved(self, n: int) -> "MorletParams":
-        """Fill in the default scale grid: 128 log-spaced scales covering
-        digital periods 2 .. n/2 (period p maps to scale xi0*p / (2*pi)).
-
-        Raises ValueError for a signal too short for the grid: periods
-        2 .. n/2 need n >= 5, and an explicit grid needs n >= 2.
-        """
-        shortest = 2 if self.scale_max else 5
-        if n < shortest:
+    def scales(self, n: int) -> np.ndarray:
+        """The grid for a length-n signal; raises ValueError for n < 5,
+        too short for periods 2 .. n/2."""
+        if n < 5:
             raise ValueError(f"signal of {n} samples is too short for this "
-                             f"scale grid, which needs at least {shortest}")
-        if self.scale_max:
-            return self
-        lo = self.xi0 * 2 / (2 * np.pi)
-        hi = self.xi0 * (n / 2) / (2 * np.pi)
-        return MorletParams(self.xi0, self.n_scales, lo, hi)
-
-    def scales(self, n: int | None = None) -> np.ndarray:
-        p = self.resolved(n) if n is not None else self
-        if not p.scale_max:
-            raise ValueError("scale grid undefined without a signal length")
-        if p.n_scales == 1:
-            return np.array([p.scale_min])
-        return np.geomspace(p.scale_min, p.scale_max, p.n_scales)
+                             f"scale grid, which needs at least 5")
+        lo = XI0 * 2 / (2 * np.pi)
+        if self.n_scales == 1:
+            return np.array([lo])
+        return np.geomspace(lo, XI0 * (n / 2) / (2 * np.pi), self.n_scales)
 
 
-def morlet(t, xi0: float = 6.0) -> np.ndarray:
+def morlet(t, xi0: float = XI0) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     correction = np.exp(-xi0**2 / 2)
     return np.pi**-0.25 * (np.exp(-1j * xi0 * t) - correction) * np.exp(-t**2 / 2)
@@ -125,8 +108,7 @@ def _kernel_bank(n: int, params: MorletParams) -> list:
         kernels = np.zeros((rows.stop - rows.start, n_fft), dtype=complex)
         for row, a, k in zip(kernels, scales[rows], support[rows]):
             taps = np.arange(-k, k + 1)
-            row[(-taps) % n_fft] = (np.conj(morlet(taps / a, params.xi0))
-                                    / np.sqrt(a))
+            row[(-taps) % n_fft] = np.conj(morlet(taps / a)) / np.sqrt(a)
         bank.append((rows, np.fft.fft(kernels, axis=-1)))
     return bank
 
@@ -146,7 +128,6 @@ def _transform(v, params: MorletParams, dtype, store) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError("cwt expects a 1-D sequence")
     n = v.size
-    params = params.resolved(n)
     bank = _kernel_bank(n, params)
     out = np.empty((params.n_scales, n), dtype=dtype)
     buffer = np.empty(max(spectra.size for _, spectra in bank), dtype=complex)
@@ -159,10 +140,8 @@ def _transform(v, params: MorletParams, dtype, store) -> np.ndarray:
 
 
 def cwt(v: np.ndarray, params: MorletParams = MorletParams()) -> np.ndarray:
-    """Complex coefficient matrix, shape (n_scales, len(v)).
-
-    v must be long enough for the scale grid; see `MorletParams.resolved`.
-    """
+    """Complex coefficient matrix, shape (n_scales, len(v)), on the scale
+    grid `params.scales(len(v))`; v needs at least 5 samples."""
     return _transform(v, params, complex, np.positive)
 
 

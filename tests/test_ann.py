@@ -693,6 +693,17 @@ def test_train_trace_is_deterministic():
     assert runs[0] == runs[1]
 
 
+def test_stop_criteria_reject_a_nan_goal():
+    # a NaN goal never compares true, so it could never stop a run
+    with pytest.raises(ValueError, match="mse_goal must be positive"):
+        StopCriteria(max_iters=5, mse_goal=float("nan"))
+
+
+def test_lm_state_rejects_a_nan_mu():
+    with pytest.raises(ValueError, match="mu must be positive"):
+        LmState(mu=float("nan"))
+
+
 def test_init_is_seeded_and_bounded():
     a = init_mlp((10, 5, 1), seed=9)
     b = init_mlp((10, 5, 1), seed=9)

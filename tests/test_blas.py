@@ -20,7 +20,7 @@ import pytest
 import scipy
 
 from rfmst import mst
-from rfmst.frontend import FrontEnd, SomGrid, default_frontend_config
+from rfmst.frontend import FrontEnd, pool_windows
 from rfmst.mst import (
     CLASS_INDEX,
     DETECTOR_BLOCKS,
@@ -138,10 +138,8 @@ def test_frontend_features_do_not_depend_on_caller_thread_count(two_threads):
     # the default front-end at w512: 30 batched (120 x 32) @ (32 x 16)
     # GEMMs per slab
     rng = np.random.default_rng(4)
-    cfg = default_frontend_config((128, 512))
-    som = SomGrid(nodes=rng.normal(size=(16, 64)), grid_shape=(4, 4),
-                  trained=True)
-    front = FrontEnd(som, cfg, np.zeros(128), np.ones(128))
+    front = FrontEnd(rng.normal(size=(16, 64)), pool_windows((128, 512)),
+                     np.zeros(128), np.ones(128))
     scalograms = rng.normal(size=(4, 128, 512))
     features = []
     for n in (1, 2):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -8,15 +6,23 @@ from hypothesis import strategies as st
 
 from rfmst.ann import count_hidden_parameters
 from rfmst.frontend import (
+    MAX_PATCH_SOURCES,
+    N_PATCHES,
+    OUTPUT_DIM,
+    PATCH,
+    SOM_EPOCHS,
+    SOM_GRID,
+    SOM_LR,
+    SOM_RADIUS,
+    STRIDE,
     FrontEnd,
-    FrontEndConfig,
-    SomGrid,
-    default_frontend_config,
-    init_som,
+    pool_windows,
     sample_patches,
     train_frontend,
     train_som,
 )
+
+N_FILTERS = SOM_GRID[0] * SOM_GRID[1]
 
 
 def two_means_oracle(data, iters=50):
@@ -40,11 +46,11 @@ def two_means_oracle(data, iters=50):
 
 
 def test_som_single_patch_single_node_converges_to_it():
-    patch = np.full((1, 16), 0.7)
-    grid = init_som(16, grid_shape=(1, 1), seed=1)
-    trained = train_som(patch, grid, epochs=150)
-    assert np.linalg.norm(trained.nodes[0] - patch[0]) < 1e-6
-    assert trained.trained
+    # one patch, repeated: its best-matching node converges onto it
+    patch = np.full((N_PATCHES, 16), 0.7)
+    nodes = train_som(patch, seed=1)
+    assert nodes.shape == (N_FILTERS, 16)
+    assert np.linalg.norm(nodes - patch[0], axis=1).min() < 1e-6
 
 
 def test_som_two_clusters_match_kmeans_oracle():
@@ -54,38 +60,41 @@ def test_som_two_clusters_match_kmeans_oracle():
     data = np.vstack([a, b])
     centers = two_means_oracle(data)
     radius = 3 * 0.05 * np.sqrt(8)
-    grid = init_som(8, grid_shape=(1, 2), seed=3,
-                    radius_initial=0.8, radius_final=0.05)
-    trained = train_som(data, grid, epochs=8)
-    # each node sits within cluster radius of a distinct centroid
-    d = np.linalg.norm(trained.nodes[:, None, :] - centers[None, :, :], axis=2)
+    nodes = train_som(data, seed=3)
+    # every node that wins a sample sits within cluster radius of a
+    # centroid, and both centroids have such nodes
+    winners = np.unique(
+        ((data[:, None, :] - nodes[None]) ** 2).sum(axis=2).argmin(axis=1))
+    d = np.linalg.norm(nodes[winners, None, :] - centers[None, :, :], axis=2)
     best = d.argmin(axis=1)
     assert set(best) == {0, 1}
-    assert d[np.arange(2), best].max() < radius
+    assert d[np.arange(len(winners)), best].max() < radius
 
 
 def test_som_deterministic_under_seed():
     rng = np.random.default_rng(4)
     data = rng.uniform(size=(100, 12))
-    t1 = train_som(data, init_som(12, (2, 2), seed=9), epochs=3)
-    t2 = train_som(data, init_som(12, (2, 2), seed=9), epochs=3)
-    np.testing.assert_array_equal(t1.nodes, t2.nodes)
+    np.testing.assert_array_equal(train_som(data, seed=9),
+                                  train_som(data, seed=9))
 
 
-def _som_reference(patches, grid, epochs):
+def _som_reference(patches, seed):
     """Online SOM written step by step from its definition."""
-    nodes = grid.nodes.copy()
-    coords = grid.node_coords()
-    rng = np.random.default_rng(np.random.SeedSequence([0x50F + 1, grid.seed]))
-    total_steps = epochs * patches.shape[0]
+    rows, cols = SOM_GRID
+    init = np.random.default_rng(np.random.SeedSequence([0x50F, seed]))
+    nodes = init.uniform(0.0, 1.0, size=(rows * cols, patches.shape[1]))
+    rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    coords = np.stack([rr.reshape(-1), cc.reshape(-1)], axis=1).astype(float)
+    (lr0, lr1), (r0, r1) = SOM_LR, SOM_RADIUS
+    rng = np.random.default_rng(np.random.SeedSequence([0x50F + 1, seed]))
+    total_steps = SOM_EPOCHS * patches.shape[0]
     step = 0
-    for _ in range(epochs):
+    for _ in range(SOM_EPOCHS):
         for idx in rng.permutation(patches.shape[0]):
             x = patches[idx]
             frac = step / max(total_steps - 1, 1)
-            lr = grid.lr_initial * (grid.lr_final / grid.lr_initial) ** frac
-            radius = grid.radius_initial \
-                * (grid.radius_final / grid.radius_initial) ** frac
+            lr = lr0 * (lr1 / lr0) ** frac
+            radius = r0 * (r1 / r0) ** frac
             best = int(np.argmin(((nodes - x) ** 2).sum(axis=1)))
             dist2 = ((coords - coords[best]) ** 2).sum(axis=1)
             nodes += lr * np.exp(-dist2 / (2 * radius**2))[:, None] * (x - nodes)
@@ -96,62 +105,66 @@ def _som_reference(patches, grid, epochs):
 def test_som_equals_step_by_step_reference():
     rng = np.random.default_rng(6)
     data = rng.normal(size=(150, 10))
-    grid = init_som(10, (3, 4), seed=2)
-    np.testing.assert_array_equal(train_som(data, grid, epochs=2).nodes,
-                                  _som_reference(data, grid, 2))
+    np.testing.assert_array_equal(train_som(data, seed=2),
+                                  _som_reference(data, 2))
 
 
 def test_som_rejects_empty_or_mismatched_patches():
-    grid = init_som(4, (2, 2), seed=0)
     with pytest.raises(ValueError, match="sample set"):
-        train_som(np.empty((0, 4)), grid)
-    with pytest.raises(ValueError, match="need at least 4 patches, got 2"):
-        train_som(np.ones((2, 4)), grid)  # fewer patches than nodes
-    with pytest.raises(ValueError, match="patch dimension does not match"):
-        train_som(np.ones((10, 5)), grid)
+        train_som(np.empty((0, 4)))
+    with pytest.raises(ValueError, match="need at least 16 patches, got 2"):
+        train_som(np.ones((2, 4)))  # fewer patches than nodes
 
 
 # ---------------------------------------------------------------------------
-# config arithmetic
+# pool arithmetic
+
+
+def _pooled_shape(shape, pools):
+    """Pooled map of one filter: valid convolution positions at STRIDE,
+    floor-divided by both pools."""
+    (p, q), (sr, sc) = PATCH, STRIDE
+    (h1, w1), (h2, w2) = pools
+    return ((shape[0] - p) // sr + 1) // h1 // h2, \
+        ((shape[1] - q) // sc + 1) // w1 // w2
 
 
 def test_default_config_reaches_256_on_full_scalogram():
-    cfg = default_frontend_config((128, 2048))
-    assert cfg.patch == (8, 8) and cfg.stride == (4, 4)
-    assert cfg.som_filters * np.prod(cfg.pooled_shape((128, 2048))) == 256
-    cfg.validate((128, 2048))
+    assert PATCH == (8, 8) and STRIDE == (4, 4)
+    pools = pool_windows((128, 2048))
+    assert N_FILTERS * np.prod(_pooled_shape((128, 2048), pools)) == 256
+    filters = np.random.default_rng(0).normal(size=(N_FILTERS, 64))
+    assert _unscaled(filters, pools, 128)(np.zeros((128, 2048))).shape == (256,)
 
 
 def test_default_config_adapts_to_1024_translations():
-    cfg = default_frontend_config((128, 1024))
-    cfg.validate((128, 1024))
-    h, w = cfg.pooled_shape((128, 1024))
-    assert cfg.som_filters * h * w == 256
+    pools = pool_windows((128, 1024))
+    h, w = _pooled_shape((128, 1024), pools)
+    assert N_FILTERS * h * w == 256
 
 
 def test_config_validation_rejects_wrong_arithmetic():
-    cfg = FrontEndConfig(pool1=(2, 2), pool2=(2, 2))
+    filters = np.random.default_rng(0).normal(size=(N_FILTERS, 64))
     with pytest.raises(ValueError,
                        match=r"pipeline on \(128, 2048\) yields \d+ features"):
-        cfg.validate((128, 2048))
+        _unscaled(filters, ((2, 2), (2, 2)), 128)(np.zeros((128, 2048)))
 
 
 @settings(max_examples=20, deadline=None)
 @given(rows=st.sampled_from([64, 96, 128]), cols=st.sampled_from([512, 1024, 2048]))
 def test_dimensional_contract_any_valid_config(rows, cols):
-    cfg = default_frontend_config((rows, cols))
-    h, w = cfg.pooled_shape((rows, cols))
-    assert cfg.som_filters * h * w == cfg.output_dim
+    h, w = _pooled_shape((rows, cols), pool_windows((rows, cols)))
+    assert N_FILTERS * h * w == OUTPUT_DIM
 
 
 # ---------------------------------------------------------------------------
 # feature extraction
 
 
-def _unscaled(som, cfg, rows):
+def _unscaled(filters, pools, rows):
     """A FrontEnd that leaves every pixel as it is: x - 0.0 and x / 1.0
     are exact."""
-    return FrontEnd(som, cfg, np.zeros(rows), np.ones(rows))
+    return FrontEnd(filters, pools, np.zeros(rows), np.ones(rows))
 
 
 def _standardized(fe, s):
@@ -159,44 +172,35 @@ def _standardized(fe, s):
     return (s - fe.row_mean[:, None]) / fe.row_scale[:, None]
 
 
-def _trained_frontend(shape=(32, 64), seed=0):
+def _trained_frontend(shape=(40, 128), seed=0):
     rng = np.random.default_rng(seed)
     scalos = [rng.uniform(size=shape) for _ in range(4)]
-    cfg = default_frontend_config(shape, output_dim=16, som_filters=4)
-    return train_frontend(scalos, cfg, seed=seed, n_patches=200, epochs=2)
+    return train_frontend(scalos, seed=seed)
 
 
 def test_zero_scalogram_gives_zero_features():
     # bias-free convolution + tanh + max pooling carries zero through
     fe = _trained_frontend()
-    out = _unscaled(fe.som, fe.cfg, 32)(np.zeros((32, 64)))
-    np.testing.assert_array_equal(out, np.zeros(16))
+    out = _unscaled(fe.filters, fe.pools, 40)(np.zeros((40, 128)))
+    np.testing.assert_array_equal(out, np.zeros(OUTPUT_DIM))
 
 
 def test_output_length_is_256_on_full_size_input():
     rng = np.random.default_rng(5)
     scalos = [rng.uniform(size=(128, 2048)) for _ in range(2)]
-    fe = train_frontend(scalos, seed=1, n_patches=300, epochs=1)
+    fe = train_frontend(scalos, seed=1)
     out = fe(rng.uniform(size=(128, 2048)))
     assert out.shape == (256,)
     assert np.all(np.abs(out) <= 1.0)  # tanh-squashed
-
-
-def test_untrained_som_rejected():
-    som = init_som(64, (4, 4), seed=0)
-    with pytest.raises(ValueError, match="untrained"):
-        _unscaled(som, FrontEndConfig(), 128)(np.zeros((128, 2048)))
 
 
 def test_brightening_pixel_never_decreases_covering_feature():
     # with nonnegative filters, raising a pixel can only raise conv
     # responses, and max pooling is monotone, so no feature decreases
     fe = _trained_frontend(seed=7)
-    som = SomGrid(nodes=np.abs(fe.som.nodes), grid_shape=fe.som.grid_shape,
-                  trained=True)
     rng = np.random.default_rng(8)
-    s = rng.uniform(0.1, 0.5, size=(32, 64))
-    extract = _unscaled(som, fe.cfg, 32)
+    s = rng.uniform(0.1, 0.5, size=(40, 128))
+    extract = _unscaled(np.abs(fe.filters), fe.pools, 40)
     base = extract(s)
     s2 = s.copy()
     s2[10, 20] = 10.0  # large enough to win its pool windows
@@ -207,9 +211,8 @@ def test_brightening_pixel_never_decreases_covering_feature():
 
 
 def test_translation_tolerance_within_pool_window():
-    shape = (32, 128)
+    shape = (40, 128)
     fe = _trained_frontend(shape=shape, seed=9)
-    cfg = fe.cfg
     col_a, col_b = 100, 101  # shift smaller than one pool window
     s = np.zeros(shape)
     s[16, col_a] = 1.0
@@ -218,10 +221,10 @@ def test_translation_tolerance_within_pool_window():
     s_shift[16, col_b] = 1.0
     b = fe(s_shift)
     # features whose receptive field sees neither impulse column must not move
-    q, sc = cfg.patch[1], cfg.stride[1]
-    conv_w = cfg.conv_shape(shape)[1]
-    span = cfg.pool1[1] * cfg.pool2[1]
-    pooled = a.reshape(cfg.som_filters, *cfg.pooled_shape(shape))
+    q, sc = PATCH[1], STRIDE[1]
+    conv_w = (shape[1] - q) // sc + 1
+    span = fe.pools[0][1] * fe.pools[1][1]
+    pooled = a.reshape(N_FILTERS, *_pooled_shape(shape, fe.pools))
     untouched = []
     for j in range(pooled.shape[2]):
         cols = range(j * span, min((j + 1) * span, conv_w))
@@ -234,7 +237,7 @@ def test_translation_tolerance_within_pool_window():
     np.testing.assert_array_equal(a[mask.reshape(-1)], b[mask.reshape(-1)])
 
 
-def _reference_features(scalogram, som, cfg):
+def _reference_features(scalogram, filters, pools):
     """Every valid convolution position, tanh, then two floor-dividing
     max pools, flattened filter by filter."""
 
@@ -245,98 +248,74 @@ def _reference_features(scalogram, som, cfg):
         trimmed = maps[:, : h2 * wh, : w2 * ww]
         return trimmed.reshape(k, h2, wh, w2, ww).max(axis=(2, 4))
 
-    p, q = cfg.patch
-    sr, sc = cfg.stride
+    (p, q), (sr, sc) = PATCH, STRIDE
     windows = sliding_window_view(scalogram, (p, q))[::sr, ::sc]
     h, w = windows.shape[:2]
-    conv = (windows.reshape(h * w, p * q) @ som.nodes.T) / (p * q)
-    maps = np.tanh(conv.T.reshape(som.n_nodes, h, w))
-    return max_pool(max_pool(maps, cfg.pool1), cfg.pool2).reshape(-1)
+    conv = (windows.reshape(h * w, p * q) @ filters.T) / (p * q)
+    maps = np.tanh(conv.T.reshape(len(filters), h, w))
+    return max_pool(max_pool(maps, pools[0]), pools[1]).reshape(-1)
 
 
 @pytest.mark.parametrize("shape, output_dim, som_filters", [
-    ((32, 64), 16, 4),       # conv 7 x 15, pools keep 6 x 14
-    ((32, 128), 16, 4),      # conv 7 x 31, pools keep 7 x 28
-    ((128, 512), 256, 16),   # conv 31 x 127, pools keep 30 x 120
-    ((128, 2048), 256, 16),  # conv 31 x 511, pools keep 31 x 496
+    ((40, 128), OUTPUT_DIM, N_FILTERS),    # conv 9 x 31, pools keep 8 x 28
+    ((40, 200), OUTPUT_DIM, N_FILTERS),    # conv 9 x 49, pools keep 9 x 48
+    ((128, 512), OUTPUT_DIM, N_FILTERS),   # conv 31 x 127, pools keep 30 x 120
+    ((128, 2048), OUTPUT_DIM, N_FILTERS),  # conv 31 x 511, pools keep 31 x 496
 ])
 def test_extraction_equals_tanh_first_two_pool_reference(shape, output_dim,
                                                          som_filters):
-    cfg = default_frontend_config(shape, output_dim=output_dim,
-                                  som_filters=som_filters)
+    pools = pool_windows(shape)
     rng = np.random.default_rng(shape[1])
-    som = SomGrid(nodes=rng.normal(size=(som_filters, 64)),
-                  grid_shape=(1, som_filters), trained=True)
+    filters = rng.normal(size=(som_filters, 64))
     for _ in range(3):
         s = rng.normal(size=shape)
-        expected = _reference_features(s, som, cfg)
+        expected = _reference_features(s, filters, pools)
+        assert expected.size == output_dim
         # the phase GEMMs sum each response in another order
-        np.testing.assert_allclose(_unscaled(som, cfg, shape[0])(s),
+        np.testing.assert_allclose(_unscaled(filters, pools, shape[0])(s),
                                    expected, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("shape, patch, stride, pool1, pool2", [
-    # taps split 3 + 3 + 1 of 3 slabs; the last phases run 2 columns past
-    # the scalogram, and the pools keep every position
-    ((32, 64), (5, 7), (2, 3), (7, 2), (2, 2)),
-    # pools that keep part of the block: 18 of 19 rows, 32 of 33 columns
-    ((41, 103), (5, 7), (2, 3), (3, 4), (2, 2)),
-    # windows that do not overlap: one slab, and the phase is the window
-    ((64, 128), (8, 8), (8, 8), (2, 3), (2, 2)),
-    # stride 1: a single phase, and every tap column is its own slab
-    ((16, 40), (8, 8), (1, 1), (3, 4), (3, 2)),
-    # a row stride larger than the patch skips rows between windows
-    ((60, 50), (3, 4), (5, 2), (2, 3), (2, 2)),
-])
-def test_extraction_matches_reference_off_the_default_config(shape, patch,
-                                                             stride, pool1,
-                                                             pool2):
-    cfg = FrontEndConfig(patch=patch, stride=stride, som_filters=3,
-                         pool1=pool1, pool2=pool2)
-    h, w = cfg.pooled_shape(shape)
-    cfg = replace(cfg, output_dim=3 * h * w)
-    rng = np.random.default_rng(sum(shape))
-    som = SomGrid(nodes=rng.normal(size=(3, patch[0] * patch[1])),
-                  grid_shape=(1, 3), trained=True)
-    for _ in range(3):
+def test_every_poolable_width_reads_only_whole_windows():
+    # STRIDE divides PATCH, so the columns the phases read never run past
+    # the scalogram and no filter tap is padding: on every shape that
+    # pools to OUTPUT_DIM, the phase GEMMs match the im2col oracle
+    shapes = [(40, w) for w in range(60, 301)] \
+        + [(128, w) for w in (511, 512, 513, 2047, 2048)]
+    rng = np.random.default_rng(23)
+    filters = rng.normal(size=(N_FILTERS, 64))
+    checked = 0
+    for shape in shapes:
+        try:
+            pools = pool_windows(shape)
+        except ValueError:
+            continue
         s = rng.normal(size=shape)
-        expected = _reference_features(s, som, cfg)
-        np.testing.assert_allclose(_unscaled(som, cfg, shape[0])(s),
-                                   expected, rtol=0, atol=1e-14)
+        out = _unscaled(filters, pools, shape[0])(s)
+        assert out.shape == (OUTPUT_DIM,)
+        np.testing.assert_allclose(out, _reference_features(s, filters, pools),
+                                   rtol=0, atol=1e-14)
+        checked += 1
+    assert checked == 242  # 237 widths at 40 rows and all 5 at 128
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_pixel_raises(value):
     # tanh would squash an infinite response to a plausible 1.0
     fe = _trained_frontend(seed=17)
-    s = np.random.default_rng(18).uniform(size=(32, 64))
+    s = np.random.default_rng(18).uniform(size=(40, 128))
     s[5, 9] = value
     with pytest.raises(ValueError, match="NaN or infinite"):
         fe(s)
     with pytest.raises(ValueError, match="NaN or infinite"):
-        _unscaled(fe.som, fe.cfg, 32)(s)
-
-
-def test_infinite_pixel_read_only_by_padding_taps_raises():
-    # patch (5, 7) at column stride 3 pads each filter to 9 taps.  The pools
-    # keep windows 0..19, which cover columns 0..63; the padded taps of the
-    # last window read columns 64 and 65, and 0 * inf would be NaN
-    cfg = FrontEndConfig(patch=(5, 7), stride=(2, 3), som_filters=3,
-                         pool1=(7, 2), pool2=(2, 2), output_dim=15)
-    rng = np.random.default_rng(19)
-    som = SomGrid(nodes=rng.normal(size=(3, 35)), grid_shape=(1, 3),
-                  trained=True)
-    s = rng.normal(size=(32, 70))
-    s[0, 65] = np.inf
-    with pytest.raises(ValueError, match="NaN or infinite"):
-        _unscaled(som, cfg, 32)(s)
+        _unscaled(fe.filters, fe.pools, 40)(s)
 
 
 def test_pixel_statistics_must_match_the_scalogram_rows():
     fe = _trained_frontend(seed=20)
     with pytest.raises(ValueError,
-                       match="pixel statistics for 32 scales, scalogram has 40"):
-        fe(np.zeros((40, 64)))
+                       match="pixel statistics for 40 scales, scalogram has 48"):
+        fe(np.zeros((48, 128)))
 
 
 def test_call_equals_extraction_on_the_standardized_scalogram():
@@ -344,23 +323,22 @@ def test_call_equals_extraction_on_the_standardized_scalogram():
     fe = _trained_frontend(shape=(128, 512), seed=21)
     s = np.random.default_rng(22).gamma(2.0, size=(128, 512))
     assert fe(s).tobytes() == \
-        _unscaled(fe.som, fe.cfg, 128)(_standardized(fe, s)).tobytes()
+        _unscaled(fe.filters, fe.pools, 128)(_standardized(fe, s)).tobytes()
 
 
 def test_extraction_is_pure_and_deterministic():
     fe = _trained_frontend(seed=10)
     rng = np.random.default_rng(11)
-    s = rng.uniform(size=(32, 64))
+    s = rng.uniform(size=(40, 128))
     np.testing.assert_array_equal(fe(s), fe(s))
 
 
 def test_patch_sampler_is_seeded():
     rng = np.random.default_rng(12)
     scalos = [rng.uniform(size=(16, 16)) for _ in range(3)]
-    cfg = FrontEndConfig()
     mean, scale = np.zeros(16), np.ones(16)
-    a = sample_patches(scalos, cfg, 10, mean, scale, seed=1)
-    b = sample_patches(scalos, cfg, 10, mean, scale, seed=1)
+    a = sample_patches(scalos, 10, mean, scale, seed=1)
+    b = sample_patches(scalos, 10, mean, scale, seed=1)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (10, 64)
 
@@ -370,8 +348,7 @@ def test_patch_corners_follow_per_patch_scalar_draws():
     rng = np.random.default_rng(15)
     shapes = [(16, 16), (8, 40), (30, 9), (12, 12)]
     scalos = [rng.uniform(size=shape) for shape in shapes]
-    cfg = FrontEndConfig()
-    p, q = cfg.patch
+    p, q = PATCH
     mean, scale = rng.uniform(size=30), rng.uniform(1, 2, size=30)
     seed = 16
     draws = np.random.default_rng(np.random.SeedSequence([0x5A7C4, seed]))
@@ -383,30 +360,29 @@ def test_patch_corners_follow_per_patch_scalar_draws():
         c = draws.integers(0, s.shape[1] - q + 1)
         expected[i] = ((s[r:r + p, c:c + q] - mean[r:r + p, None])
                        / scale[r:r + p, None]).reshape(-1)
-    got = sample_patches(scalos, cfg, 500, mean, scale, seed=seed)
+    got = sample_patches(scalos, 500, mean, scale, seed=seed)
     assert got.tobytes() == expected.tobytes()
 
 
 def test_patches_standardized_alone_match_whole_scalogram_oracle():
-    # oracle: standardize every source scalogram whole, then sample
+    # oracle: standardize every source scalogram whole, then sample; more
+    # scalograms than MAX_PATCH_SOURCES, so only a subset are sources
     rng = np.random.default_rng(13)
-    scalos = [rng.gamma(2.0, size=(32, 64)) * np.geomspace(1, 50, 32)[:, None]
-              for _ in range(12)]
-    cfg = default_frontend_config((32, 64), output_dim=16, som_filters=4)
+    n = MAX_PATCH_SOURCES + 4
+    scalos = [rng.gamma(2.0, size=(40, 128)) * np.geomspace(1, 50, 40)[:, None]
+              for _ in range(n)]
     seed = 14
-    fe = train_frontend(scalos, cfg, seed=seed, n_patches=300, epochs=2,
-                        max_patch_sources=8)
+    fe = train_frontend(scalos, seed=seed)
     sources = np.random.default_rng(
-        np.random.SeedSequence([0x5A7C5, seed])).choice(12, 8, replace=False)
+        np.random.SeedSequence([0x5A7C5, seed])).choice(
+            n, MAX_PATCH_SOURCES, replace=False)
     whole = [_standardized(fe, scalos[i]) for i in sources]
-    expected = sample_patches(whole, cfg, 300, np.zeros(32), np.ones(32),
+    expected = sample_patches(whole, N_PATCHES, np.zeros(40), np.ones(40),
                               seed=seed)
-    got = sample_patches([scalos[i] for i in sources], cfg, 300, fe.row_mean,
+    got = sample_patches([scalos[i] for i in sources], N_PATCHES, fe.row_mean,
                          fe.row_scale, seed=seed)
     assert got.tobytes() == expected.tobytes()
-    som = train_som(expected, init_som(64, grid_shape=(2, 2), seed=seed),
-                    epochs=2)
-    assert fe.som.nodes.tobytes() == som.nodes.tobytes()
+    assert fe.filters.tobytes() == train_som(expected, seed=seed).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -69,6 +70,15 @@ def test_default_1st_order_shape():
     np.testing.assert_allclose(ratios, ratios[0])  # geometric schedule
 
 
+@pytest.mark.parametrize("max_iters, mse_goal", [
+    (0, 1e-3), (5, 0.0), (5, float("nan")), (0, float("nan"))])
+def test_stage_config_rejects_a_budget_training_cannot_use(max_iters,
+                                                           mse_goal):
+    with pytest.raises(ValueError, match="max_iters and mse_goal must be "
+                                         "positive"):
+        StageConfig(DETECTOR_BLOCKS, 4, 2, 10, max_iters, mse_goal)
+
+
 def test_scaled_config_triples_mlps():
     cfgs = scaled_config(default_config_2nd(12), 3)
     assert [c.n_mlps for c in cfgs] == [180, 90, 90]
@@ -120,6 +130,20 @@ def test_plan_missing_class_raises():
     y = _labels(3, 10)
     with pytest.raises(ValueError, match=r"no training data for classes \[9\]"):
         plan_batches(y, default_config_2nd(3), seed=0, known_labels=[1, 2, 9])
+
+
+def test_plan_rejects_empty_known_labels():
+    with pytest.raises(ValueError, match="known_labels is empty"):
+        plan_batches(_labels(3, 10), default_config_2nd(3), seed=0,
+                     known_labels=[])
+
+
+def test_plan_rejects_a_repeated_known_label():
+    # a repeat would hand class 1 more stage-1 detectors than class 2
+    with pytest.raises(ValueError,
+                       match=r"known_labels repeats a label: \[1, 1, 2\]"):
+        plan_batches(_labels(4, 10), default_config_2nd(4), seed=0,
+                     known_labels=[1, 1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +709,20 @@ def test_load_model_rejects_stage_groups_not_matching_the_configs(
     tamper(manifest, out)
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=r"manifest\.json: " + message):
+        load_model(out)
+
+
+def test_load_model_rejects_a_nan_stage_goal(saved_toy_model, tmp_path):
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["configs"][1]["mse_goal"] = float("nan")
+    # a config_hash that matches, as MstModel.config_hash computes it
+    blob = json.dumps([list(c.values()) for c in manifest["configs"]]
+                      + [manifest[k] for k in ("n_labels", "order", "seed",
+                                               "known_labels")])
+    manifest["config_hash"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="mse_goal must be positive"):
         load_model(out)
 
 

@@ -341,10 +341,8 @@ def test_duplicate_radio_tx_rejected():
 
 
 def test_shared_oscillator_must_match_within_radio():
-    p1 = TransmitterProfile("A", 1, carrier_freq_offset=100.0,
-                            shared_osc_group=1)
-    p2 = TransmitterProfile("A", 2, carrier_freq_offset=200.0,
-                            shared_osc_group=1)
+    p1 = TransmitterProfile("A", 1, carrier_freq_offset=100.0)
+    p2 = TransmitterProfile("A", 2, carrier_freq_offset=200.0)
     with pytest.raises(ValueError):
         validate_profiles([p1, p2])
 

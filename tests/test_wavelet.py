@@ -66,7 +66,7 @@ def test_cwt_linearity():
 def test_fast_cwt_matches_direct_oracle_on_length_256():
     rng = np.random.default_rng(1)
     v = rng.normal(size=256)
-    params = MorletParams().resolved(256)
+    params = MorletParams()
     fast = cwt(v, params)
     direct = direct_cwt(v, params.scales(256))
     err = np.abs(fast - direct).max() / np.abs(direct).max()
@@ -77,16 +77,15 @@ ORACLE_CASES = [
     # (n, scale grid, whether some kernel reaches past the signal)
     (512, MorletParams(), True),  # the benchmark's shape
     (257, MorletParams(), True),
-    (5, MorletParams(), True),  # the default grid needs n >= 5
-    (2, MorletParams(n_scales=8, scale_min=0.5, scale_max=4.0), True),
-    (3, MorletParams(n_scales=8, scale_min=0.5, scale_max=4.0), True),
-    (300, MorletParams(n_scales=8, scale_min=2.0, scale_max=8.0), False),
+    (5, MorletParams(), True),  # the grid needs n >= 5
+    (6, MorletParams(n_scales=16), True),
+    (64, MorletParams(n_scales=16), True),
+    (300, MorletParams(n_scales=1), False),  # period 2 alone: K = 17
 ]
 
 
 @pytest.mark.parametrize("n, params, clipped", ORACLE_CASES)
 def test_fast_cwt_matches_direct_oracle_on_every_row(n, params, clipped):
-    params = params.resolved(n)
     scales = params.scales(n)
     assert (np.ceil(ENVELOPE_CUTOFF * scales) > n - 1).any() == clipped
     v = np.random.default_rng(n).normal(size=n)
@@ -100,7 +99,6 @@ def test_fast_cwt_matches_direct_oracle_on_every_row(n, params, clipped):
     (2, MorletParams(), 5),
     (3, MorletParams(), 5),
     (4, MorletParams(), 5),
-    (1, MorletParams(n_scales=8, scale_min=0.5, scale_max=4.0), 2),
 ])
 def test_too_short_signal_names_its_length_and_the_shortest(n, params,
                                                             shortest):
@@ -118,7 +116,7 @@ def test_next_fast_len_matches_scipy():
 
 @pytest.mark.parametrize("n", [64, 512, 2048])
 def test_fft_length_follows_signal_not_widest_wavelet(n):
-    params = MorletParams().resolved(n)
+    params = MorletParams()
     support = np.minimum(np.ceil(ENVELOPE_CUTOFF * params.scales(n)), n - 1)
     bank = wavelet._kernel_bank(n, params)
     assert [rows.start for rows, _ in bank] == [0] + [
@@ -136,7 +134,7 @@ def test_fft_length_follows_signal_not_widest_wavelet(n):
     (512, [(55, 640), (73, 1024)]),
 ])
 def test_short_supports_share_a_shorter_fft(n, groups):
-    params = MorletParams().resolved(n)
+    params = MorletParams()
     bank = wavelet._kernel_bank(n, params)
     assert [spectra.shape for _, spectra in bank] == groups
     v = np.random.default_rng(n + 1).normal(size=n)
@@ -153,7 +151,7 @@ def test_cwt_holds_one_bank_sized_temporary():
     # megabytes per call at n = 512, which made identification unsteady;
     # the groups share one work buffer sized for the largest.
     v = np.random.default_rng(11).normal(size=512)
-    bank = wavelet._kernel_bank(512, MorletParams().resolved(512))
+    bank = wavelet._kernel_bank(512, MorletParams())
     largest = max(spectra.nbytes for _, spectra in bank)
     for transform in (cwt, scalogram):
         tracemalloc.start()
@@ -189,10 +187,11 @@ def test_tone_localization_against_dense_grid_oracle():
     grid_step = dense_scales[1] / dense_scales[0] - 1
     assert abs(a_star * omega - 6.0) / 6.0 < grid_step * 1.5
 
-    params = MorletParams(n_scales=128, scale_min=2.0, scale_max=200.0)
+    params = MorletParams(n_scales=128)
+    scales = params.scales(n)
     coeffs = np.abs(cwt(v, params))[:, center]
-    a_fast = params.scales()[np.argmax(coeffs)]
-    fast_step = (200.0 / 2.0) ** (1 / 127) - 1
+    a_fast = scales[np.argmax(coeffs)]
+    fast_step = scales[1] / scales[0] - 1
     assert abs(a_fast * omega - 6.0) / 6.0 < fast_step * 1.5
 
 
@@ -215,18 +214,20 @@ def test_time_shift_covariance_on_interior_columns():
     k = 7
     shifted = np.zeros_like(base)
     shifted[k:] = base[:-k]
-    params = MorletParams(n_scales=8, scale_min=2.0, scale_max=8.0)
+    params = MorletParams(n_scales=8)
     c1 = cwt(base, params)
     c2 = cwt(shifted, params)
-    # interior columns: away from both ends by the largest support (~68)
+    # interior columns, and the scales whose support (17, 31 and 56
+    # samples) keeps them away from both ends
     lo, hi = 100, 200
-    err = np.abs(c2[:, lo + k : hi + k] - c1[:, lo:hi]).max()
-    assert err / np.abs(c1).max() < 1e-10
+    rows = np.ceil(ENVELOPE_CUTOFF * params.scales(300)) < lo - k
+    assert rows.sum() == 3
+    err = np.abs(c2[rows, lo + k : hi + k] - c1[rows, lo:hi]).max()
+    assert err / np.abs(c1[rows]).max() < 1e-10
 
 
 def test_default_grid_covers_periods_2_to_half_n():
-    params = MorletParams().resolved(2048)
-    scales = params.scales()
+    scales = MorletParams().scales(2048)
     assert len(scales) == 128
     assert scales[0] == pytest.approx(6.0 * 2 / (2 * np.pi))
     assert scales[-1] == pytest.approx(6.0 * 1024 / (2 * np.pi))
