@@ -66,8 +66,9 @@ def detect_onset(f: np.ndarray, tau: float = DEFAULT_TAU) -> int:
     sample never crosses.  f must be 1-D.  tau is compared in float64, so a
     complex64 packet gives the onset of its exact complex128 upcast.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < np.inf:
+        # NoOnset would count a bad threshold as every packet failing
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
     tau = np.float64(tau)
     f = _as_packet(f)
     if f.size == 0:

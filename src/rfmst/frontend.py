@@ -18,6 +18,7 @@ features agree with an im2col convolution to within 1e-15.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,43 +88,31 @@ def pool_windows(scalogram_shape) -> tuple[tuple[int, int], tuple[int, int]]:
     """(pool1, pool2) windows, each (rows, cols), so the pipeline lands
     exactly on OUTPUT_DIM features.
 
-    Deterministic small search over two-stage non-overlapping max pools;
-    among valid window pairs the one covering the most conv pixels wins.
+    Windows w1 then w2 leave extent // (w1 * w2) outputs along an axis, so
+    the product that covers the most while leaving `out` is extent // out,
+    if that leaves `out`; its windows are its most nearly square factor
+    pair, larger first.  Of the splits of a map's outputs into rows times
+    columns, the one covering the most convolution pixels wins.
     """
+    def axis(extent, out):  # (covered, -w1 - w2, w1, w2), or None
+        w = extent // out
+        if w < 1 or extent // w != out:
+            return None
+        w2 = max(d for d in range(1, math.isqrt(w) + 1) if w % d == 0)
+        return w * out, -(w // w2) - w2, w // w2, w2
+
     conv_h, conv_w = _conv_shape(scalogram_shape)
     per_map = OUTPUT_DIM // (SOM_GRID[0] * SOM_GRID[1])
-
-    def stage_options(extent):
-        opts = {}
-        for w1 in range(1, extent + 1):
-            first = extent // w1
-            if first < 1:
-                break
-            for w2 in range(1, first + 1):
-                out = first // w2
-                covered = w1 * w2 * out
-                opts.setdefault(out, []).append((covered, -w1 - w2, w1, w2))
-        return opts
-
-    rows_opts = stage_options(conv_h)
-    cols_opts = stage_options(conv_w)
-    best = None
-    for h_out, h_cands in rows_opts.items():
-        if per_map % h_out:
-            continue
-        w_out = per_map // h_out
-        if w_out not in cols_opts:
-            continue
-        hc = max(h_cands)
-        wc = max(cols_opts[w_out])
-        cand = (hc[0] * wc[0], hc, wc)
-        if best is None or cand > best:
-            best = cand
-    if best is None:
+    cands = []
+    for h_out in (k for k in range(1, per_map + 1) if per_map % k == 0):
+        rows, cols = axis(conv_h, h_out), axis(conv_w, per_map // h_out)
+        if rows and cols:
+            cands.append((rows[0] * cols[0], rows, cols))
+    if not cands:
         raise ValueError(
             f"no two-stage pooling reaches {OUTPUT_DIM} features on "
             f"{scalogram_shape}")
-    _, (_, _, h1, h2), (_, _, w1, w2) = best
+    _, (_, _, h1, h2), (_, _, w1, w2) = max(cands)
     return (h1, w1), (h2, w2)
 
 

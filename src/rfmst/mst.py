@@ -61,7 +61,7 @@ from .ann import (
     train,
     unpack_parameters,
 )
-from .manifest import checked_fields
+from .manifest import build, read_array, read_manifest
 from .parallel import fork_map
 
 logger = logging.getLogger(__name__)
@@ -509,17 +509,18 @@ class ConfusionMatrix:
 
 
 def confusion_from_predictions(y_true, y_pred, n_labels: int) -> ConfusionMatrix:
-    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
+    y_true, y_pred = np.ravel(y_true), np.ravel(y_pred)
     if y_true.size != y_pred.size:
         raise ValueError(f"{y_true.size} true labels and {y_pred.size} "
                          "predicted")
     for which, y in (("true", y_true), ("predicted", y_pred)):
+        if y.size and not np.issubdtype(y.dtype, np.integer):
+            raise ValueError(f"{which} labels must be integers, got {y.dtype}")
         if y.size and (y.min() < 1 or y.max() > n_labels):
             raise ValueError(f"{which} labels must lie in 1..{n_labels}")
-    counts = np.zeros((n_labels, n_labels), dtype=int)
-    for t, p in zip(y_true, y_pred):
-        counts[t - 1, p - 1] += 1
-    return ConfusionMatrix(counts=counts)
+    t, p = y_true.astype(np.intp) - 1, y_pred.astype(np.intp) - 1
+    counts = np.bincount(t * n_labels + p, minlength=n_labels * n_labels)
+    return ConfusionMatrix(counts=counts.reshape(n_labels, n_labels))
 
 
 def evaluate(model: MstModel, test_x, test_y) -> ConfusionMatrix:
@@ -528,8 +529,11 @@ def evaluate(model: MstModel, test_x, test_y) -> ConfusionMatrix:
 
 
 # ---------------------------------------------------------------------------
-# persistence: manifest + one flat float64 blob per MLP; the manifest also
-# holds each MLP's training trace
+# persistence: manifest.json plus one stage<s>.f64 per stage, holding the
+# stage's MLPs in order as little-endian float64 pack_parameters vectors,
+# so on a little-endian host its sha256 is its stage_hashes() entry.  The
+# manifest holds the configs, input width, config_hash and every MLP's
+# training trace, and names no file.
 
 
 def save_model(model: MstModel, out_dir) -> Path:
@@ -540,72 +544,50 @@ def save_model(model: MstModel, out_dir) -> Path:
         raise ValueError("a saved model needs one training trace per MLP")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for s, stage in enumerate(model.stages, start=1):
+        with open(out / f"stage{s}.f64", "wb") as f:
+            for net in stage.mlps:
+                pack_parameters(net).astype("<f8", copy=False).tofile(f)
     manifest = {
         "n_labels": model.n_labels,
         "order": model.order,
         "seed": model.seed,
         "known_labels": list(model.known_labels),
+        "input_dim": model.stages[0].first_w.shape[0],
         "config_hash": model.config_hash(),
         "configs": [dataclasses.asdict(c) for c in model.configs],
-        "stages": [],
+        "traces": [[dataclasses.asdict(run) for run in runs]
+                   for runs in model.traces],
     }
-    for s, stage in enumerate(model.stages):
-        entries = []
-        for i, net in enumerate(stage.mlps):
-            blob = f"stage{s + 1}_mlp{i + 1}.f64"
-            pack_parameters(net).astype("<f8").tofile(out / blob)
-            entries.append({"file": blob, "layer_sizes": list(net.layer_sizes),
-                            "activation": ["tanh", "linear"],
-                            "trace": dataclasses.asdict(model.traces[s][i])})
-        manifest["stages"].append(entries)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
     return out
 
 
-def _train_run(fields: dict, path) -> TrainRun:
-    fields = checked_fields(TrainRun, fields, path)
-    stop = StopCriteria(**checked_fields(StopCriteria, fields["stop"], path))
-    return TrainRun(**{**fields, "stop": stop})
-
-
 def load_model(in_dir) -> MstModel:
-    """Read a saved model.  Raises ValueError, naming the manifest, when its
-    stage groups do not match its configs or its configs their config_hash,
-    and when an MLP has no trace or a parameter file of the wrong size."""
-    src = Path(in_dir)
-    path = src / "manifest.json"
-    manifest = json.loads(path.read_text())
-    configs = [StageConfig(**checked_fields(StageConfig, c, path))
-               for c in manifest["configs"]]
-    groups = manifest["stages"]
-    if len(groups) != len(configs):
-        raise ValueError(f"{path}: {len(groups)} stage groups for "
-                         f"{len(configs)} configured stages")
-    stages, traces = [], []
-    for s, (cfg, group) in enumerate(zip(configs, groups)):
-        if len(group) != cfg.n_mlps:
-            raise ValueError(f"{path}: stage {s + 1} has {len(group)} MLPs, "
-                             f"configured {cfg.n_mlps}")
-        fan_in = group[0]["layer_sizes"][0] if s == 0 else configs[s - 1].n_mlps
+    """Read a model that save_model wrote.  A manifest key, trace count,
+    config_hash or field that is wrong, or a stage file that does not hold
+    exactly its configured MLPs, raises ValueError naming the manifest."""
+    path = Path(in_dir) / "manifest.json"
+    manifest = read_manifest(path, (
+        "n_labels", "order", "seed", "known_labels", "input_dim",
+        "config_hash", "configs", "traces"))
+    configs = [build(StageConfig, c, path) for c in manifest["configs"]]
+    traces = [[build(TrainRun, run, path,
+                     stop=lambda stop: build(StopCriteria, stop, path))
+               for run in runs] for runs in manifest["traces"]]
+    counts = [len(runs) for runs in traces]
+    if counts != [c.n_mlps for c in configs]:
+        raise ValueError(f"{path}: {counts} traces per stage for "
+                         f"{[c.n_mlps for c in configs]} configured MLPs")
+    stages, fan_in = [], manifest["input_dim"]
+    for s, cfg in enumerate(configs, start=1):
         sizes = cfg.layer_sizes(fan_in)
-        if any(tuple(entry["layer_sizes"]) != sizes for entry in group):
-            raise ValueError(f"{path}: stage {s + 1} layer sizes differ from "
-                             f"the configured {sizes}")
-        n_bytes = 8 * count_parameters(sizes)
-        for i, entry in enumerate(group, start=1):
-            if "trace" not in entry:
-                raise ValueError(f"{path}: stage {s + 1} MLP {i} has no trace")
-            file = src / entry["file"]
-            size = file.stat().st_size
-            if size != n_bytes:
-                raise ValueError(f"{path}: stage {s + 1} MLP {i}: {file} has "
-                                 f"{size} bytes, expected {n_bytes}")
-        mlps = enumerate(
-            unpack_parameters(sizes,
-                              np.fromfile(src / entry["file"], dtype="<f8"))
-            for entry in group)
-        stages.append(pack_stage(mlps, cfg.n_mlps))
-        traces.append([_train_run(entry["trace"], path) for entry in group])
+        params = read_array(path, f"stage{s}.f64", "<f8",
+                            (cfg.n_mlps, count_parameters(sizes)))
+        stages.append(pack_stage(
+            enumerate(unpack_parameters(sizes, p) for p in params),
+            cfg.n_mlps))
+        fan_in = cfg.n_mlps
     model = MstModel(configs=configs, stages=stages,
                      n_labels=manifest["n_labels"], order=manifest["order"],
                      seed=manifest["seed"], traces=traces,

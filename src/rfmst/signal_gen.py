@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .manifest import checked_fields
+from .manifest import build, read_array, read_manifest
 from .parallel import fork_map
 
 
@@ -77,6 +77,12 @@ class OfdmParams:
             raise ValueError("capture_rate must be >= baseband_rate")
         if self.packet_len < 1:
             raise ValueError("packet_len must be >= 1")
+        if self.silence_len < 0:
+            raise ValueError("silence_len must be >= 0")
+        if not 0 <= self.ramp_len <= self.packet_len - self.silence_len:
+            raise ValueError("ramp_len must lie in 0..packet_len - silence_len")
+        if not 0 < self.burst_rms < math.inf:
+            raise ValueError("burst_rms must be finite and > 0")
         if self.n_fft < self.subcarrier_count + 1:
             raise ValueError("subcarrier grid does not fit the FFT size")
         if not 0 <= self.preamble_symbols <= self.n_symbols:
@@ -386,20 +392,6 @@ class Corpus:
     def labels(self) -> np.ndarray:
         return np.array([p.tx_label for p in self.packets])
 
-    def manifest(self) -> dict:
-        return {
-            "seed": self.seed,
-            "snr_db": self.snr_db,
-            "params": asdict(self.params),
-            "profiles": [_profile_dict(p) for p in self.profiles],
-            "profile_hash": profiles_hash(self.profiles),
-            "packets": [
-                {"name": p.name, "tx_label": p.tx_label,
-                 "packet_id": p.packet_id}
-                for p in self.packets
-            ],
-        }
-
 
 def _profile_dict(p: TransmitterProfile) -> dict:
     d = asdict(p)
@@ -517,48 +509,53 @@ def default_profiles() -> list[TransmitterProfile]:
 
 
 # ---------------------------------------------------------------------------
-# disk format: one raw file per packet with interleaved little-endian
-# float32 I/Q pairs, which is little-endian complex64 ("<c8"), plus a JSON
-# manifest.  A packet's samples are already complex64, so a file holds
-# their exact bytes and a save -> load round trip is byte-exact.
+# disk format: manifest.json plus samples.c64, every packet's samples back
+# to back in packet order as little-endian complex64 ("<c8"): interleaved
+# float32 I/Q, the layout of an SDR file sink.  The samples are already
+# complex64, so a save -> load round trip is byte-exact.  The manifest
+# holds the params, the profiles and their hash, and each packet's name,
+# label and id, and names no file.
 
 
 def save_corpus(corpus: Corpus, out_dir) -> Path:
+    n = corpus.params.packet_len
+    if any(p.samples.shape != (n,) for p in corpus.packets):
+        raise ValueError(f"every packet must hold packet_len={n} samples")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for p in corpus.packets:
-        p.samples.astype("<c8", copy=False).tofile(out / f"{p.name}.iq")
-    manifest = corpus.manifest()
-    for entry, packet in zip(manifest["packets"], corpus.packets):
-        entry["file"] = f"{packet.name}.iq"
+    with open(out / "samples.c64", "wb") as f:
+        for p in corpus.packets:
+            p.samples.astype("<c8", copy=False).tofile(f)
+    manifest = {
+        "seed": corpus.seed,
+        "snr_db": corpus.snr_db,
+        "params": asdict(corpus.params),
+        "profiles": [_profile_dict(p) for p in corpus.profiles],
+        "profile_hash": profiles_hash(corpus.profiles),
+        "packets": [{"name": p.name, "tx_label": p.tx_label,
+                     "packet_id": p.packet_id} for p in corpus.packets],
+    }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
     return out
 
 
 def load_corpus(in_dir) -> Corpus:
-    """Read a saved corpus, checking the profile hash and every packet's
-    file size."""
-    src = Path(in_dir)
-    path = src / "manifest.json"
-    manifest = json.loads(path.read_text())
-    params = OfdmParams(**checked_fields(OfdmParams, manifest["params"], path))
-    profiles = []
-    for d in manifest["profiles"]:
-        d = checked_fields(TransmitterProfile, d, path)
-        profiles.append(TransmitterProfile(
-            **{**d, "dc_offset": complex(d["dc_offset"][0], d["dc_offset"][1])}))
+    """Read a corpus that save_corpus wrote.  A manifest key, field or
+    profile_hash that is wrong, or a samples.c64 that does not hold exactly
+    packet_len samples per packet, raises ValueError naming the manifest."""
+    path = Path(in_dir) / "manifest.json"
+    manifest = read_manifest(path, ("seed", "snr_db", "params", "profiles",
+                                    "profile_hash", "packets"))
+    params = build(OfdmParams, manifest["params"], path)
+    profiles = [build(TransmitterProfile, d, path,
+                      dc_offset=lambda v: complex(*v))
+                for d in manifest["profiles"]]
     if profiles_hash(profiles) != manifest["profile_hash"]:
         raise ValueError(f"{path}: profiles do not match their profile_hash")
-    packets = []
-    for entry in manifest["packets"]:
-        file = src / entry["file"]
-        size = file.stat().st_size
-        if size != 8 * params.packet_len:
-            raise ValueError(f"{file}: {size} bytes, expected "
-                             f"{params.packet_len} complex64 samples")
-        samples = np.fromfile(file, dtype="<c8")
-        packets.append(IqPacket(samples=samples, tx_label=entry["tx_label"],
-                                packet_id=entry["packet_id"],
-                                name=entry["name"]))
+    entries = manifest["packets"]
+    samples = read_array(path, "samples.c64", "<c8",
+                         (len(entries), params.packet_len))
+    packets = [build(IqPacket, {**entry, "samples": row}, path)
+               for entry, row in zip(entries, samples)]
     return Corpus(packets=packets, profiles=profiles, params=params,
                   seed=manifest["seed"], snr_db=manifest["snr_db"])

@@ -40,6 +40,21 @@ def test_onset_all_zero_raises():
         detect_onset(np.zeros(100, dtype=complex), tau=0.05)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.05, np.nan, np.inf])
+def test_onset_rejects_a_threshold_no_sample_can_cross(tau):
+    # NoOnset is the per-packet failure an identify loop counts, so a bad
+    # threshold must not read as every packet failing
+    f = np.array([0.01, 0.9]) + 0j
+    for call in (lambda: detect_onset(f, tau),
+                 lambda: packets_to_segments(
+                     [IqPacket(f, tx_label=1, packet_id=0, name="p")], 1,
+                     tau)):
+        with pytest.raises(ValueError, match="tau must be finite and > 0") \
+                as err:
+            call()
+        assert not isinstance(err.value, NoOnset)
+
+
 def test_onset_uses_real_part_magnitude():
     f = np.array([0.9j, -0.2 + 0.0j])
     assert detect_onset(f, tau=0.05) == 2  # imaginary part never counts

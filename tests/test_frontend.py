@@ -276,16 +276,18 @@ def test_extraction_equals_tanh_first_two_pool_reference(shape, output_dim,
                                    expected, rtol=0, atol=1e-14)
 
 
+_SWEEP_SHAPES = [(40, w) for w in range(60, 301)] \
+    + [(128, w) for w in (511, 512, 513, 2047, 2048)]
+
+
 def test_every_poolable_width_reads_only_whole_windows():
     # STRIDE divides PATCH, so the columns the phases read never run past
     # the scalogram and no filter tap is padding: on every shape that
     # pools to OUTPUT_DIM, the phase GEMMs match the im2col oracle
-    shapes = [(40, w) for w in range(60, 301)] \
-        + [(128, w) for w in (511, 512, 513, 2047, 2048)]
     rng = np.random.default_rng(23)
     filters = rng.normal(size=(N_FILTERS, 64))
     checked = 0
-    for shape in shapes:
+    for shape in _SWEEP_SHAPES:
         try:
             pools = pool_windows(shape)
         except ValueError:
@@ -297,6 +299,45 @@ def test_every_poolable_width_reads_only_whole_windows():
                                    rtol=0, atol=1e-14)
         checked += 1
     assert checked == 242  # 237 widths at 40 rows and all 5 at 128
+
+
+def _brute_force_pools(shape):
+    """pool_windows by trying every window pair on both axes: the pair of
+    axes covering the most convolution pixels, ties broken by each axis's
+    (covered, -w1 - w2, w1, w2); None when no pair reaches OUTPUT_DIM."""
+    conv = [(n - p) // stride + 1
+            for n, p, stride in zip(shape, PATCH, STRIDE)]
+    best_per_out = []
+    for extent in conv:
+        best = {}
+        for w1 in range(1, extent + 1):
+            for w2 in range(1, extent // w1 + 1):
+                out = extent // w1 // w2
+                cand = (w1 * w2 * out, -w1 - w2, w1, w2)
+                best[out] = max(best.get(out, cand), cand)
+        best_per_out.append(best)
+    per_map = OUTPUT_DIM // N_FILTERS
+    cands = [(rows[0] * cols[0], rows, cols)
+             for h_out, rows in best_per_out[0].items()
+             for w_out, cols in best_per_out[1].items()
+             if h_out * w_out == per_map]
+    if not cands:
+        return None
+    _, (_, _, h1, h2), (_, _, w1, w2) = max(cands)
+    return (h1, w1), (h2, w2)
+
+
+def test_pool_windows_equal_a_search_over_every_window_pair():
+    raised = 0
+    for shape in _SWEEP_SHAPES:
+        expected = _brute_force_pools(shape)
+        if expected is None:
+            raised += 1
+            with pytest.raises(ValueError, match="no two-stage pooling"):
+                pool_windows(shape)
+        else:
+            assert pool_windows(shape) == expected, shape
+    assert raised == 4
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

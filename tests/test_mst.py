@@ -514,6 +514,26 @@ def test_confusion_rejects_labels_outside_range():
         confusion_from_predictions([1, 2], [1, 3], 2)
 
 
+def test_confusion_rejects_non_integer_labels():
+    # float labels used to fail as a bare IndexError while counting
+    with pytest.raises(ValueError, match="true labels must be integers"):
+        confusion_from_predictions([1.0, 2.0], [1, 2], 2)
+    with pytest.raises(ValueError, match="predicted labels must be integers"):
+        confusion_from_predictions([1, 2], np.array([1.5, 2.0]), 2)
+
+
+def test_confusion_counts_match_a_pairwise_count():
+    rng = np.random.default_rng(5)
+    y_true, y_pred = rng.integers(1, 6, size=(2, 300), dtype=np.uint8)
+    expected = np.zeros((5, 5), dtype=int)
+    for t, p in zip(y_true, y_pred):
+        expected[t - 1, p - 1] += 1
+    cm = confusion_from_predictions(y_true, y_pred, 5)
+    np.testing.assert_array_equal(cm.counts, expected)
+    empty = confusion_from_predictions([], [], 5)
+    np.testing.assert_array_equal(empty.counts, np.zeros((5, 5), dtype=int))
+
+
 def test_confusion_rejects_labels_of_unequal_length():
     # zip used to drop the unmatched label and report accuracy 1.0
     with pytest.raises(ValueError, match="3 true labels and 2 predicted"):
@@ -668,40 +688,47 @@ def saved_toy_model(tmp_path_factory):
 
 
 def _drop_last_stage(manifest, out):
-    manifest["stages"].pop()
+    manifest["traces"].pop()
 
 
 def _drop_one_final_mlp(manifest, out):
-    manifest["stages"][-1].pop()
+    manifest["traces"][-1].pop()
 
 
 def _drop_one_trace(manifest, out):
-    del manifest["stages"][1][2]["trace"]
+    del manifest["traces"][1][2]
 
 
 def _cut_one_blob(manifest, out):
-    blob = out / manifest["stages"][0][1]["file"]
+    blob = out / "stage1.f64"
     blob.write_bytes(blob.read_bytes()[:-8])
 
 
 def _widen_final_stage(manifest, out):
-    # consistent blobs of another width: they load and pack without error
-    for i, entry in enumerate(manifest["stages"][-1]):
-        net = ann.init_mlp((3, 7, 7, 1), seed=i)
-        ann.pack_parameters(net).astype("<f8").tofile(out / entry["file"])
-        entry["layer_sizes"] = list(net.layer_sizes)
+    # a consistent stage file of another width: it would unpack and pack
+    # without error
+    with open(out / "stage3.f64", "wb") as f:
+        for i in range(5):
+            net = ann.init_mlp((3, 7, 7, 1), seed=i)
+            ann.pack_parameters(net).astype("<f8").tofile(f)
+
+
+def _append_to_one_blob(manifest, out):
+    with open(out / "stage2.f64", "ab") as f:
+        f.write(b"\0" * 4)                    # half of one more float64
 
 
 @pytest.mark.parametrize("tamper, message", [
-    (_drop_last_stage, "2 stage groups for 3 configured stages"),
-    (_drop_one_final_mlp, "stage 3 has 4 MLPs, configured 5"),
-    (_widen_final_stage, r"stage 3 layer sizes differ from the configured "
-                         r"\(3, 6, 6, 1\)"),
-    (_drop_one_trace, "stage 2 MLP 3 has no trace"),
-    (_cut_one_blob, r"stage 1 MLP 2: \S*stage1_mlp2\.f64 has 624 bytes, "
-                    r"expected 632"),
+    (_drop_last_stage, r"\[6, 3\] traces per stage for \[6, 3, 5\] "
+                       r"configured MLPs"),
+    (_drop_one_final_mlp, r"\[6, 3, 4\] traces per stage"),
+    (_widen_final_stage, r"\S*stage3\.f64 has 3680 bytes, expected 2920 "
+                         r"for \(5, 73\) <f8"),
+    (_drop_one_trace, r"\[6, 2, 5\] traces per stage"),
+    (_cut_one_blob, r"\S*stage1\.f64 has 3784 bytes, expected 3792"),
+    (_append_to_one_blob, r"\S*stage2\.f64 has 2188 bytes, expected 2184"),
 ], ids=["stage_count", "mlp_count", "layer_sizes", "missing_trace",
-        "short_blob"])
+        "short_blob", "trailing_bytes"])
 def test_load_model_rejects_stage_groups_not_matching_the_configs(
         saved_toy_model, tmp_path, tamper, message):
     out = shutil.copytree(saved_toy_model, tmp_path / "model")
@@ -722,7 +749,8 @@ def test_load_model_rejects_a_nan_stage_goal(saved_toy_model, tmp_path):
                                                "known_labels")])
     manifest["config_hash"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
     (out / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="mse_goal must be positive"):
+    with pytest.raises(ValueError, match=r"manifest\.json: max_iters and "
+                                         r"mse_goal must be positive"):
         load_model(out)
 
 
@@ -735,20 +763,33 @@ def _missing_config_key(manifest):
 
 
 def _unknown_trace_key(manifest):
-    manifest["stages"][0][0]["trace"]["wall_s"] = 0.1
+    manifest["traces"][0][0]["wall_s"] = 0.1
 
 
 def _missing_trace_key(manifest):
-    del manifest["stages"][1][0]["trace"]["seconds"]
+    del manifest["traces"][1][0]["seconds"]
 
 
 def _missing_stop_key(manifest):
-    del manifest["stages"][2][1]["trace"]["stop"]["max_iters"]
+    del manifest["traces"][2][1]["stop"]["max_iters"]
 
 
 def _old_stop_key(manifest):
     # saved before a rejected LM step stopped training at once
-    manifest["stages"][0][0]["trace"]["stop"]["mu_patience"] = 10
+    manifest["traces"][0][0]["stop"]["mu_patience"] = 10
+
+
+def _file_in_trace(manifest):
+    # saved when the manifest named each MLP's parameter file
+    manifest["traces"][1][1]["file"] = "stage2_mlp2.f64"
+
+
+def _missing_traces(manifest):
+    del manifest["traces"]
+
+
+def _old_stage_groups(manifest):
+    manifest["stages"] = []
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -758,8 +799,12 @@ def _old_stop_key(manifest):
     (_missing_trace_key, "TrainRun key 'seconds' is missing"),
     (_missing_stop_key, "StopCriteria key 'max_iters' is missing"),
     (_old_stop_key, "unknown StopCriteria key 'mu_patience'"),
+    (_file_in_trace, "unknown TrainRun key 'file'"),
+    (_missing_traces, "manifest key 'traces' is missing"),
+    (_old_stage_groups, "unknown manifest key 'stages'"),
 ], ids=["unknown_config_key", "missing_config_key", "unknown_trace_key",
-        "missing_trace_key", "missing_stop_key", "old_stop_key"])
+        "missing_trace_key", "missing_stop_key", "old_stop_key",
+        "file_in_trace", "missing_traces", "old_stage_groups"])
 def test_load_model_names_the_manifest_and_an_unknown_or_missing_key(
         saved_toy_model, tmp_path, tamper, message):
     out = shutil.copytree(saved_toy_model, tmp_path / "model")
@@ -768,3 +813,26 @@ def test_load_model_names_the_manifest_and_an_unknown_or_missing_key(
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=r"manifest\.json: " + message):
         load_model(out)
+
+
+def test_load_model_names_the_manifest_on_a_stop_criterion_error(
+        saved_toy_model, tmp_path):
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["traces"][2][0]["stop"]["max_iters"] = 0
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: max_iters and "
+                                         r"mse_goal must be positive"):
+        load_model(out)
+
+
+def test_saved_model_is_a_manifest_and_one_parameter_file_per_stage(
+        saved_toy_model):
+    assert sorted(f.name for f in saved_toy_model.iterdir()) == \
+        ["manifest.json", "stage1.f64", "stage2.f64", "stage3.f64"]
+    model = load_model(saved_toy_model)
+    for s, stage in enumerate(model.stages, start=1):
+        expected = b"".join(ann.pack_parameters(net).astype("<f8").tobytes()
+                            for net in stage.mlps)
+        assert (saved_toy_model / f"stage{s}.f64").read_bytes() == expected
+    assert '"file"' not in (saved_toy_model / "manifest.json").read_text()

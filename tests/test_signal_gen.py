@@ -128,6 +128,21 @@ def test_params_reject_rates_that_would_be_rounded(field, kw):
         OfdmParams(**kw)
 
 
+@pytest.mark.parametrize("field, kw", [
+    ("burst_rms", {"burst_rms": 0.0}),          # an all-zero burst
+    ("burst_rms", {"burst_rms": -0.35}),        # an inverted burst
+    ("burst_rms", {"burst_rms": float("nan")}),
+    ("burst_rms", {"burst_rms": float("inf")}),
+    ("silence_len", {"silence_len": -5}),
+    ("ramp_len", {"ramp_len": -3}),             # a silently skipped ramp
+    ("ramp_len", {"ramp_len": 20_000}),
+    ("ramp_len", {"silence_len": 10_001}),
+])
+def test_params_reject_bursts_that_modulate_cannot_make(field, kw):
+    with pytest.raises(ValueError, match=field):
+        OfdmParams(**kw)
+
+
 def test_profile_validation_rejects_out_of_range():
     with pytest.raises(ValueError):
         quiet_profile(amam_cubic_coeff=1.5)
@@ -447,19 +462,18 @@ def test_load_rejects_profiles_not_matching_their_hash(tmp_path):
 
 def test_load_rejects_truncated_packet(tmp_path):
     out = _saved_corpus(tmp_path)
-    path = out / json.loads((out / "manifest.json").read_text())[
-        "packets"][0]["file"]
-    path.write_bytes(path.read_bytes()[:8000])      # 1000 of 1500 samples
+    path = out / "samples.c64"
+    # the last packet keeps 1000 of its 1500 samples
+    path.write_bytes(path.read_bytes()[:-4000])
     with pytest.raises(ValueError):
         load_corpus(out)
 
 
 def test_load_rejects_trailing_partial_sample(tmp_path):
     out = _saved_corpus(tmp_path)
-    name = json.loads((out / "manifest.json").read_text())["packets"][1]["file"]
-    with open(out / name, "ab") as f:
+    with open(out / "samples.c64", "ab") as f:
         f.write(b"\0" * 4)                    # half of one more sample
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=r"samples\.c64 has 48004 bytes"):
         load_corpus(out)
 
 
@@ -479,13 +493,24 @@ def _missing_params_key(manifest):
     del manifest["params"]["packet_len"]
 
 
+def _file_in_packet(manifest):
+    # saved when the manifest named each packet's file
+    manifest["packets"][2]["file"] = "Y06v2_Tx2_0000.iq"
+
+
+def _missing_packets(manifest):
+    del manifest["packets"]
+
+
 @pytest.mark.parametrize("tamper, message", [
     (_unknown_profile_key, "unknown TransmitterProfile key 'timing_jitter'"),
     (_missing_profile_key, "TransmitterProfile key 'dc_offset' is missing"),
     (_unknown_params_key, "unknown OfdmParams key 'symbol_rate'"),
     (_missing_params_key, "OfdmParams key 'packet_len' is missing"),
+    (_file_in_packet, "unknown IqPacket key 'file'"),
+    (_missing_packets, "manifest key 'packets' is missing"),
 ], ids=["unknown_profile_key", "missing_profile_key", "unknown_params_key",
-        "missing_params_key"])
+        "missing_params_key", "file_in_packet", "missing_packets"])
 def test_load_names_the_manifest_and_an_unknown_or_missing_key(
         tmp_path, tamper, message):
     out = _saved_corpus(tmp_path)
@@ -494,3 +519,43 @@ def test_load_names_the_manifest_and_an_unknown_or_missing_key(
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=r"manifest\.json: " + message):
         load_corpus(out)
+
+
+def _zero_packet_len(manifest):
+    manifest["params"]["packet_len"] = 0
+
+
+def _third_tx_index(manifest):
+    manifest["profiles"][1]["tx_index"] = 3
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_zero_packet_len, "packet_len must be >= 1"),
+    (_third_tx_index, "tx_index must be 1 or 2"),
+], ids=["packet_len", "tx_index"])
+def test_load_names_the_manifest_on_a_field_error(tmp_path, tamper, message):
+    out = _saved_corpus(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    tamper(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: " + message):
+        load_corpus(out)
+
+
+def test_saved_corpus_is_a_manifest_and_one_capture_file(tmp_path):
+    corpus = generate_corpus(default_profiles()[:2], 2, seed=4, params=FAST,
+                             noise_snr_db=25.0)
+    out = save_corpus(corpus, tmp_path / "corpus")
+    assert sorted(f.name for f in out.iterdir()) == \
+        ["manifest.json", "samples.c64"]
+    # every packet's complex64 bytes, back to back in packet order
+    assert (out / "samples.c64").read_bytes() == b"".join(
+        p.samples.astype("<c8").tobytes() for p in corpus.packets)
+    assert '"file"' not in (out / "manifest.json").read_text()
+
+
+def test_save_rejects_a_packet_of_another_length(tmp_path):
+    corpus = generate_corpus([quiet_profile()], 2, seed=4, params=FAST)
+    corpus.packets[0].samples = corpus.packets[0].samples[:-1]
+    with pytest.raises(ValueError, match="packet_len=1500 samples"):
+        save_corpus(corpus, tmp_path / "corpus")
