@@ -5,13 +5,16 @@ check that each workload's model and corpus survive a save and load.
 Builds each workload's corpus, training features and model with
 `perfbench/workloads.py` and prints one JSON line per workload:
 
-    {"workload", "corpus", "features", "stages", "iterations"}
+    {"workload", "corpus", "features", "filters", "stages", "iterations"}
 
 `corpus` is the first 16 hex digits of `corpus_digest`, `features` the
-first 16 of the sha256 of the training feature matrix, `stages` the
-model's `stage_hashes()` and `iterations` its total LM iterations.  Two
-commits that print the same lines built the same corpus, features and
-models.
+first 16 of the sha256 of the training feature matrix, `filters` the first
+16 of the sha256 of the trained front-end's filters (null on a workload
+without a front-end), `stages` the model's `stage_hashes()` and
+`iterations` its total LM iterations.  Two commits that print the same
+lines built the same corpus, front-end, features and models; a front-end
+change moves `filters` as well as the features and stages, an MST change
+only the stages.
 
 Each model and corpus is then saved to and loaded from a temporary
 directory.  The script exits 1 unless the loaded model's `stage_hashes()`
@@ -68,6 +71,8 @@ def main() -> int:
             "workload": wl.name,
             "corpus": workloads.corpus_digest(corpus)[:16],
             "features": hashlib.sha256(ts.x.tobytes()).hexdigest()[:16],
+            "filters": None if ts.front is None else
+            hashlib.sha256(ts.front.filters.tobytes()).hexdigest()[:16],
             "stages": model.stage_hashes(),
             "iterations": sum(run.iterations for runs in model.traces
                               for run in runs),

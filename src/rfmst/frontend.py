@@ -2,13 +2,14 @@
 
 `train_frontend` fits a `FrontEnd` on training-split scalograms, and
 calling that `FrontEnd` is the one way to extract features.  A
-self-organizing map trained on patches sampled from those scalograms
-supplies the convolution filter weights, and per-scale pixel statistics
-standardize each row.  Each scalogram is convolved with every node (valid
-positions), reduced by two non-overlapping max-pool stages sized so the
-flattened output has exactly `OUTPUT_DIM` entries, then squashed with
-tanh.  Only the convolution positions the pools keep are computed, and
-tanh, being monotone, is applied to the pooled values alone.
+self-organizing map trained in batch epochs on patches sampled from those
+scalograms (`train_som`: block GEMMs on one BLAS thread) supplies the
+convolution filter weights, and per-scale pixel statistics standardize
+each row.  Each scalogram is convolved with every node (valid positions),
+reduced by two non-overlapping max-pool stages sized so the flattened
+output has exactly `OUTPUT_DIM` entries, then squashed with tanh.  Only the
+convolution positions the pools keep are computed, and tanh, being
+monotone, is applied to the pooled values alone.
 
 The convolution runs by column phase instead of im2col: the pixels it
 reads are standardized once into a layout where each filter slab sees
@@ -24,26 +25,31 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .mst import single_threaded_blas
+
 PATCH = (8, 8)             # filter rows (scales) x columns (translations)
 STRIDE = (4, 4)            # divides PATCH, so every filter tap reads a pixel
 SOM_GRID = (4, 4)          # SOM nodes, one convolution filter each
 OUTPUT_DIM = 256           # features per scalogram
-SOM_LR = (0.5, 0.02)       # learning rate, first and last SOM step
-SOM_RADIUS = (1.5, 0.3)    # neighbourhood radius, first and last SOM step
-SOM_EPOCHS = 3
+SOM_RADIUS = (1.5, 0.3)    # neighbourhood radius, first and last SOM epoch
+SOM_EPOCHS = 15
+SOM_BLOCK = 512            # patches per GEMM of a SOM epoch
 N_PATCHES = 4000           # patches the SOM trains on
 MAX_PATCH_SOURCES = 256    # training scalograms the patches come from
 
 
+@single_threaded_blas()
 def train_som(patches: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Classical online SOM on a SOM_GRID of nodes; returns the trained
+    """Kohonen's batch SOM on a SOM_GRID of nodes; returns the trained
     (n_nodes, patch_dim) node vectors, row-major over the grid.
 
-    The nodes start uniform on [0, 1).  Per sample: the best-matching node
-    (Euclidean) and its grid neighbors move toward the sample, with
-    learning rate and neighborhood radius decaying geometrically from
-    SOM_LR[0] to SOM_LR[1] and SOM_RADIUS[0] to SOM_RADIUS[1] over
-    SOM_EPOCHS passes.  Deterministic per seed.
+    The nodes start uniform on [0, 1).  Each of SOM_EPOCHS epochs sets every
+    node to the mean of the patches weighted by exp(-d2 / (2 r^2)), d2 its
+    grid distance from a patch's best-matching node, as r falls
+    geometrically over SOM_RADIUS.  No sum of weights is zero: the least
+    weight is exp(-18 / (2 * 0.3^2)) ~ 4e-44.  SOM_BLOCK patches per GEMM
+    keep temporaries small, and one BLAS thread keeps the nodes independent
+    of the caller's thread count.  Deterministic per seed.
     """
     patches = np.asarray(patches, dtype=np.float64)
     n_nodes = SOM_GRID[0] * SOM_GRID[1]
@@ -57,22 +63,16 @@ def train_som(patches: np.ndarray, seed: int = 0) -> np.ndarray:
     coords = np.indices(SOM_GRID).reshape(2, -1).T.astype(float)
     # grid_dist2[k] holds the squared grid distances from node k to every node
     grid_dist2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
-    (lr_initial, lr_final), (radius_initial, radius_final) = SOM_LR, SOM_RADIUS
-    rng = np.random.default_rng(np.random.SeedSequence([0x50F + 1, seed]))
-    total_steps = SOM_EPOCHS * patches.shape[0]
-    step = 0
-    for _ in range(SOM_EPOCHS):
-        order = rng.permutation(patches.shape[0])
-        for idx in order:
-            x = patches[idx]
-            frac = step / max(total_steps - 1, 1)
-            lr = lr_initial * (lr_final / lr_initial) ** frac
-            radius = radius_initial * (radius_final / radius_initial) ** frac
-            diff = nodes - x
-            best = int(np.argmin((diff ** 2).sum(axis=1)))
-            influence = lr * np.exp(-grid_dist2[best] / (2 * radius**2))
-            nodes -= influence[:, None] * diff
-            step += 1
+    for radius in np.geomspace(*SOM_RADIUS, SOM_EPOCHS):
+        weighted_sum, weight = np.zeros_like(nodes), np.zeros(n_nodes)
+        for start in range(0, len(patches), SOM_BLOCK):
+            x = patches[start : start + SOM_BLOCK]
+            # |x - node|^2 less |x|^2, which does not move the argmin
+            d2 = -2 * x @ nodes.T + (nodes**2).sum(axis=1)
+            h = np.exp(-grid_dist2[d2.argmin(axis=1)] / (2 * radius**2))
+            weighted_sum += h.T @ x
+            weight += h.sum(axis=0)
+        nodes = weighted_sum / weight[:, None]
     return nodes
 
 
@@ -136,11 +136,12 @@ def sample_patches(scalograms, n_patches: int, row_mean: np.ndarray,
     # per coordinate
     shapes = np.array([s.shape for s in scalograms])
     corners = rng.integers(0, shapes[which] - (p - 1, q - 1))
-    for i, (s_idx, (r, c)) in enumerate(zip(which, corners)):
-        s = scalograms[s_idx]
-        rows = slice(r, r + p)
-        out[i] = ((s[rows, c : c + q] - row_mean[rows, None])
-                  / row_scale[rows, None]).reshape(-1)
+    for k in np.unique(which):      # one gather per source scalogram
+        i = np.flatnonzero(which == k)
+        rows = corners[i, 0, None, None] + np.arange(p)[:, None]
+        cols = corners[i, 1, None, None] + np.arange(q)
+        out[i] = ((scalograms[k][rows, cols] - row_mean[rows])
+                  / row_scale[rows]).reshape(len(i), -1)
     return out
 
 
@@ -239,19 +240,24 @@ class FrontEnd:
 def train_frontend(train_scalograms, seed: int = 0) -> FrontEnd:
     """Fit the pixel statistics and SOM filters on training-split scalograms:
     the SOM trains on N_PATCHES patches drawn from at most
-    MAX_PATCH_SOURCES of them."""
+    MAX_PATCH_SOURCES of them.  Raises ValueError unless every scalogram is
+    2-D with the first one's shape and every pixel is finite."""
     n = len(train_scalograms)
     if n == 0:
         raise ValueError("no training scalograms")
     shape = np.asarray(train_scalograms[0]).shape
-    pools = pool_windows(shape)
     # one-pass per-scale moments, without a stacked copy of the scalograms
-    total = np.zeros(shape[0])
-    total_sq = np.zeros(shape[0])
+    total, total_sq = np.zeros((2, *shape[:1]))
     for s in train_scalograms:
         s = np.asarray(s, dtype=np.float64)
+        if s.ndim != 2 or s.shape != shape:
+            raise ValueError(f"training scalograms of shapes {shape} and "
+                             f"{s.shape}; all must be 2-D and alike")
         total += s.sum(axis=1)
         total_sq += (s**2).sum(axis=1)
+    if not np.isfinite([total, total_sq]).all():
+        raise ValueError("training scalograms have a NaN or infinite pixel")
+    pools = pool_windows(shape)
     count = n * shape[1]
     row_mean = total / count
     row_scale = np.sqrt(np.maximum(total_sq / count - row_mean**2, 0.0))

@@ -565,8 +565,9 @@ def save_model(model: MstModel, out_dir) -> Path:
 
 def load_model(in_dir) -> MstModel:
     """Read a model that save_model wrote.  A manifest key, trace count,
-    config_hash or field that is wrong, or a stage file that does not hold
-    exactly its configured MLPs, raises ValueError naming the manifest."""
+    config_hash, field or known_labels (not distinct in 1..n_labels) that
+    is wrong, or a stage file that does not hold exactly its configured
+    MLPs, raises ValueError naming the manifest."""
     path = Path(in_dir) / "manifest.json"
     manifest = read_manifest(path, (
         "n_labels", "order", "seed", "known_labels", "input_dim",
@@ -579,6 +580,11 @@ def load_model(in_dir) -> MstModel:
     if counts != [c.n_mlps for c in configs]:
         raise ValueError(f"{path}: {counts} traces per stage for "
                          f"{[c.n_mlps for c in configs]} configured MLPs")
+    n_labels, known = manifest["n_labels"], manifest["known_labels"]
+    if len(set(known)) < len(known) or not all(
+            type(v) is int and 1 <= v <= n_labels for v in known):
+        raise ValueError(f"{path}: known_labels {known} are not distinct "
+                         f"labels in 1..{n_labels}")
     stages, fan_in = [], manifest["input_dim"]
     for s, cfg in enumerate(configs, start=1):
         sizes = cfg.layer_sizes(fan_in)
@@ -589,9 +595,9 @@ def load_model(in_dir) -> MstModel:
             cfg.n_mlps))
         fan_in = cfg.n_mlps
     model = MstModel(configs=configs, stages=stages,
-                     n_labels=manifest["n_labels"], order=manifest["order"],
+                     n_labels=n_labels, order=manifest["order"],
                      seed=manifest["seed"], traces=traces,
-                     known_labels=tuple(manifest["known_labels"]))
+                     known_labels=tuple(known))
     if model.config_hash() != manifest["config_hash"]:
         raise ValueError(f"{path}: configuration does not match its "
                          "config_hash")

@@ -385,6 +385,13 @@ class Corpus:
     seed: int
     snr_db: float | None
 
+    def __post_init__(self):
+        validate_profiles(self.profiles)
+        n = len(self.profiles)
+        bad = [p.tx_label for p in self.packets if not 1 <= p.tx_label <= n]
+        if bad:
+            raise ValueError(f"packet tx_label {bad[0]} outside 1..{n}")
+
     @property
     def n_transmitters(self) -> int:
         return len(self.profiles)
@@ -541,8 +548,9 @@ def save_corpus(corpus: Corpus, out_dir) -> Path:
 
 def load_corpus(in_dir) -> Corpus:
     """Read a corpus that save_corpus wrote.  A manifest key, field or
-    profile_hash that is wrong, or a samples.c64 that does not hold exactly
-    packet_len samples per packet, raises ValueError naming the manifest."""
+    profile_hash that is wrong, a Corpus that fails its own checks, or a
+    samples.c64 that does not hold exactly packet_len samples per packet,
+    raises ValueError naming the manifest."""
     path = Path(in_dir) / "manifest.json"
     manifest = read_manifest(path, ("seed", "snr_db", "params", "profiles",
                                     "profile_hash", "packets"))
@@ -557,5 +565,6 @@ def load_corpus(in_dir) -> Corpus:
                          (len(entries), params.packet_len))
     packets = [build(IqPacket, {**entry, "samples": row}, path)
                for entry, row in zip(entries, samples)]
-    return Corpus(packets=packets, profiles=profiles, params=params,
-                  seed=manifest["seed"], snr_db=manifest["snr_db"])
+    return build(Corpus, dict(packets=packets, profiles=profiles,
+                              params=params, seed=manifest["seed"],
+                              snr_db=manifest["snr_db"]), path)

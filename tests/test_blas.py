@@ -1,7 +1,7 @@
 """BLAS policy of MST training: one BLAS thread inside train_mst, the
 caller's thread counts back after it, also when it raises, and models,
-labels and front-end features that do not depend on the caller's thread
-count.
+labels, front-end filters and features that do not depend on the
+caller's thread count.
 
 The thread counts are read and set here through the OpenBLAS libraries
 that numpy and scipy bundle, found independently of rfmst.  Every test
@@ -20,7 +20,7 @@ import pytest
 import scipy
 
 from rfmst import mst
-from rfmst.frontend import FrontEnd, pool_windows
+from rfmst.frontend import FrontEnd, pool_windows, train_frontend
 from rfmst.mst import (
     CLASS_INDEX,
     DETECTOR_BLOCKS,
@@ -147,6 +147,23 @@ def test_frontend_features_do_not_depend_on_caller_thread_count(two_threads):
             setter(n)
         features.append([front(s) for s in scalograms])
     np.testing.assert_array_equal(features[0], features[1])
+
+
+def test_frontend_filters_do_not_depend_on_caller_thread_count(two_threads,
+                                                               caplog):
+    # the SOM's block GEMMs: (512 x 64) @ (64 x 16) and (16 x 512) @ (512 x 64)
+    rng = np.random.default_rng(5)
+    scalograms = list(rng.gamma(2.0, size=(8, 128, 512)))
+    filters = []
+    for n in (1, 2):
+        for setter, _ in BLAS:
+            setter(n)
+        with caplog.at_level(logging.DEBUG, logger="rfmst.mst"):
+            filters.append(train_frontend(scalograms, seed=6).filters.tobytes())
+    assert filters[0] == filters[1]
+    # the SOM ran pinned to one thread, and the caller's two came back
+    assert "pinned to 1 (were [2" in caplog.text
+    assert _counts() == [2] * len(BLAS)
 
 
 def test_caller_thread_counts_restored_after_training(two_threads):

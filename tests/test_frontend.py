@@ -10,9 +10,9 @@ from rfmst.frontend import (
     N_PATCHES,
     OUTPUT_DIM,
     PATCH,
+    SOM_BLOCK,
     SOM_EPOCHS,
     SOM_GRID,
-    SOM_LR,
     SOM_RADIUS,
     STRIDE,
     FrontEnd,
@@ -78,35 +78,33 @@ def test_som_deterministic_under_seed():
                                   train_som(data, seed=9))
 
 
-def _som_reference(patches, seed):
-    """Online SOM written step by step from its definition."""
+def _batch_som_reference(patches, seed):
+    """Batch SOM written epoch by epoch from its definition: each node
+    becomes the mean of every patch, weighted by the grid neighbourhood of
+    the patch's best-matching node."""
     rows, cols = SOM_GRID
     init = np.random.default_rng(np.random.SeedSequence([0x50F, seed]))
     nodes = init.uniform(0.0, 1.0, size=(rows * cols, patches.shape[1]))
     rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     coords = np.stack([rr.reshape(-1), cc.reshape(-1)], axis=1).astype(float)
-    (lr0, lr1), (r0, r1) = SOM_LR, SOM_RADIUS
-    rng = np.random.default_rng(np.random.SeedSequence([0x50F + 1, seed]))
-    total_steps = SOM_EPOCHS * patches.shape[0]
-    step = 0
-    for _ in range(SOM_EPOCHS):
-        for idx in rng.permutation(patches.shape[0]):
-            x = patches[idx]
-            frac = step / max(total_steps - 1, 1)
-            lr = lr0 * (lr1 / lr0) ** frac
-            radius = r0 * (r1 / r0) ** frac
-            best = int(np.argmin(((nodes - x) ** 2).sum(axis=1)))
-            dist2 = ((coords - coords[best]) ** 2).sum(axis=1)
-            nodes += lr * np.exp(-dist2 / (2 * radius**2))[:, None] * (x - nodes)
-            step += 1
+    for radius in np.geomspace(SOM_RADIUS[0], SOM_RADIUS[1], SOM_EPOCHS):
+        best = np.array([np.argmin(((nodes - x) ** 2).sum(axis=1))
+                         for x in patches])
+        updated = np.empty_like(nodes)
+        for k in range(len(nodes)):
+            dist2 = ((coords[best] - coords[k]) ** 2).sum(axis=1)
+            weight = np.exp(-dist2 / (2 * radius**2))
+            updated[k] = (weight[:, None] * patches).sum(axis=0) / weight.sum()
+        nodes = updated
     return nodes
 
 
-def test_som_equals_step_by_step_reference():
+def test_som_equals_batch_reference():
+    # more patches than one block, and a last block that is not full
     rng = np.random.default_rng(6)
-    data = rng.normal(size=(150, 10))
-    np.testing.assert_array_equal(train_som(data, seed=2),
-                                  _som_reference(data, 2))
+    data = rng.normal(size=(2 * SOM_BLOCK + 76, 10))
+    np.testing.assert_allclose(train_som(data, seed=2),
+                               _batch_som_reference(data, 2), rtol=1e-12)
 
 
 def test_som_rejects_empty_or_mismatched_patches():
@@ -424,6 +422,26 @@ def test_patches_standardized_alone_match_whole_scalogram_oracle():
                          fe.row_scale, seed=seed)
     assert got.tobytes() == expected.tobytes()
     assert fe.filters.tobytes() == train_som(expected, seed=seed).tobytes()
+
+
+def test_train_frontend_rejects_a_scalogram_of_another_shape():
+    # the per-scale sums would still fit, and be divided by 4 * 512 pixels
+    rng = np.random.default_rng(15)
+    scalos = [rng.gamma(2.0, size=(128, 512)) for _ in range(3)]
+    scalos.append(rng.gamma(2.0, size=(128, 700)))
+    with pytest.raises(ValueError,
+                       match=r"shapes \(128, 512\) and \(128, 700\); "
+                             r"all must be 2-D and alike"):
+        train_frontend(scalos)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_frontend_rejects_a_non_finite_pixel(value):
+    rng = np.random.default_rng(16)
+    scalos = [rng.gamma(2.0, size=(128, 512)) for _ in range(3)]
+    scalos[1][40, 100] = value
+    with pytest.raises(ValueError, match="NaN or infinite pixel"):
+        train_frontend(scalos)
 
 
 # ---------------------------------------------------------------------------

@@ -739,19 +739,49 @@ def test_load_model_rejects_stage_groups_not_matching_the_configs(
         load_model(out)
 
 
-def test_load_model_rejects_a_nan_stage_goal(saved_toy_model, tmp_path):
-    out = shutil.copytree(saved_toy_model, tmp_path / "model")
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["configs"][1]["mse_goal"] = float("nan")
-    # a config_hash that matches, as MstModel.config_hash computes it
+def _rehash(manifest):
+    """Give an edited manifest the config_hash that matches it, as
+    MstModel.config_hash computes it."""
     blob = json.dumps([list(c.values()) for c in manifest["configs"]]
                       + [manifest[k] for k in ("n_labels", "order", "seed",
                                                "known_labels")])
     manifest["config_hash"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def test_load_model_rejects_a_nan_stage_goal(saved_toy_model, tmp_path):
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["configs"][1]["mse_goal"] = float("nan")
+    _rehash(manifest)
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=r"manifest\.json: max_iters and "
                                          r"mse_goal must be positive"):
         load_model(out)
+
+
+@pytest.mark.parametrize("n_labels, known", [
+    (1, [9]), (3, [2, 2]), (3, [0]), (3, [1.0]),
+], ids=["outside_n_labels", "repeated", "zero", "float"])
+def test_load_model_rejects_known_labels_outside_n_labels(
+        saved_toy_model, tmp_path, n_labels, known):
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["n_labels"], manifest["known_labels"] = n_labels, known
+    _rehash(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: known_labels "
+                                         r".* are not distinct labels in "
+                                         rf"1\.\.{n_labels}"):
+        load_model(out)
+
+
+def test_load_model_takes_known_labels_in_any_order(saved_toy_model, tmp_path):
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["known_labels"] = [3, 1]
+    _rehash(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert load_model(out).known_labels == (3, 1)
 
 
 def _unknown_config_key(manifest):

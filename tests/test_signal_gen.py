@@ -542,6 +542,34 @@ def test_load_names_the_manifest_on_a_field_error(tmp_path, tamper, message):
         load_corpus(out)
 
 
+def test_load_rejects_a_repeated_transmitter(tmp_path):
+    # two ('Y06v2', 1) transmitters with different carrier offsets, under a
+    # profile_hash that matches them
+    out = _saved_corpus(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    first, second = default_profiles()[:2]
+    second = dataclasses.replace(
+        second, tx_index=1,
+        carrier_freq_offset=second.carrier_freq_offset + 100.0)
+    manifest["profiles"][1]["tx_index"] = 1
+    manifest["profiles"][1]["carrier_freq_offset"] = second.carrier_freq_offset
+    manifest["profile_hash"] = profiles_hash([first, second])
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: duplicate "
+                                         r"transmitter \('Y06v2', 1\)"):
+        load_corpus(out)
+
+
+def test_load_rejects_a_label_outside_the_profiles(tmp_path):
+    out = _saved_corpus(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["packets"][3]["tx_label"] = 7
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: packet tx_label 7 "
+                                         r"outside 1\.\.2"):
+        load_corpus(out)
+
+
 def test_saved_corpus_is_a_manifest_and_one_capture_file(tmp_path):
     corpus = generate_corpus(default_profiles()[:2], 2, seed=4, params=FAST,
                              noise_snr_db=25.0)
