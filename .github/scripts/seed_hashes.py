@@ -21,13 +21,17 @@ directory.  The script exits 1 unless the loaded model's `stage_hashes()`
 and the loaded corpus's `corpus_digest` equal the built ones, and each
 `stage<s>.f64`'s sha256 (first 16 hex digits) equals its stage hash.
 These compare bytes with bytes, so they hold on any little-endian host.
-Run from anywhere:
+
+A last line, for comparison only, names the LAPACK that LM training solved
+with (`rfmst.openblas.lapack()`: a library path, or `scipy.linalg`) and
+this process's peak RSS (`ru_maxrss`, in MB).  Run from anywhere:
 
     python3 .github/scripts/seed_hashes.py --seed 101
 """
 import argparse
 import hashlib
 import json
+import resource
 import sys
 import tempfile
 from pathlib import Path
@@ -81,6 +85,12 @@ def main() -> int:
                                        workloads.corpus_digest):
             print(f"{wl.name}: round trip: {fault}", file=sys.stderr)
             failed = True
+    from rfmst.openblas import lapack
+    print(json.dumps({
+        "lapack": lapack(),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF)
+                             .ru_maxrss / 1024.0, 1),
+    }), flush=True)
     return 1 if failed else 0
 
 

@@ -10,8 +10,12 @@ one-row-per-sample Jacobian J and J'J.  The dual form never forms J: a
 layer's block of J is a row-wise Kronecker product of its input activations
 A and output sensitivities D, so its share of JJ' is (AA' + 1) * (DD'),
 elementwise, and J'v is assembled layer by layer from A'(D * v).  That
-costs O(B^2 * sum of fan_in + fan_out) instead of O(B^2 * P).  The
-first-order trainer is full-batch steepest descent; its MSE gradient,
+costs O(B^2 * sum of fan_in + fan_out) instead of O(B^2 * P).  The damped
+system is solved by Cholesky, cho_factor and cho_solve from
+rfmst.openblas: LAPACK dpotrf and dpotrs in scipy's bundled OpenBLAS, bit
+for bit scipy.linalg's results without importing scipy.linalg.  _lm_delta
+calls cho_factor through this module's global, so a tracer can wrap it.
+The first-order trainer is full-batch steepest descent; its MSE gradient,
 -2/B * J'r, comes from the same sweep.
 """
 from __future__ import annotations
@@ -21,7 +25,8 @@ from functools import partial
 from time import perf_counter
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+
+from .openblas import cho_factor, cho_solve
 
 MU_INIT = 1e-3
 MU_INC = 10.0
@@ -318,10 +323,10 @@ class LmState:
 def _lm_delta(gram, jt_dot, r, mu, dual):
     a = gram.copy()
     a.flat[:: a.shape[0] + 1] += mu
-    factor = cho_factor(a, lower=True, check_finite=False)
+    factor = cho_factor(a)
     if dual:
-        return jt_dot(cho_solve(factor, r, check_finite=False))
-    return cho_solve(factor, jt_dot(r), check_finite=False)
+        return jt_dot(cho_solve(factor, r))
+    return cho_solve(factor, jt_dot(r))
 
 
 def lm_step(net: Mlp, x, t, state: LmState):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TAU = 0.05
-ALLOWED_TRAIN_FRACTIONS = (0.9, 0.5, 0.1, 0.01)
 
 
 class NoOnset(ValueError):
@@ -28,17 +27,6 @@ class Segment:
                                # packet's dtype (complex64 for a corpus)
     onset_index: int           # 1-based N_o
     tx_label: int = 0
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float
-    seed: int
-
-    def __post_init__(self):
-        if self.train_fraction not in ALLOWED_TRAIN_FRACTIONS:
-            raise ValueError(
-                f"train_fraction must be one of {ALLOWED_TRAIN_FRACTIONS}")
 
 
 # Samples in the first window of the onset scan; each later window is
@@ -149,19 +137,6 @@ def stratified_indices(labels: np.ndarray, train_fraction: float, seed: int):
         train_idx.append(perm[:k])
         test_idx.append(perm[k:])
     return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
-
-
-def split(matrix: np.ndarray, labels: np.ndarray, spec: SplitSpec):
-    """Stratified train/test split of a feature matrix.
-
-    Returns ((train_x, train_y), (test_x, test_y)); disjoint, union = corpus.
-    """
-    labels = np.asarray(labels)
-    counts = np.bincount(labels)
-    if counts[counts > 0].min() < 2:
-        raise ValueError("need at least 2 packets per transmitter")
-    tr, te = stratified_indices(labels, spec.train_fraction, spec.seed)
-    return (matrix[tr], labels[tr]), (matrix[te], labels[te])
 
 
 def packets_to_segments(packets, n: int, tau: float = DEFAULT_TAU):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .mst import single_threaded_blas
+from .openblas import single_threaded_blas
 
 PATCH = (8, 8)             # filter rows (scales) x columns (translations)
 STRIDE = (4, 4)            # divides PATCH, so every filter tap reads a pixel
@@ -246,15 +246,17 @@ def train_frontend(train_scalograms, seed: int = 0) -> FrontEnd:
     if n == 0:
         raise ValueError("no training scalograms")
     shape = np.asarray(train_scalograms[0]).shape
-    # one-pass per-scale moments, without a stacked copy of the scalograms
+    # one-pass per-scale moments, without a stacked copy of the scalograms;
+    # each one is squared into the same buffer
     total, total_sq = np.zeros((2, *shape[:1]))
+    squared = np.empty(shape)
     for s in train_scalograms:
         s = np.asarray(s, dtype=np.float64)
         if s.ndim != 2 or s.shape != shape:
             raise ValueError(f"training scalograms of shapes {shape} and "
                              f"{s.shape}; all must be 2-D and alike")
         total += s.sum(axis=1)
-        total_sq += (s**2).sum(axis=1)
+        total_sq += np.square(s, out=squared).sum(axis=1)
     if not np.isfinite([total, total_sq]).all():
         raise ValueError("training scalograms have a NaN or infinite pixel")
     pools = pool_windows(shape)

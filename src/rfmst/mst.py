@@ -27,26 +27,25 @@ arrives.  Each TrainRun's seconds is timed in the process that trained it.
 
 BLAS policy: training runs with the OpenBLAS that numpy and scipy bundle
 pinned to one thread in every process, parent and workers, so a trained
-model does not depend on the BLAS thread count.  The workers inherit the
-pin through fork; OpenBLAS shuts its thread pool down before a fork, so
-the parent forks with one thread.  Classification is not pinned and keeps
-the caller's threading.
+model does not depend on the BLAS thread count.  rfmst.openblas finds those
+libraries and owns the pin (single_threaded_blas), as it owns the LM
+step's Cholesky solve in scipy's OpenBLAS.  The workers inherit the pin
+through fork; OpenBLAS shuts its thread pool down before a fork, so the
+parent forks with one thread.  Classification is not pinned and keeps the
+caller's threading.
 """
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import dataclasses
-import glob
 import hashlib
+import itertools
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .ann import (
     LmState,
@@ -62,9 +61,8 @@ from .ann import (
     unpack_parameters,
 )
 from .manifest import build, read_array, read_manifest
+from .openblas import single_threaded_blas
 from .parallel import fork_map
-
-logger = logging.getLogger(__name__)
 
 DETECTOR_BLOCKS = "detector_blocks"   # stage 1: contiguous blocks of MLPs per class
 DETECTOR_CYCLE = "detector_cycle"     # later stages: targets cycle over classes
@@ -314,60 +312,6 @@ class MstModel:
         return out
 
 
-# (set, get) thread-count functions, in the order they are looked up
-_OPENBLAS_THREAD_FUNCTIONS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-def _openblas_libraries() -> list[tuple[str, object, object]]:
-    """(path, set_num_threads, get_num_threads) of each OpenBLAS bundled in
-    numpy's and scipy's `<pkg>.libs` directories."""
-    found = []
-    for pkg in (np, scipy):
-        pattern = (Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
-                   / "*openblas*")
-        for path in sorted(glob.glob(str(pattern))):
-            lib = ctypes.CDLL(path)
-            for set_name, get_name in _OPENBLAS_THREAD_FUNCTIONS:
-                setter = getattr(lib, set_name, None)
-                getter = getattr(lib, get_name, None)
-                if setter is not None and getter is not None:
-                    setter.argtypes, setter.restype = [ctypes.c_int], None
-                    getter.argtypes, getter.restype = [], ctypes.c_int
-                    found.append((path, setter, getter))
-                    break
-    return found
-
-
-@contextlib.contextmanager
-def single_threaded_blas():
-    """Pin every bundled OpenBLAS to one thread; on exit, also on an
-    exception, restore the thread counts found on entry.
-
-    Thread counts are process-wide, so concurrent users would restore
-    each other's counts.  Without a bundled OpenBLAS this does nothing.
-    """
-    libs = _openblas_libraries()
-    if not libs:
-        logger.debug("no bundled OpenBLAS found; BLAS threads left as they are")
-        yield
-        return
-    logger.debug("OpenBLAS libraries: %s", [path for path, _, _ in libs])
-    saved = [getter() for _, _, getter in libs]
-    for _, setter, _ in libs:
-        setter(1)
-    logger.debug("BLAS threads pinned to 1 (were %s)", saved)
-    try:
-        yield
-    finally:
-        for (_, setter, _), n in zip(libs, saved):
-            setter(n)
-        logger.debug("BLAS threads restored to %s", saved)
-
-
 def _train_stage(train_one, n_mlps: int) -> tuple[Stage, list[TrainRun]]:
     """Train and pack a stage's MLPs, train_one(i) returning MLP i and its
     TrainRun, in this process and in forked stage workers (see the module
@@ -532,8 +476,16 @@ def evaluate(model: MstModel, test_x, test_y) -> ConfusionMatrix:
 # persistence: manifest.json plus one stage<s>.f64 per stage, holding the
 # stage's MLPs in order as little-endian float64 pack_parameters vectors,
 # so on a little-endian host its sha256 is its stage_hashes() entry.  The
-# manifest holds the configs, input width, config_hash and every MLP's
-# training trace, and names no file.
+# manifest holds the configs, input width, config_hash, every MLP's target
+# class and every MLP's training trace, and names no file.
+
+
+def _model_targets(configs, n_labels: int, known_labels) -> list[list]:
+    """Each stage's per-MLP target classes (None = class index), as
+    train_mst plans them for training labels 1..n_labels."""
+    labels = np.arange(1, n_labels + 1)
+    known = np.asarray(sorted(known_labels)) if known_labels else labels
+    return [stage_targets(cfg, labels, known) for cfg in configs]
 
 
 def save_model(model: MstModel, out_dir) -> Path:
@@ -556,6 +508,8 @@ def save_model(model: MstModel, out_dir) -> Path:
         "input_dim": model.stages[0].first_w.shape[0],
         "config_hash": model.config_hash(),
         "configs": [dataclasses.asdict(c) for c in model.configs],
+        "targets": _model_targets(model.configs, model.n_labels,
+                                  model.known_labels),
         "traces": [[dataclasses.asdict(run) for run in runs]
                    for runs in model.traces],
     }
@@ -565,13 +519,15 @@ def save_model(model: MstModel, out_dir) -> Path:
 
 def load_model(in_dir) -> MstModel:
     """Read a model that save_model wrote.  A manifest key, trace count,
-    config_hash, field or known_labels (not distinct in 1..n_labels) that
-    is wrong, or a stage file that does not hold exactly its configured
-    MLPs, raises ValueError naming the manifest."""
+    config_hash, field, n_labels (not a positive integer), known_labels
+    (not distinct in 1..n_labels) or per-MLP target class (not the one
+    train_mst plans for n_labels and known_labels) that is wrong, or a
+    stage file that does not hold exactly its configured MLPs, raises
+    ValueError naming the manifest."""
     path = Path(in_dir) / "manifest.json"
     manifest = read_manifest(path, (
         "n_labels", "order", "seed", "known_labels", "input_dim",
-        "config_hash", "configs", "traces"))
+        "config_hash", "configs", "targets", "traces"))
     configs = [build(StageConfig, c, path) for c in manifest["configs"]]
     traces = [[build(TrainRun, run, path,
                      stop=lambda stop: build(StopCriteria, stop, path))
@@ -581,10 +537,23 @@ def load_model(in_dir) -> MstModel:
         raise ValueError(f"{path}: {counts} traces per stage for "
                          f"{[c.n_mlps for c in configs]} configured MLPs")
     n_labels, known = manifest["n_labels"], manifest["known_labels"]
-    if len(set(known)) < len(known) or not all(
-            type(v) is int and 1 <= v <= n_labels for v in known):
+    if type(n_labels) is not int or n_labels < 1:
+        raise ValueError(f"{path}: n_labels {n_labels!r} is not a positive "
+                         "integer")
+    if not isinstance(known, list) or len(set(known)) < len(known) \
+            or not all(type(v) is int and 1 <= v <= n_labels for v in known):
         raise ValueError(f"{path}: known_labels {known} are not distinct "
                          f"labels in 1..{n_labels}")
+    if not isinstance(manifest["targets"], list):
+        raise ValueError(f"{path}: targets {manifest['targets']!r} is not a "
+                         "list")
+    planned = _model_targets(configs, n_labels, known)
+    for s, (got, want) in enumerate(
+            itertools.zip_longest(manifest["targets"], planned), start=1):
+        if got != want:
+            raise ValueError(f"{path}: stage {s} target classes {got} are "
+                             f"not {want}, the ones planned for n_labels "
+                             f"{n_labels} and known_labels {known}")
     stages, fan_in = [], manifest["input_dim"]
     for s, cfg in enumerate(configs, start=1):
         sizes = cfg.layer_sizes(fan_in)

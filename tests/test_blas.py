@@ -21,13 +21,8 @@ import scipy
 
 from rfmst import mst
 from rfmst.frontend import FrontEnd, pool_windows, train_frontend
-from rfmst.mst import (
-    CLASS_INDEX,
-    DETECTOR_BLOCKS,
-    StageConfig,
-    single_threaded_blas,
-    train_mst,
-)
+from rfmst.mst import CLASS_INDEX, DETECTOR_BLOCKS, StageConfig, train_mst
+from rfmst.openblas import single_threaded_blas
 
 
 def _thread_functions():
@@ -158,7 +153,7 @@ def test_frontend_filters_do_not_depend_on_caller_thread_count(two_threads,
     for n in (1, 2):
         for setter, _ in BLAS:
             setter(n)
-        with caplog.at_level(logging.DEBUG, logger="rfmst.mst"):
+        with caplog.at_level(logging.DEBUG, logger="rfmst.openblas"):
             filters.append(train_frontend(scalograms, seed=6).filters.tobytes())
     assert filters[0] == filters[1]
     # the SOM ran pinned to one thread, and the caller's two came back
@@ -190,7 +185,7 @@ def test_nested_pin_stays_single_threaded_until_outer_exit(two_threads):
 
 def test_pin_and_restore_are_logged(two_threads, caplog):
     x, y, configs = _toy()
-    with caplog.at_level(logging.DEBUG, logger="rfmst.mst"):
+    with caplog.at_level(logging.DEBUG, logger="rfmst.openblas"):
         train_mst(x, y, x, y, configs, seed=1)
     text = caplog.text
     assert "OpenBLAS libraries" in text

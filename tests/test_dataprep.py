@@ -8,14 +8,12 @@ from rfmst.dataprep import (
     ONSET_WINDOW_GROWTH,
     NoOnset,
     Segment,
-    SplitSpec,
     TooShort,
     detect_onset,
     feature_matrix,
     normalize_corpus,
     packets_to_segments,
     segment,
-    split,
     stratified_indices,
 )
 from rfmst.signal_gen import IqPacket, default_profiles, generate_corpus
@@ -304,49 +302,35 @@ def _balanced_labels(n_classes=12, per_class=1000):
 
 
 def test_split_90_10_counts():
-    y = _balanced_labels()
-    x = np.zeros((len(y), 1))
-    (xtr, ytr), (xte, yte) = split(x, y, SplitSpec(0.9, seed=1))
-    assert len(ytr) == 10_800
-    assert len(yte) == 1_200
+    tr, te = stratified_indices(_balanced_labels(), 0.9, seed=1)
+    assert len(tr) == 10_800
+    assert len(te) == 1_200
 
 
 def test_split_10_90_counts():
-    y = _balanced_labels()
-    x = np.zeros((len(y), 1))
-    (_, ytr), (_, yte) = split(x, y, SplitSpec(0.1, seed=1))
-    assert len(ytr) == 1_200
-    assert len(yte) == 10_800
+    tr, te = stratified_indices(_balanced_labels(), 0.1, seed=1)
+    assert len(tr) == 1_200
+    assert len(te) == 10_800
 
 
 def test_split_1_99_counts():
-    y = _balanced_labels()
-    x = np.zeros((len(y), 1))
-    (_, ytr), (_, yte) = split(x, y, SplitSpec(0.01, seed=1))
-    assert len(ytr) == 120
-
-
-def test_split_rejects_undeclared_fraction():
-    with pytest.raises(ValueError):
-        SplitSpec(0.33, seed=0)
+    tr, _ = stratified_indices(_balanced_labels(), 0.01, seed=1)
+    assert len(tr) == 120
 
 
 def test_split_disjoint_union_and_stratified():
     y = _balanced_labels(4, 50)
-    x = np.arange(len(y), dtype=float)[:, None]
-    (xtr, ytr), (xte, yte) = split(x, y, SplitSpec(0.1, seed=3))
-    all_vals = np.sort(np.concatenate([xtr[:, 0], xte[:, 0]]))
-    np.testing.assert_array_equal(all_vals, np.arange(len(y)))
+    tr, te = stratified_indices(y, 0.1, seed=3)
+    np.testing.assert_array_equal(np.sort(np.concatenate([tr, te])),
+                                  np.arange(len(y)))
     for lab in range(1, 5):
-        assert (ytr == lab).sum() == 5  # round(0.1 * 50)
+        assert (y[tr] == lab).sum() == 5  # round(0.1 * 50)
 
 
 def test_split_rejects_empty_training_class():
     # 1% of 40 packets per class rounds to 0 training rows
-    y = _balanced_labels(12, 40)
-    x = np.zeros((len(y), 1))
-    with pytest.raises(ValueError):
-        split(x, y, SplitSpec(0.01, seed=1))
+    with pytest.raises(ValueError, match="leaves no training rows"):
+        stratified_indices(_balanced_labels(12, 40), 0.01, seed=1)
 
 
 @pytest.mark.parametrize("frac", [-0.5, 0.0, 1.0, 1.5])

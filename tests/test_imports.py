@@ -7,7 +7,7 @@ from pathlib import Path
 import rfmst
 
 SRC = Path(rfmst.__file__).resolve().parents[1]
-HEAVY = ("scipy.signal", "scipy.fft", "scipy.special")
+HEAVY = ("scipy.signal", "scipy.fft", "scipy.special", "scipy.linalg")
 
 
 def test_library_imports_leave_out_scipy_signal_fft_and_special():

@@ -760,8 +760,8 @@ def test_load_model_rejects_a_nan_stage_goal(saved_toy_model, tmp_path):
 
 
 @pytest.mark.parametrize("n_labels, known", [
-    (1, [9]), (3, [2, 2]), (3, [0]), (3, [1.0]),
-], ids=["outside_n_labels", "repeated", "zero", "float"])
+    (1, [9]), (3, [2, 2]), (3, [0]), (3, [1.0]), (3, 5),
+], ids=["outside_n_labels", "repeated", "zero", "float", "not_a_list"])
 def test_load_model_rejects_known_labels_outside_n_labels(
         saved_toy_model, tmp_path, n_labels, known):
     out = shutil.copytree(saved_toy_model, tmp_path / "model")
@@ -775,13 +775,77 @@ def test_load_model_rejects_known_labels_outside_n_labels(
         load_model(out)
 
 
-def test_load_model_takes_known_labels_in_any_order(saved_toy_model, tmp_path):
+@pytest.mark.parametrize("n_labels", [0, 2.0, "3"])
+def test_load_model_rejects_n_labels_not_a_positive_integer(
+        saved_toy_model, tmp_path, n_labels):
     out = shutil.copytree(saved_toy_model, tmp_path / "model")
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["known_labels"] = [3, 1]
+    manifest["n_labels"] = n_labels
     _rehash(manifest)
     (out / "manifest.json").write_text(json.dumps(manifest))
-    assert load_model(out).known_labels == (3, 1)
+    with pytest.raises(ValueError, match=r"manifest\.json: n_labels .* is "
+                                         r"not a positive integer"):
+        load_model(out)
+
+
+def test_load_model_takes_known_labels_in_any_order(tmp_path):
+    x, y = _toy_gaussians(seed=17)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=18,
+                      known_labels=[3, 1])
+    loaded = load_model(save_model(model, tmp_path / "model"))
+    assert loaded.known_labels == (3, 1)
+    assert loaded.stage_hashes() == model.stage_hashes()
+
+
+def test_saved_model_records_each_mlps_target_class(saved_toy_model):
+    manifest = json.loads((saved_toy_model / "manifest.json").read_text())
+    assert manifest["targets"] == [[1, 1, 2, 2, 3, 3], [1, 2, 3], [None] * 5]
+
+
+def _fewer_labels(manifest):
+    # stage 1 then plans targets [1, 1, 1, 2, 2, 2], and a loaded model
+    # would vote over labels 1 and 2 only
+    manifest["n_labels"] = 2
+
+
+def _one_known_label(manifest):
+    manifest["known_labels"] = [1]
+
+
+def _retargeted_mlp(manifest):
+    manifest["targets"][1][0] = 2
+
+
+def _missing_stage_targets(manifest):
+    manifest["targets"].pop()
+
+
+def _targets_not_a_list(manifest):
+    manifest["targets"] = 5
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_fewer_labels, r"stage 1 target classes \[1, 1, 2, 2, 3, 3\] are not "
+                    r"\[1, 1, 1, 2, 2, 2\], the ones planned for n_labels 2 "
+                    r"and known_labels \[\]"),
+    (_one_known_label, r"stage 1 target classes \[1, 1, 2, 2, 3, 3\] are not "
+                       r"\[1, 1, 1, 1, 1, 1\], .* known_labels \[1\]"),
+    (_retargeted_mlp, r"stage 2 target classes \[2, 2, 3\] are not "
+                      r"\[1, 2, 3\]"),
+    (_missing_stage_targets, r"stage 3 target classes None are not "
+                             r"\[None, None, None, None, None\]"),
+    (_targets_not_a_list, "targets 5 is not a list"),
+], ids=["n_labels", "known_labels", "target", "stage_count", "not_a_list"])
+def test_load_model_rejects_targets_not_planned_for_its_labels(
+        saved_toy_model, tmp_path, tamper, message):
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    manifest = json.loads((out / "manifest.json").read_text())
+    tamper(manifest)
+    _rehash(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: " + message):
+        load_model(out)
 
 
 def _unknown_config_key(manifest):
