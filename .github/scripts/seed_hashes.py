@@ -22,14 +22,16 @@ and the loaded corpus's `corpus_digest` equal the built ones, and each
 `stage<s>.f64`'s sha256 (first 16 hex digits) equals its stage hash.
 These compare bytes with bytes, so they hold on any little-endian host.
 
-A last line, for comparison only, names the LAPACK that LM training solved
-with (`rfmst.openblas.lapack()`: a library path, or `scipy.linalg`) and
-this process's peak RSS (`ru_maxrss`, in MB).  Run from anywhere:
+A last line, for comparison only, names the LAPACK wrappers that LM
+training solved with (`rfmst.openblas.lapack()`, the file of scipy's
+`_flapack` extension), the installed numpy and scipy versions and this
+process's peak RSS (`ru_maxrss`, in MB).  Run from anywhere:
 
     python3 .github/scripts/seed_hashes.py --seed 101
 """
 import argparse
 import hashlib
+import importlib.metadata
 import json
 import resource
 import sys
@@ -88,6 +90,8 @@ def main() -> int:
     from rfmst.openblas import lapack
     print(json.dumps({
         "lapack": lapack(),
+        "numpy": importlib.metadata.version("numpy"),
+        "scipy": importlib.metadata.version("scipy"),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF)
                              .ru_maxrss / 1024.0, 1),
     }), flush=True)

@@ -12,11 +12,14 @@ A and output sensitivities D, so its share of JJ' is (AA' + 1) * (DD'),
 elementwise, and J'v is assembled layer by layer from A'(D * v).  That
 costs O(B^2 * sum of fan_in + fan_out) instead of O(B^2 * P).  The damped
 system is solved by Cholesky, cho_factor and cho_solve from
-rfmst.openblas: LAPACK dpotrf and dpotrs in scipy's bundled OpenBLAS, bit
-for bit scipy.linalg's results without importing scipy.linalg.  _lm_delta
-calls cho_factor through this module's global, so a tracer can wrap it.
-The first-order trainer is full-batch steepest descent; its MSE gradient,
+rfmst.openblas: scipy's f2py LAPACK dpotrf and dpotrs, bit for bit
+scipy.linalg's results without importing scipy.linalg.  _lm_delta calls
+cho_factor through this module's global, so a tracer can wrap it.  The
+first-order trainer is full-batch steepest descent; its MSE gradient,
 -2/B * J'r, comes from the same sweep.
+
+No function writes a net's arrays in place: a step returns a new net or
+the one it was given, so a trainer may keep any net by reference.
 """
 from __future__ import annotations
 
@@ -53,13 +56,6 @@ class Mlp:
     @property
     def n_params(self) -> int:
         return count_parameters(self.layer_sizes)
-
-    def copy(self) -> "Mlp":
-        return Mlp(
-            self.layer_sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
 
 
 def init_mlp(layer_sizes, seed=None) -> Mlp:
@@ -156,14 +152,8 @@ def _as_batch(x, n_in):
 
 def forward(net: Mlp, x) -> np.ndarray:
     """Batch forward pass; returns (B, n_out) (or (n_out,) for 1-D input)."""
-    single = np.asarray(x).ndim == 1
-    a = _as_batch(x, net.layer_sizes[0])
-    last = net.n_layers - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w + b
-        if l != last:
-            a = np.tanh(a)
-    return a[0] if single else a
+    y = _forward_activations(net, x)[-1]
+    return y[0] if np.ndim(x) == 1 else y
 
 
 def _forward_activations(net: Mlp, x):
@@ -186,8 +176,7 @@ def _as_targets(t, n_rows, n_out):
 
 
 def mse(net: Mlp, x, t) -> float:
-    x = _as_batch(x, net.layer_sizes[0])
-    y = forward(net, x)
+    y = forward(net, x).reshape(-1, net.layer_sizes[-1])
     return float(np.mean((_as_targets(t, *y.shape) - y) ** 2))
 
 
@@ -381,7 +370,7 @@ def sd_step(net: Mlp, x, t, lr: float) -> Mlp:
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
     if lr == 0.0:
-        return net.copy()
+        return net
     theta = pack_parameters(net) - lr * gradient(net, x, t)
     return unpack_parameters(net.layer_sizes, theta)
 
@@ -434,14 +423,14 @@ def train(net: Mlp, train_xy, val_xy, optimizer, stop: StopCriteria):
     for val_patience consecutive iterations, the first rejected step
     ("mu_ceiling"), or max_iters.  An LM step is rejected only with mu at
     MU_CEILING, and the next step would repeat it exactly: the same net,
-    batch and mu.  Returns the weight snapshot with the best validation
-    MSE seen, including the untrained starting point.
+    batch and mu.  Returns the net with the best validation MSE seen,
+    including the untrained starting point.
     """
     t0 = perf_counter()
     x_tr, t_tr = train_xy
     x_va, t_va = val_xy
     run = TrainRun(stop=stop)
-    best_net = net.copy()
+    best_net = net
     best_val = mse(net, x_va, t_va)
     run.best_val_mse = best_val
     val_fail = 0
@@ -453,7 +442,7 @@ def train(net: Mlp, train_xy, val_xy, optimizer, stop: StopCriteria):
         run.mu.append(mu)
         if val_now < best_val:
             best_val = val_now
-            best_net = net.copy()
+            best_net = net
             run.best_iteration = it
             run.best_val_mse = best_val
             val_fail = 0

@@ -2,9 +2,16 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import typing
 
 import numpy as np
+
+# the JSON value types a field declared int, float or str accepts; a JSON
+# true or false is a bool, which is neither number
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def _check_keys(what: str, fields: dict, names, path) -> None:
@@ -27,6 +34,9 @@ def read_array(path, name: str, dtype: str, shape) -> np.ndarray:
     """The array in the raw file `name` beside the manifest at path, once
     the file holds exactly its bytes (np.fromfile drops a trailing partial
     value, so the size is checked first)."""
+    if not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{path}: {name} shape {tuple(shape)} is not one "
+                         "of non-negative integers")
     file = path.parent / name
     n_bytes = np.dtype(dtype).itemsize * int(np.prod(shape))
     size = file.stat().st_size
@@ -39,9 +49,17 @@ def read_array(path, name: str, dtype: str, shape) -> np.ndarray:
 def build(cls, fields: dict, path, **convert):
     """Dataclass cls from a manifest's fields, whose keys must be exactly
     cls's init fields; convert maps a key to a function of its value.
-    A ValueError from cls's own checks gets the manifest's path too."""
+    A value of a field declared int, float or str must have that JSON type
+    (an int will do for a float).  A ValueError from cls's own checks gets
+    the manifest's path too."""
     _check_keys(cls.__name__, fields,
                 [f.name for f in dataclasses.fields(cls) if f.init], path)
+    hints = _type_hints(cls)
+    for key, value in fields.items():
+        allowed = _JSON_TYPES.get(hints[key])
+        if allowed is not None and type(value) not in allowed:
+            raise ValueError(f"{path}: {cls.__name__} {key} {value!r} is "
+                             f"not of type {hints[key].__name__}")
     values = {k: convert[k](v) if k in convert else v
               for k, v in fields.items()}
     try:

@@ -29,10 +29,10 @@ BLAS policy: training runs with the OpenBLAS that numpy and scipy bundle
 pinned to one thread in every process, parent and workers, so a trained
 model does not depend on the BLAS thread count.  rfmst.openblas finds those
 libraries and owns the pin (single_threaded_blas), as it owns the LM
-step's Cholesky solve in scipy's OpenBLAS.  The workers inherit the pin
-through fork; OpenBLAS shuts its thread pool down before a fork, so the
-parent forks with one thread.  Classification is not pinned and keeps the
-caller's threading.
+step's Cholesky solve through scipy's f2py LAPACK wrappers, which run in
+scipy's OpenBLAS.  The workers inherit the pin through fork; OpenBLAS
+shuts its thread pool down before a fork, so the parent forks with one
+thread.  Classification is not pinned and keeps the caller's threading.
 """
 from __future__ import annotations
 
@@ -519,11 +519,12 @@ def save_model(model: MstModel, out_dir) -> Path:
 
 def load_model(in_dir) -> MstModel:
     """Read a model that save_model wrote.  A manifest key, trace count,
-    config_hash, field, n_labels (not a positive integer), known_labels
-    (not distinct in 1..n_labels) or per-MLP target class (not the one
-    train_mst plans for n_labels and known_labels) that is wrong, or a
-    stage file that does not hold exactly its configured MLPs, raises
-    ValueError naming the manifest."""
+    config_hash, field, n_labels (not a positive integer), order (not 1
+    or 2), seed (not an integer), known_labels (not distinct in
+    1..n_labels) or per-MLP target class (not the one train_mst plans for
+    n_labels and known_labels) that is wrong, or a stage file that does
+    not hold exactly its configured MLPs, raises ValueError naming the
+    manifest."""
     path = Path(in_dir) / "manifest.json"
     manifest = read_manifest(path, (
         "n_labels", "order", "seed", "known_labels", "input_dim",
@@ -540,6 +541,11 @@ def load_model(in_dir) -> MstModel:
     if type(n_labels) is not int or n_labels < 1:
         raise ValueError(f"{path}: n_labels {n_labels!r} is not a positive "
                          "integer")
+    order, seed = manifest["order"], manifest["seed"]
+    if type(order) is not int or order not in (1, 2):
+        raise ValueError(f"{path}: order {order!r} is not 1 or 2")
+    if type(seed) is not int:
+        raise ValueError(f"{path}: seed {seed!r} is not an integer")
     if not isinstance(known, list) or len(set(known)) < len(known) \
             or not all(type(v) is int and 1 <= v <= n_labels for v in known):
         raise ValueError(f"{path}: known_labels {known} are not distinct "
@@ -563,9 +569,8 @@ def load_model(in_dir) -> MstModel:
             enumerate(unpack_parameters(sizes, p) for p in params),
             cfg.n_mlps))
         fan_in = cfg.n_mlps
-    model = MstModel(configs=configs, stages=stages,
-                     n_labels=n_labels, order=manifest["order"],
-                     seed=manifest["seed"], traces=traces,
+    model = MstModel(configs=configs, stages=stages, n_labels=n_labels,
+                     order=order, seed=seed, traces=traces,
                      known_labels=tuple(known))
     if model.config_hash() != manifest["config_hash"]:
         raise ValueError(f"{path}: configuration does not match its "

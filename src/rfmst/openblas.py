@@ -2,31 +2,27 @@
 Cholesky factor and solve of a Levenberg-Marquardt step.
 
 numpy and scipy wheels each bundle an OpenBLAS in their `<pkg>.libs`
-directory: numpy's with 64-bit integers (ILP64), scipy's with 32-bit ones
-(LP64).  Both are found once, when this module is imported, through
-importlib, so scipy itself is never imported.  Nothing else in rfmst calls
-into them.
+directory.  Both are found once, when this module is imported, through
+importlib, so scipy itself is never imported.  single_threaded_blas pins
+every one of them to one thread for the duration of a call; mst and
+frontend train under it.
 
-single_threaded_blas pins every one of them to one thread for the duration
-of a call; mst and frontend train under it.
-
-cho_factor and cho_solve call LAPACK dpotrf and dpotrs through ctypes in
-scipy's LP64 OpenBLAS: the functions scipy.linalg.cho_factor and
-cho_solve reach through scipy.linalg._flapack, called on the same
-Fortran-ordered copies, so the results agree bit for bit.  Importing
-scipy.linalg for them would add about 27 MB of RSS and 300 modules to
-every process.  numpy's ILP64 copy is no substitute: it is another build,
-and its solves differ in the last bits.  Where no bundled LP64 OpenBLAS
-exports dpotrf and dpotrs (a conda or system BLAS, macOS Accelerate), both
-import scipy.linalg on their first call and use its functions instead.
+cho_factor and cho_solve call dpotrf and dpotrs of scipy.linalg._flapack,
+scipy's f2py LAPACK wrappers, with the arguments scipy.linalg.cho_factor
+and cho_solve pass them, so the results agree bit for bit.  The extension
+is loaded from its file once, at import: importing scipy.linalg for two
+functions would add about 27 MB of RSS and 300 modules to every process.
+Every scipy build ships it, so there is one path and no fallback.
 """
 from __future__ import annotations
 
 import contextlib
 import ctypes
 import glob
+import importlib.machinery
 import importlib.util
 import logging
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,71 +35,57 @@ _THREAD_FUNCTIONS = (
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
-# (potrf, potrs) of an LP64 LAPACK, in the order they are looked up
-_CHOLESKY_FUNCTIONS = (
-    ("scipy_dpotrf_", "scipy_dpotrs_"),
-    ("dpotrf_", "dpotrs_"),
-)
-
-_INT = ctypes.POINTER(ctypes.c_int)
-# Fortran calling convention: every argument by reference, then the hidden
-# length of the one-character UPLO argument
-_POTRF_ARGS = [ctypes.c_char_p, _INT, ctypes.c_void_p, _INT, _INT,
-               ctypes.c_size_t]
-_POTRS_ARGS = [ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT,
-               ctypes.c_void_p, _INT, _INT, ctypes.c_size_t]
 
 
-def _bundled(package: str) -> list[str]:
-    """Paths of the OpenBLAS libraries in package's `<pkg>.libs` directory,
-    found without importing the package."""
-    spec = importlib.util.find_spec(package)
-    if spec is None or spec.origin is None:
-        return []
-    libs = Path(spec.origin).parent.parent / f"{package}.libs"
-    return sorted(glob.glob(str(libs / "*openblas*")))
-
-
-def _exported(lib, candidates):
-    """The first pair of functions in candidates that lib exports, or None."""
-    for names in candidates:
-        functions = [getattr(lib, name, None) for name in names]
-        if None not in functions:
-            return functions
-    return None
+def _package_dir(package: str) -> Path:
+    """The directory of an installed package, found without importing it."""
+    return Path(importlib.util.find_spec(package).origin).parent
 
 
 def _discover():
-    """([(path, set_num_threads, get_num_threads)] of every bundled
-    OpenBLAS, (path, potrf, potrs) of scipy's or None)."""
-    threads, cholesky = [], None
+    """[(path, set_num_threads, get_num_threads)] of every bundled OpenBLAS
+    in numpy's and scipy's `<pkg>.libs` directories."""
+    threads = []
     for package in ("numpy", "scipy"):
-        for path in _bundled(package):
+        libs = _package_dir(package).parent / f"{package}.libs"
+        for path in sorted(glob.glob(str(libs / "*openblas*"))):
             lib = ctypes.CDLL(path)
-            functions = _exported(lib, _THREAD_FUNCTIONS)
-            if functions is not None:
-                setter, getter = functions
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                threads.append((path, setter, getter))
-            if package != "scipy" or cholesky is not None:
-                continue
-            functions = _exported(lib, _CHOLESKY_FUNCTIONS)
-            if functions is not None:
-                potrf, potrs = functions
-                potrf.argtypes, potrf.restype = _POTRF_ARGS, None
-                potrs.argtypes, potrs.restype = _POTRS_ARGS, None
-                cholesky = (path, potrf, potrs)
-    return threads, cholesky
+            for names in _THREAD_FUNCTIONS:
+                functions = [getattr(lib, name, None) for name in names]
+                if None not in functions:
+                    setter, getter = functions
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    threads.append((path, setter, getter))
+                    break
+    return threads
 
 
-_THREADS, _LAPACK = _discover()
+def _load_flapack():
+    """scipy.linalg._flapack: scipy.linalg's own, if it is imported, else
+    loaded from its file without its package."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    path = (_package_dir("scipy") / "linalg"
+            / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # the extension registers itself in sys.modules, where its package is
+    # not; drop it, so a later `import scipy.linalg` binds a _flapack of
+    # its own, with the same functions
+    sys.modules.pop(name, None)
+    return module
+
+
+_THREADS = _discover()
+_FLAPACK = _load_flapack()
 
 
 def lapack() -> str:
-    """Where cho_factor and cho_solve solve: a library path, or
-    'scipy.linalg' when no bundled LP64 OpenBLAS was found."""
-    return "scipy.linalg" if _LAPACK is None else _LAPACK[0]
+    """The file of the LAPACK wrappers cho_factor and cho_solve call."""
+    return _FLAPACK.__file__
 
 
 @contextlib.contextmanager
@@ -149,16 +131,11 @@ def cho_factor(a) -> np.ndarray:
     bit for bit.  Raises np.linalg.LinAlgError if a is not positive
     definite, ValueError if it is not square.
     """
-    if _LAPACK is None:
-        from scipy.linalg import cho_factor as factor
-        return factor(a, lower=True, check_finite=False)[0]
-    c = np.array(a, dtype=np.float64, order="F")
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {c.shape}")
-    n, ld, info = (ctypes.c_int(c.shape[0]), ctypes.c_int(max(1, len(c))),
-                   ctypes.c_int())
-    _LAPACK[1](b"L", n, c.ctypes.data, ld, info, 1)
-    _check_info(info.value, "POTRF")
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    c, info = _FLAPACK.dpotrf(a, lower=1, clean=0, overwrite_a=0)
+    _check_info(info, "POTRF")
     return c
 
 
@@ -168,17 +145,14 @@ def cho_solve(c, b) -> np.ndarray:
     Equals scipy.linalg.cho_solve((c, True), b, check_finite=False) bit for
     bit.  Raises ValueError if the shapes do not fit.
     """
-    if _LAPACK is None:
-        from scipy.linalg import cho_solve as solve
-        return solve((c, True), b, check_finite=False)
-    c = np.asarray(c, dtype=np.float64, order="F")
-    x = np.array(b, dtype=np.float64, order="F")
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or x.ndim not in (1, 2) \
-            or x.shape[0] != c.shape[0]:
+    c = np.asarray(c, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or b.ndim not in (1, 2) \
+            or b.shape[0] != c.shape[0]:
         raise ValueError(f"cannot solve with a {c.shape} factor for a "
-                         f"{x.shape} right-hand side")
-    n, ld = ctypes.c_int(len(c)), ctypes.c_int(max(1, len(c)))
-    nrhs, info = ctypes.c_int(1 if x.ndim == 1 else x.shape[1]), ctypes.c_int()
-    _LAPACK[2](b"L", n, nrhs, c.ctypes.data, ld, x.ctypes.data, ld, info, 1)
-    _check_info(info.value, "POTRS")
+                         f"{b.shape} right-hand side")
+    if b.size == 0:         # f2py rejects empty arrays; scipy returns them
+        return b.copy()
+    x, info = _FLAPACK.dpotrs(c, b, lower=1, overwrite_b=0)
+    _check_info(info, "POTRS")
     return x

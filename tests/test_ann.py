@@ -333,7 +333,7 @@ def lm_step_bias_free(net, x, t, state):
     jtr = float(j @ r)
     while True:
         delta = jtr / (jtj + state.mu)
-        cand = net.copy()
+        cand = unpack_parameters(net.layer_sizes, pack_parameters(net))
         cand.weights[0][0, 0] += delta
         mse1 = mse(cand, x, t)
         if mse1 < mse0:

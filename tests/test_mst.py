@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import hashlib
 import json
+import operator
 import os
 import shutil
 import time
@@ -785,6 +787,30 @@ def test_load_model_rejects_n_labels_not_a_positive_integer(
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=r"manifest\.json: n_labels .* is "
                                          r"not a positive integer"):
+        load_model(out)
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("configs", 0, "n_mlps"), 3.0, r"StageConfig n_mlps 3\.0 is not of "
+                                    r"type int"),
+    (("configs", 1, "hidden_layers"), 2.0, r"StageConfig hidden_layers 2\.0"),
+    (("input_dim",), 4.0, r"stage1\.f64 shape \(6, .*\) is not one of "
+                          r"non-negative integers"),
+    (("traces", 2, 0, "stop", "max_iters"), 5.5, r"StopCriteria max_iters "
+                                                  r"5\.5 is not of type int"),
+    (("order",), 7, r"order 7 is not 1 or 2"),
+    (("order",), True, r"order True is not 1 or 2"),
+    (("seed",), "x", r"seed 'x' is not an integer"),
+], ids=["n_mlps", "hidden_layers", "input_dim", "max_iters", "order",
+        "bool_order", "seed"])
+def test_load_model_rejects_a_value_of_the_wrong_type(
+        saved_toy_model, tmp_path, keys, value, message):
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    manifest = json.loads((out / "manifest.json").read_text())
+    functools.reduce(operator.getitem, keys[:-1], manifest)[keys[-1]] = value
+    _rehash(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: " + message):
         load_model(out)
 
 

@@ -1,14 +1,20 @@
-"""The LM step's Cholesky solve through scipy's bundled OpenBLAS: the same
-bits as scipy.linalg, the same errors, and the scipy.linalg fallback where
-no such library is found."""
+"""The LM step's Cholesky solve through scipy's f2py LAPACK wrappers,
+loaded without scipy.linalg: the same bits as scipy.linalg, the same
+errors, and the same functions a later scipy.linalg import finds."""
 import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import rfmst
 from rfmst import openblas
-from rfmst.mst import CLASS_INDEX, DETECTOR_BLOCKS, StageConfig, train_mst
+
+SRC = Path(rfmst.__file__).resolve().parents[1]
 
 
 def _spd(rng, n):
@@ -31,6 +37,14 @@ def test_factor_and_solve_equal_scipy_bit_for_bit(n):
         assert x.shape == b.shape
         np.testing.assert_array_equal(
             x, scipy.linalg.cho_solve((want, True), b, check_finite=False))
+
+
+@pytest.mark.parametrize("n, b_shape", [(0, (0,)), (0, (0, 2)), (3, (3, 0))])
+def test_empty_right_hand_sides_solve_like_scipy(n, b_shape):
+    b = np.ones(b_shape)
+    x = openblas.cho_solve(openblas.cho_factor(np.eye(n)), b)
+    want = scipy.linalg.cho_solve((np.eye(n), True), b, check_finite=False)
+    assert x.shape == want.shape and x.dtype == want.dtype
 
 
 def test_factor_leaves_its_input_alone():
@@ -61,30 +75,35 @@ def test_shapes_that_do_not_fit_raise_value_error(a, b):
             openblas.cho_solve(a, b)
 
 
-def test_bundled_openblas_is_bound():
-    if openblas._LAPACK is None:
-        pytest.skip("no bundled LP64 OpenBLAS exports dpotrf")
-    assert "openblas" in os.path.basename(openblas.lapack())
+def test_lapack_is_scipys_flapack_file():
+    assert openblas.lapack() == scipy.linalg._flapack.__file__
+    assert openblas._FLAPACK.dpotrf is scipy.linalg.lapack.dpotrf
+    assert openblas._FLAPACK.dpotrs is scipy.linalg.lapack.dpotrs
 
 
-def test_scipy_linalg_fallback_trains_the_same_model(monkeypatch):
-    rng = np.random.default_rng(2)
-    y = np.repeat([1, 2], 10)
-    x = rng.normal(size=(20, 30)) + y[:, None]
-    configs = [StageConfig(DETECTOR_BLOCKS, 2, 1, 3, 5, 1e-3),
-               StageConfig(CLASS_INDEX, 2, 1, 8, 5, 1e-3)]
-    bound = train_mst(x, y, x, y, configs, seed=1).stage_hashes()
-    calls = []
-    factor = scipy.linalg.cho_factor
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return factor(*args, **kwargs)
-
-    # one CPU, so every MLP trains in this process, where calls is seen
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
-    monkeypatch.setattr(openblas, "_LAPACK", None)
-    assert openblas.lapack() == "scipy.linalg"
-    assert train_mst(x, y, x, y, configs, seed=1).stage_hashes() == bound
-    assert calls
+def test_standalone_load_agrees_with_a_later_scipy_linalg_import():
+    # a fresh interpreter: this one imported scipy.linalg with the tests
+    modules = sorted(m.name for m in pkgutil.iter_modules(rfmst.__path__))
+    code = (
+        "import importlib, sys\n"
+        "import numpy as np\n"
+        f"for m in {modules!r}:\n"
+        "    importlib.import_module('rfmst.' + m)\n"
+        "from rfmst.openblas import cho_factor, cho_solve\n"
+        "rng = np.random.default_rng(5)\n"
+        "m = rng.normal(size=(36, 40))\n"
+        "a, b = m @ m.T, rng.normal(size=36)\n"
+        "c = cho_factor(a)\n"
+        "x = cho_solve(c, b)\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "import scipy.linalg\n"
+        "want = scipy.linalg.cho_factor(a, lower=True, check_finite=False)\n"
+        "assert np.array_equal(c, want[0])\n"
+        "assert np.array_equal(x, scipy.linalg.cho_solve(want, b))\n"
+        "assert np.array_equal(cho_solve(cho_factor(a), b), x)\n"
+        "print('same')\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "same"

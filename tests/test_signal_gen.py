@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import hashlib
 import json
+import operator
 import os
 import time
 
@@ -537,6 +539,25 @@ def test_load_names_the_manifest_on_a_field_error(tmp_path, tamper, message):
     out = _saved_corpus(tmp_path)
     manifest = json.loads((out / "manifest.json").read_text())
     tamper(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: " + message):
+        load_corpus(out)
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("params", "packet_len"), 1500.0, r"OfdmParams packet_len 1500\.0 is "
+                                       r"not of type int"),
+    (("packets", 1, "tx_label"), 1.5, r"IqPacket tx_label 1\.5"),
+    (("packets", 1, "tx_label"), True, r"IqPacket tx_label True"),
+    (("profiles", 0, "tx_index"), 1.0, r"TransmitterProfile tx_index 1\.0"),
+], ids=["packet_len", "float_tx_label", "bool_tx_label", "tx_index"])
+def test_load_rejects_a_value_of_the_wrong_type(tmp_path, keys, value,
+                                                message):
+    out = _saved_corpus(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    functools.reduce(operator.getitem, keys[:-1], manifest)[keys[-1]] = value
+    manifest["profile_hash"] = hashlib.sha256(json.dumps(
+        manifest["profiles"], sort_keys=True).encode()).hexdigest()[:16]
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=r"manifest\.json: " + message):
         load_corpus(out)
