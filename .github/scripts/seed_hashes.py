@@ -3,23 +3,28 @@
 check that each workload's model and corpus survive a save and load.
 
 Builds each workload's corpus, training features and model with
-`perfbench/workloads.py` and prints one JSON line per workload:
+`perfbench/workloads.py`, identifies the held-out packets, and prints one
+JSON line per workload:
 
-    {"workload", "corpus", "features", "filters", "stages", "iterations"}
+    {"workload", "corpus", "features", "filters", "stages", "iterations",
+     "accuracy"}
 
 `corpus` is the first 16 hex digits of `corpus_digest`, `features` the
 first 16 of the sha256 of the training feature matrix, `filters` the first
 16 of the sha256 of the trained front-end's filters (null on a workload
 without a front-end), `stages` the model's `stage_hashes()` and
-`iterations` its total LM iterations.  Two commits that print the same
-lines built the same corpus, front-end, features and models; a front-end
-change moves `filters` as well as the features and stages, an MST change
-only the stages.
+`iterations` its total LM iterations, and `accuracy` the share of
+held-out packets identified correctly (`workloads.identify`; a packet that
+fails counts as wrong), so a log shows what a change that moves the hashes
+did to accuracy.  Two commits that print the same lines built the same
+corpus, front-end, features and models; a front-end change moves
+`filters` as well as the features and stages, an MST change only the
+stages.
 
 Each model and corpus is then saved to and loaded from a temporary
 directory.  The script exits 1 unless the loaded model's `stage_hashes()`
 and the loaded corpus's `corpus_digest` equal the built ones, and each
-`stage<s>.f64`'s sha256 (first 16 hex digits) equals its stage hash.
+`stage<s>.f32`'s sha256 (first 16 hex digits) equals its stage hash.
 These compare bytes with bytes, so they hold on any little-endian host.
 
 A last line, for comparison only, names the LAPACK wrappers that LM
@@ -38,6 +43,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[2]
 
 
@@ -52,13 +59,21 @@ def round_trip_faults(model, corpus, corpus_digest) -> list[str]:
         if load_model(out).stage_hashes() != model.stage_hashes():
             faults.append("loaded stage hashes differ")
         for s, expected in enumerate(model.stage_hashes(), start=1):
-            blob = (out / f"stage{s}.f64").read_bytes()
+            blob = (out / f"stage{s}.f32").read_bytes()
             if hashlib.sha256(blob).hexdigest()[:16] != expected:
-                faults.append(f"stage{s}.f64 does not hash to {expected}")
+                faults.append(f"stage{s}.f32 does not hash to {expected}")
         loaded = load_corpus(save_corpus(corpus, Path(tmp) / "corpus"))
         if corpus_digest(loaded) != corpus_digest(corpus):
             faults.append("loaded corpus digest differs")
     return faults
+
+
+def accuracy(workloads, wl, corpus, ts, model) -> float:
+    """Share of the held-out packets identified as their transmitter."""
+    packets = [corpus.packets[i] for i in ts.test_idx]
+    labels = workloads.identify(wl, ts, model, packets,
+                                workloads.onset_window(corpus.params)).labels
+    return round(float(np.mean(labels == corpus.labels()[ts.test_idx])), 4)
 
 
 def main() -> int:
@@ -82,6 +97,7 @@ def main() -> int:
             "stages": model.stage_hashes(),
             "iterations": sum(run.iterations for runs in model.traces
                               for run in runs),
+            "accuracy": accuracy(workloads, wl, corpus, ts, model),
         }), flush=True)
         for fault in round_trip_faults(model, corpus,
                                        workloads.corpus_digest):

@@ -310,9 +310,10 @@ class LmState:
 
 
 def _lm_delta(gram, jt_dot, r, mu, dual):
-    a = gram.copy()
-    a.flat[:: a.shape[0] + 1] += mu
-    factor = cho_factor(a)
+    # one Fortran-ordered copy, the layout dpotrf factors in place
+    a = np.array(gram, order="F")
+    a.T.flat[:: a.shape[0] + 1] += mu
+    factor = cho_factor(a, overwrite_a=True)
     if dual:
         return jt_dot(cho_solve(factor, r))
     return cho_solve(factor, jt_dot(r))

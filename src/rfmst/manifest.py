@@ -14,6 +14,17 @@ _JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 _type_hints = functools.cache(typing.get_type_hints)
 
 
+def _json_types(hint):
+    """The JSON value types a field declared `hint` accepts, or None if
+    build does not check it."""
+    args = typing.get_args(hint)
+    if len(args) == 2 and type(None) in args:      # X | None
+        (inner,) = (a for a in args if a is not type(None))
+        allowed = _JSON_TYPES.get(inner)
+        return None if allowed is None else (*allowed, type(None))
+    return _JSON_TYPES.get(hint)
+
+
 def _check_keys(what: str, fields: dict, names, path) -> None:
     for key in fields:
         if key not in names:
@@ -32,13 +43,15 @@ def read_manifest(path, keys) -> dict:
 
 def read_array(path, name: str, dtype: str, shape) -> np.ndarray:
     """The array in the raw file `name` beside the manifest at path, once
-    the file holds exactly its bytes (np.fromfile drops a trailing partial
-    value, so the size is checked first)."""
+    the file exists and holds exactly its bytes (np.fromfile drops a
+    trailing partial value, so the size is checked first)."""
     if not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"{path}: {name} shape {tuple(shape)} is not one "
                          "of non-negative integers")
     file = path.parent / name
     n_bytes = np.dtype(dtype).itemsize * int(np.prod(shape))
+    if not file.is_file():
+        raise ValueError(f"{path}: {file} is missing")
     size = file.stat().st_size
     if size != n_bytes:
         raise ValueError(f"{path}: {file} has {size} bytes, expected "
@@ -50,16 +63,19 @@ def build(cls, fields: dict, path, **convert):
     """Dataclass cls from a manifest's fields, whose keys must be exactly
     cls's init fields; convert maps a key to a function of its value.
     A value of a field declared int, float or str must have that JSON type
-    (an int will do for a float).  A ValueError from cls's own checks gets
-    the manifest's path too."""
+    (an int will do for a float), and one of a field declared X | None
+    that of X or JSON null.  A ValueError from cls's own checks gets the
+    manifest's path too."""
     _check_keys(cls.__name__, fields,
                 [f.name for f in dataclasses.fields(cls) if f.init], path)
     hints = _type_hints(cls)
     for key, value in fields.items():
-        allowed = _JSON_TYPES.get(hints[key])
+        hint = hints[key]
+        allowed = _json_types(hint)
         if allowed is not None and type(value) not in allowed:
+            name = hint.__name__ if isinstance(hint, type) else hint
             raise ValueError(f"{path}: {cls.__name__} {key} {value!r} is "
-                             f"not of type {hints[key].__name__}")
+                             f"not of type {name}")
     values = {k: convert[k](v) if k in convert else v
               for k, v in fields.items()}
     try:

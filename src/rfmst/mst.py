@@ -18,6 +18,12 @@ later layer, both for the next stage's training inputs and in
 classify_batch: for the 2048-input raw stage 1, one (B, 2048) x
 (2048, 600) GEMM instead of 60 skinny ones.
 
+Precision: LM training runs in float64.  pack_stage rounds each trained
+net to float32, so a stored stage is float32, and _stage_outputs, the one
+evaluation of a stage, runs in float32: the next stage trains on the very
+numbers classify_batch computes.  A model's TrainRun traces describe its
+float64 nets before that rounding.
+
 Stage workers: a stage's MLPs are independent, so train_mst trains them
 with rfmst.parallel.fork_map, once its inputs are ready: in this process
 and in workers forked for the stage, one process per CPU it may run on.
@@ -33,6 +39,8 @@ step's Cholesky solve through scipy's f2py LAPACK wrappers, which run in
 scipy's OpenBLAS.  The workers inherit the pin through fork; OpenBLAS
 shuts its thread pool down before a fork, so the parent forks with one
 thread.  Classification is not pinned and keeps the caller's threading.
+LM steps run in float64; stage evaluation, in training and classification
+alike, runs in float32.
 """
 from __future__ import annotations
 
@@ -216,8 +224,8 @@ class Stage:
     weights side by side, (fan_in, m * h), and first_b their (m * h,)
     biases.  weights and biases hold each later layer as an
     (m, fan_in, fan_out) stack and its (m, 1, fan_out) biases.  All are
-    read-only, and the arrays of each Mlp in `mlps` are views of them.
-    Build with pack_stage.
+    float32 and read-only, and the arrays of each Mlp in `mlps` are views
+    of them.  Build with pack_stage.
     """
     mlps: tuple[Mlp, ...]
     first_w: np.ndarray
@@ -227,7 +235,8 @@ class Stage:
 
 
 def pack_stage(mlps, n_mlps: int) -> Stage:
-    """Copy n_mlps MLPs of one layer-size tuple into packed, read-only arrays.
+    """Copy n_mlps MLPs of one layer-size tuple into packed, read-only
+    float32 arrays, rounding each weight to nearest.
 
     `mlps` yields (index, net) pairs in any order, each index of
     range(n_mlps) exactly once.  It may be a generator: each MLP is copied
@@ -239,11 +248,12 @@ def pack_stage(mlps, n_mlps: int) -> Stage:
     for i, net in mlps:
         if sizes is None:
             sizes, h = net.layer_sizes, net.layer_sizes[1]
-            first_w = np.empty((sizes[0], n_mlps * h))
-            first_b = np.empty(n_mlps * h)
-            weights = tuple(np.empty((n_mlps, a, b))
+            first_w = np.empty((sizes[0], n_mlps * h), np.float32)
+            first_b = np.empty(n_mlps * h, np.float32)
+            weights = tuple(np.empty((n_mlps, a, b), np.float32)
                             for a, b in zip(sizes[1:-1], sizes[2:]))
-            biases = tuple(np.empty((n_mlps, 1, b)) for b in sizes[2:])
+            biases = tuple(np.empty((n_mlps, 1, b), np.float32)
+                           for b in sizes[2:])
         elif net.layer_sizes != sizes:
             raise ValueError("the MLPs of a stage must share their layer sizes")
         if not 0 <= i < n_mlps:
@@ -273,9 +283,10 @@ def pack_stage(mlps, n_mlps: int) -> Stage:
 
 def _stage_outputs(stage: Stage, x) -> np.ndarray:
     """Outputs of a stage's m MLPs on the (B, fan_in) rows x, side by side
-    in MLP order: one GEMM for every first layer, then one batched matmul
-    per later layer."""
+    in MLP order, in float32: x is rounded to float32 once, then one GEMM
+    for every first layer and one batched matmul per later layer."""
     m = len(stage.mlps)
+    x = np.asarray(x, dtype=np.float32)
     z = x @ stage.first_w
     z += stage.first_b
     a = z.reshape(x.shape[0], m, z.shape[1] // m).transpose(1, 0, 2)
@@ -390,8 +401,9 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
         stages.append(stage)
         traces.append(runs)
         if s + 1 < len(configs):
-            cur_tr = _stage_outputs(stage, cur_tr)
-            cur_va = _stage_outputs(stage, cur_va)
+            # float64 once per stage, not once per LM step
+            cur_tr = _stage_outputs(stage, cur_tr).astype(np.float64)
+            cur_va = _stage_outputs(stage, cur_va).astype(np.float64)
     known = () if known_labels is None else tuple(int(v) for v in known_labels)
     return MstModel(configs=list(configs), stages=stages, n_labels=n_labels,
                     order=order, seed=seed, traces=traces, known_labels=known)
@@ -422,9 +434,13 @@ def fuse_labels(final_outputs: np.ndarray, n_labels: int) -> np.ndarray:
 
 
 def classify_batch(model: MstModel, x) -> np.ndarray:
+    """Label of each row of x, or of the single row x.  A row that is not
+    finite once rounded to float32 (1e39 is not) raises ValueError naming
+    its index."""
     if not model.stages:
         raise ValueError("model has untrained stages")
-    cur = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        cur = np.asarray(x, dtype=np.float32)
     if cur.ndim == 1:
         cur = cur[None, :]
     n_in = model.stages[0].first_w.shape[0]
@@ -473,11 +489,12 @@ def evaluate(model: MstModel, test_x, test_y) -> ConfusionMatrix:
 
 
 # ---------------------------------------------------------------------------
-# persistence: manifest.json plus one stage<s>.f64 per stage, holding the
-# stage's MLPs in order as little-endian float64 pack_parameters vectors,
-# so on a little-endian host its sha256 is its stage_hashes() entry.  The
-# manifest holds the configs, input width, config_hash, every MLP's target
-# class and every MLP's training trace, and names no file.
+# persistence: manifest.json plus one stage<s>.f32 per stage, holding the
+# stage's MLPs in order as little-endian float32 pack_parameters vectors,
+# the stored weights exactly, so on a little-endian host its sha256 is its
+# stage_hashes() entry.  The manifest holds the configs, input width,
+# config_hash, every MLP's target class and every MLP's training trace,
+# and names no file.
 
 
 def _model_targets(configs, n_labels: int, known_labels) -> list[list]:
@@ -490,16 +507,18 @@ def _model_targets(configs, n_labels: int, known_labels) -> list[list]:
 
 def save_model(model: MstModel, out_dir) -> Path:
     """Write a model with its training traces, one per MLP; a model without
-    them raises ValueError."""
+    them raises ValueError.  Each stage<s>.f32 holds the stage's float32
+    weights as they are; the traces describe the float64 nets that
+    training rounded to them."""
     if [len(runs) for runs in model.traces] != \
             [len(stage.mlps) for stage in model.stages]:
         raise ValueError("a saved model needs one training trace per MLP")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for s, stage in enumerate(model.stages, start=1):
-        with open(out / f"stage{s}.f64", "wb") as f:
+        with open(out / f"stage{s}.f32", "wb") as f:
             for net in stage.mlps:
-                pack_parameters(net).astype("<f8", copy=False).tofile(f)
+                pack_parameters(net).astype("<f4", copy=False).tofile(f)
     manifest = {
         "n_labels": model.n_labels,
         "order": model.order,
@@ -524,7 +543,7 @@ def load_model(in_dir) -> MstModel:
     1..n_labels) or per-MLP target class (not the one train_mst plans for
     n_labels and known_labels) that is wrong, or a stage file that does
     not hold exactly its configured MLPs, raises ValueError naming the
-    manifest."""
+    manifest.  The stages are float32, as saved."""
     path = Path(in_dir) / "manifest.json"
     manifest = read_manifest(path, (
         "n_labels", "order", "seed", "known_labels", "input_dim",
@@ -563,7 +582,7 @@ def load_model(in_dir) -> MstModel:
     stages, fan_in = [], manifest["input_dim"]
     for s, cfg in enumerate(configs, start=1):
         sizes = cfg.layer_sizes(fan_in)
-        params = read_array(path, f"stage{s}.f64", "<f8",
+        params = read_array(path, f"stage{s}.f32", "<f4",
                             (cfg.n_mlps, count_parameters(sizes)))
         stages.append(pack_stage(
             enumerate(unpack_parameters(sizes, p) for p in params),

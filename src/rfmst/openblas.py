@@ -122,19 +122,22 @@ def _check_info(info: int, routine: str) -> None:
                          f"argument on entry to {routine}")
 
 
-def cho_factor(a) -> np.ndarray:
+def cho_factor(a, overwrite_a: bool = False) -> np.ndarray:
     """Cholesky factor of the symmetric positive definite matrix a, read
-    from its lower triangle: a Fortran-ordered float64 copy of a whose lower
+    from its lower triangle: a Fortran-ordered float64 array whose lower
     triangle holds L, a = L L', and whose strict upper triangle is a's.
+    It is a copy of a, unless overwrite_a is true and a is a
+    Fortran-ordered float64 array: then a itself is factored in place.
 
-    Equals scipy.linalg.cho_factor(a, lower=True, check_finite=False)[0]
-    bit for bit.  Raises np.linalg.LinAlgError if a is not positive
-    definite, ValueError if it is not square.
+    Equals scipy.linalg.cho_factor(a, lower=True, overwrite_a=overwrite_a,
+    check_finite=False)[0] bit for bit.  Raises np.linalg.LinAlgError if a
+    is not positive definite, ValueError if it is not square.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    c, info = _FLAPACK.dpotrf(a, lower=1, clean=0, overwrite_a=0)
+    c, info = _FLAPACK.dpotrf(a, lower=1, clean=0,
+                              overwrite_a=int(overwrite_a))
     _check_info(info, "POTRF")
     return c
 

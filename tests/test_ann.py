@@ -396,11 +396,11 @@ def test_lm_step_retries_a_failed_factorisation_with_mu_raised(monkeypatch,
     ref, _, ref_mu, _ = lm_step(net, x, t, LmState(mu=10 * MU_INIT))
     seen = []
 
-    def failing_once(a):
+    def failing_once(a, overwrite_a=False):
         seen.append(a.copy())
         if len(seen) == 1:
             raise np.linalg.LinAlgError("not positive definite")
-        return openblas.cho_factor(a)
+        return openblas.cho_factor(a, overwrite_a)
 
     monkeypatch.setattr(ann, "cho_factor", failing_once)
     new, new_mse, mu, accepted = lm_step(net, x, t, LmState(mu=MU_INIT))
@@ -545,6 +545,38 @@ def test_dual_gram_and_lm_delta_equal_the_unskipped_formulas(sizes, b_sz):
     expected = jt_dot(cho_solve(factor, r, check_finite=False))
     assert np.array_equal(ann._lm_delta(gram, jt_dot, r, mu, True), expected)
     assert np.array_equal(gram, want)  # the damping went into a copy
+
+
+@pytest.mark.parametrize("b_sz", [36, 216])
+def test_primal_lm_delta_factors_one_fortran_copy_in_place_like_scipy(
+        monkeypatch, b_sz):
+    from functools import partial
+
+    from rfmst import ann
+
+    rng = np.random.default_rng(b_sz)
+    net = init_mlp((3, 4, 1), rng)              # 21 parameters
+    x = rng.uniform(-1, 1, size=(b_sz, 3))
+    _, jac = output_jacobian(net, x)
+    gram = jac.T @ jac
+    before = gram.copy()
+    r = rng.normal(size=b_sz)
+    mu = 1e-2
+    damped = gram.copy()
+    damped.flat[:: gram.shape[0] + 1] += mu
+    expected = cho_solve(cho_factor(damped, lower=True, check_finite=False),
+                         jac.T @ r, check_finite=False)
+    calls, factor = [], ann.cho_factor
+
+    def recording(a, overwrite_a=False):
+        calls.append((a.flags.f_contiguous, overwrite_a))
+        return factor(a, overwrite_a)
+
+    monkeypatch.setattr(ann, "cho_factor", recording)
+    got = ann._lm_delta(gram, partial(np.matmul, jac.T), r, mu, False)
+    assert np.array_equal(got, expected)
+    assert calls == [(True, True)]
+    assert np.array_equal(gram, before)  # the damping went into a copy
 
 
 def test_dual_lm_step_never_forms_the_jacobian(monkeypatch):

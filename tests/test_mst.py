@@ -438,6 +438,48 @@ def test_classify_rejects_non_finite_rows_by_index(monkeypatch):
         classify_batch(model, batch)
 
 
+def test_classify_rejects_rows_past_float32_range_by_index():
+    # finite in float64, infinite once rounded to the stages' float32
+    x, y = _toy_gaussians(seed=10)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=11)
+    batch = xtr[:4].copy()
+    batch[2, 1] = 1e39
+    assert np.isfinite(batch).all()
+    with pytest.raises(ValueError, match=r"non-finite features in rows \[2\]"):
+        classify_batch(model, batch)
+
+
+def test_one_row_at_a_time_equals_the_batch():
+    x, y = _toy_gaussians(seed=10)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=11)
+    batch = classify_batch(model, x)
+    np.testing.assert_array_equal(
+        [classify_batch(model, row)[0] for row in x], batch)
+
+
+def test_later_stages_train_on_the_float32_outputs_classify_sees(
+        monkeypatch):
+    _cpus(monkeypatch, 1)                    # every MLP trains here
+    x, y = _toy_gaussians(seed=10)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    inputs, train = [], mst.train
+
+    def recording(net, train_xy, val_xy, *args):
+        inputs.append((train_xy[0], val_xy[0]))
+        return train(net, train_xy, val_xy, *args)
+
+    monkeypatch.setattr(mst, "train", recording)
+    model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=11)
+    # stage 2 trains on the whole training set: its first MLP's inputs
+    xb, xv = inputs[len(model.stages[0].mlps)]
+    for rows, got in ((xtr, xb), (xva, xv)):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(
+            got, mst._stage_outputs(model.stages[0], rows))
+
+
 def test_untrained_model_rejected():
     model = MstModel(configs=[], stages=[], n_labels=3, order=2, seed=0)
     with pytest.raises(ValueError, match="model has untrained stages"):
@@ -554,14 +596,19 @@ _MIXED_DEPTH_CONFIGS = [
 
 
 def _assert_stages_match_per_mlp_forward(model, x):
+    # the reference runs each stored float32 MLP in float64 on the same
+    # float32 inputs, so the two differ only by float32 arithmetic
     cur = x
     for stage in model.stages:
-        ref = np.concatenate([ann.forward(net, cur) for net in stage.mlps],
+        rounded = cur.astype(np.float32)
+        ref = np.concatenate([ann.forward(net, rounded) for net in stage.mlps],
                              axis=1)
         got = mst._stage_outputs(stage, cur)
+        assert got.dtype == np.float32
         assert got.shape == ref.shape == (len(x), len(stage.mlps))
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-        cur = ref
+        assert np.abs(got - ref).max() <= \
+            32 * np.finfo(np.float32).eps * np.abs(ref).max()
+        cur = got
 
 
 @pytest.mark.parametrize("configs", [_tiny_configs(3), _MIXED_DEPTH_CONFIGS],
@@ -587,6 +634,7 @@ def test_trained_weights_are_read_only_views_of_the_packed_stage(tmp_path):
             packed = (stage.first_w, stage.first_b, *stage.weights,
                       *stage.biases)
             assert not any(a.flags.writeable for a in packed)
+            assert all(a.dtype == np.float32 for a in packed)
             for net in stage.mlps:
                 for a in (*net.weights, *net.biases):
                     assert not a.flags.writeable
@@ -608,6 +656,16 @@ def test_pack_stage_rejects_wrong_counts_and_mixed_shapes():
     with pytest.raises(ValueError, match="layer sizes"):
         mst.pack_stage(enumerate([nets[0], ann.init_mlp((3, 5, 1), seed=0)]),
                        2)
+
+
+def test_pack_stage_rounds_each_weight_to_the_nearest_float32():
+    nets = [ann.init_mlp((3, 4, 2, 1), seed=k) for k in range(3)]
+    stage = mst.pack_stage(enumerate(nets), 3)
+    for net, packed in zip(nets, stage.mlps):
+        for a, b in zip((*net.weights, *net.biases),
+                        (*packed.weights, *packed.biases)):
+            assert a.dtype == np.float64 and b.dtype == np.float32
+            np.testing.assert_array_equal(b, a.astype(np.float32))
 
 
 def test_pack_stage_takes_mlps_in_any_order():
@@ -642,6 +700,20 @@ def test_model_save_load_roundtrip(tmp_path):
     assert loaded.stage_hashes() == model.stage_hashes()
     np.testing.assert_array_equal(classify_batch(loaded, xtr),
                                   classify_batch(model, xtr))
+
+
+def test_saved_stage_files_hash_to_their_stage_hashes(tmp_path):
+    x, y = _toy_gaussians(seed=17)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=18)
+    out = save_model(model, tmp_path / "model")
+    for s, expected in enumerate(model.stage_hashes(), start=1):
+        blob = (out / f"stage{s}.f32").read_bytes()
+        assert hashlib.sha256(blob).hexdigest()[:16] == expected
+        n_params = sum(ann.count_parameters(net.layer_sizes)
+                       for net in model.stages[s - 1].mlps)
+        assert len(blob) == 4 * n_params
+    assert load_model(out).stage_hashes() == model.stage_hashes()
 
 
 def test_model_save_load_roundtrip_keeps_training_traces(tmp_path):
@@ -702,33 +774,33 @@ def _drop_one_trace(manifest, out):
 
 
 def _cut_one_blob(manifest, out):
-    blob = out / "stage1.f64"
-    blob.write_bytes(blob.read_bytes()[:-8])
+    blob = out / "stage1.f32"
+    blob.write_bytes(blob.read_bytes()[:-4])
 
 
 def _widen_final_stage(manifest, out):
     # a consistent stage file of another width: it would unpack and pack
     # without error
-    with open(out / "stage3.f64", "wb") as f:
+    with open(out / "stage3.f32", "wb") as f:
         for i in range(5):
             net = ann.init_mlp((3, 7, 7, 1), seed=i)
-            ann.pack_parameters(net).astype("<f8").tofile(f)
+            ann.pack_parameters(net).astype("<f4").tofile(f)
 
 
 def _append_to_one_blob(manifest, out):
-    with open(out / "stage2.f64", "ab") as f:
-        f.write(b"\0" * 4)                    # half of one more float64
+    with open(out / "stage2.f32", "ab") as f:
+        f.write(b"\0" * 2)                    # half of one more float32
 
 
 @pytest.mark.parametrize("tamper, message", [
     (_drop_last_stage, r"\[6, 3\] traces per stage for \[6, 3, 5\] "
                        r"configured MLPs"),
     (_drop_one_final_mlp, r"\[6, 3, 4\] traces per stage"),
-    (_widen_final_stage, r"\S*stage3\.f64 has 3680 bytes, expected 2920 "
-                         r"for \(5, 73\) <f8"),
+    (_widen_final_stage, r"\S*stage3\.f32 has 1840 bytes, expected 1460 "
+                         r"for \(5, 73\) <f4"),
     (_drop_one_trace, r"\[6, 2, 5\] traces per stage"),
-    (_cut_one_blob, r"\S*stage1\.f64 has 3784 bytes, expected 3792"),
-    (_append_to_one_blob, r"\S*stage2\.f64 has 2188 bytes, expected 2184"),
+    (_cut_one_blob, r"\S*stage1\.f32 has 1892 bytes, expected 1896"),
+    (_append_to_one_blob, r"\S*stage2\.f32 has 1094 bytes, expected 1092"),
 ], ids=["stage_count", "mlp_count", "layer_sizes", "missing_trace",
         "short_blob", "trailing_bytes"])
 def test_load_model_rejects_stage_groups_not_matching_the_configs(
@@ -794,7 +866,7 @@ def test_load_model_rejects_n_labels_not_a_positive_integer(
     (("configs", 0, "n_mlps"), 3.0, r"StageConfig n_mlps 3\.0 is not of "
                                     r"type int"),
     (("configs", 1, "hidden_layers"), 2.0, r"StageConfig hidden_layers 2\.0"),
-    (("input_dim",), 4.0, r"stage1\.f64 shape \(6, .*\) is not one of "
+    (("input_dim",), 4.0, r"stage1\.f32 shape \(6, .*\) is not one of "
                           r"non-negative integers"),
     (("traces", 2, 0, "stop", "max_iters"), 5.5, r"StopCriteria max_iters "
                                                   r"5\.5 is not of type int"),
@@ -946,13 +1018,25 @@ def test_load_model_names_the_manifest_on_a_stop_criterion_error(
         load_model(out)
 
 
+def test_load_model_rejects_a_model_saved_in_float64(saved_toy_model,
+                                                     tmp_path):
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    for s in (1, 2, 3):
+        blob = out / f"stage{s}.f32"
+        np.fromfile(blob, "<f4").astype("<f8").tofile(out / f"stage{s}.f64")
+        blob.unlink()
+    with pytest.raises(ValueError, match=r"manifest\.json: \S*stage1\.f32 "
+                                         r"is missing"):
+        load_model(out)
+
+
 def test_saved_model_is_a_manifest_and_one_parameter_file_per_stage(
         saved_toy_model):
     assert sorted(f.name for f in saved_toy_model.iterdir()) == \
-        ["manifest.json", "stage1.f64", "stage2.f64", "stage3.f64"]
+        ["manifest.json", "stage1.f32", "stage2.f32", "stage3.f32"]
     model = load_model(saved_toy_model)
     for s, stage in enumerate(model.stages, start=1):
-        expected = b"".join(ann.pack_parameters(net).astype("<f8").tobytes()
+        expected = b"".join(ann.pack_parameters(net).astype("<f4").tobytes()
                             for net in stage.mlps)
-        assert (saved_toy_model / f"stage{s}.f64").read_bytes() == expected
+        assert (saved_toy_model / f"stage{s}.f32").read_bytes() == expected
     assert '"file"' not in (saved_toy_model / "manifest.json").read_text()

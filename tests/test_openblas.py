@@ -54,6 +54,17 @@ def test_factor_leaves_its_input_alone():
     np.testing.assert_array_equal(a, before)
 
 
+@pytest.mark.parametrize("n", [1, 36, 216])
+def test_factor_in_place_equals_scipy_bit_for_bit(n):
+    a = _spd(np.random.default_rng(n), n)
+    want = scipy.linalg.cho_factor(a, lower=True, check_finite=False)[0]
+    f = np.array(a, order="F")
+    c = openblas.cho_factor(f, overwrite_a=True)
+    assert c is f or np.shares_memory(c, f)
+    np.testing.assert_array_equal(c, want)
+    np.testing.assert_array_equal(f, want)
+
+
 def test_not_positive_definite_raises_linalg_error_like_scipy():
     a = np.diag([1.0, -1.0, 2.0])
     with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):

@@ -563,6 +563,27 @@ def test_load_rejects_a_value_of_the_wrong_type(tmp_path, keys, value,
         load_corpus(out)
 
 
+@pytest.mark.parametrize("snr_db", ["x", True, [25.0]])
+def test_load_rejects_an_snr_that_is_neither_a_number_nor_null(tmp_path,
+                                                                snr_db):
+    out = _saved_corpus(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["snr_db"] = snr_db
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: Corpus snr_db "
+                                         r".* is not of type float \| None"):
+        load_corpus(out)
+
+
+@pytest.mark.parametrize("snr_db", [20, 17.5, None])
+def test_load_takes_an_snr_that_is_a_number_or_null(tmp_path, snr_db):
+    out = _saved_corpus(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["snr_db"] = snr_db
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert load_corpus(out).snr_db == snr_db
+
+
 def test_load_rejects_a_repeated_transmitter(tmp_path):
     # two ('Y06v2', 1) transmitters with different carrier offsets, under a
     # profile_hash that matches them
