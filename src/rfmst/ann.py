@@ -313,7 +313,7 @@ def _lm_delta(gram, jt_dot, r, mu, dual):
     # one Fortran-ordered copy, the layout dpotrf factors in place
     a = np.array(gram, order="F")
     a.T.flat[:: a.shape[0] + 1] += mu
-    factor = cho_factor(a, overwrite_a=True)
+    factor = cho_factor(a)
     if dual:
         return jt_dot(cho_solve(factor, r))
     return cho_solve(factor, jt_dot(r))

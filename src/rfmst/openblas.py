@@ -9,7 +9,8 @@ frontend train under it.
 
 cho_factor and cho_solve call dpotrf and dpotrs of scipy.linalg._flapack,
 scipy's f2py LAPACK wrappers, with the arguments scipy.linalg.cho_factor
-and cho_solve pass them, so the results agree bit for bit.  The extension
+(overwrite_a=True) and cho_solve pass them, so the results agree bit for
+bit.  The extension
 is loaded from its file once, at import: importing scipy.linalg for two
 functions would add about 27 MB of RSS and 300 modules to every process.
 Every scipy build ships it, so there is one path and no fallback.
@@ -122,22 +123,21 @@ def _check_info(info: int, routine: str) -> None:
                          f"argument on entry to {routine}")
 
 
-def cho_factor(a, overwrite_a: bool = False) -> np.ndarray:
+def cho_factor(a) -> np.ndarray:
     """Cholesky factor of the symmetric positive definite matrix a, read
     from its lower triangle: a Fortran-ordered float64 array whose lower
     triangle holds L, a = L L', and whose strict upper triangle is a's.
-    It is a copy of a, unless overwrite_a is true and a is a
-    Fortran-ordered float64 array: then a itself is factored in place.
+    A Fortran-ordered float64 a is factored in place and returned; any
+    other input is copied first and left alone.
 
-    Equals scipy.linalg.cho_factor(a, lower=True, overwrite_a=overwrite_a,
+    Equals scipy.linalg.cho_factor(a, lower=True, overwrite_a=True,
     check_finite=False)[0] bit for bit.  Raises np.linalg.LinAlgError if a
     is not positive definite, ValueError if it is not square.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    c, info = _FLAPACK.dpotrf(a, lower=1, clean=0,
-                              overwrite_a=int(overwrite_a))
+    c, info = _FLAPACK.dpotrf(a, lower=1, clean=0, overwrite_a=1)
     _check_info(info, "POTRF")
     return c
 

@@ -396,11 +396,11 @@ def test_lm_step_retries_a_failed_factorisation_with_mu_raised(monkeypatch,
     ref, _, ref_mu, _ = lm_step(net, x, t, LmState(mu=10 * MU_INIT))
     seen = []
 
-    def failing_once(a, overwrite_a=False):
+    def failing_once(a):
         seen.append(a.copy())
         if len(seen) == 1:
             raise np.linalg.LinAlgError("not positive definite")
-        return openblas.cho_factor(a, overwrite_a)
+        return openblas.cho_factor(a)
 
     monkeypatch.setattr(ann, "cho_factor", failing_once)
     new, new_mse, mu, accepted = lm_step(net, x, t, LmState(mu=MU_INIT))
@@ -568,14 +568,14 @@ def test_primal_lm_delta_factors_one_fortran_copy_in_place_like_scipy(
                          jac.T @ r, check_finite=False)
     calls, factor = [], ann.cho_factor
 
-    def recording(a, overwrite_a=False):
-        calls.append((a.flags.f_contiguous, overwrite_a))
-        return factor(a, overwrite_a)
+    def recording(a):
+        calls.append(a.flags.f_contiguous)
+        return factor(a)
 
     monkeypatch.setattr(ann, "cho_factor", recording)
     got = ann._lm_delta(gram, partial(np.matmul, jac.T), r, mu, False)
     assert np.array_equal(got, expected)
-    assert calls == [(True, True)]
+    assert calls == [True]
     assert np.array_equal(gram, before)  # the damping went into a copy
 
 
