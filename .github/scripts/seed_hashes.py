@@ -29,8 +29,11 @@ These compare bytes with bytes, so they hold on any little-endian host.
 
 A last line, for comparison only, names the LAPACK wrappers that LM
 training solved with (`rfmst.openblas.lapack()`, the file of scipy's
-`_flapack` extension), the installed numpy and scipy versions and this
-process's peak RSS (`ru_maxrss`, in MB).  Run from anywhere:
+`_flapack` extension), the installed numpy and scipy versions, this
+process's peak RSS (`ru_maxrss`, in MB) and the minor page faults of the
+seed's first synthesis, this process's plus its reaped children's
+(`ru_minflt`): a synthesis that allocates a fresh array per packet step
+faults several times as often.  Run from anywhere:
 
     python3 .github/scripts/seed_hashes.py --seed 101
 """
@@ -46,6 +49,12 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[2]
+
+
+def minor_faults() -> int:
+    """Minor page faults so far of this process and its reaped children."""
+    return sum(resource.getrusage(who).ru_minflt
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
 def round_trip_faults(model, corpus, corpus_digest) -> list[str]:
@@ -84,8 +93,11 @@ def main() -> int:
     import workloads
 
     failed = False
+    synthesis_minflt = []
     for wl in workloads.WORKLOADS.values():
+        before = minor_faults()
         corpus = workloads.synthesise(wl, args.seed)
+        synthesis_minflt.append(minor_faults() - before)
         ts = workloads.featurise_training(wl, corpus, args.seed)
         model = workloads.train_model(ts, corpus.n_transmitters, args.seed)
         print(json.dumps({
@@ -110,6 +122,7 @@ def main() -> int:
         "scipy": importlib.metadata.version("scipy"),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF)
                              .ru_maxrss / 1024.0, 1),
+        "synthesis_minflt": synthesis_minflt[0],
     }), flush=True)
     return 1 if failed else 0
 

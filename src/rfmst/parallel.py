@@ -14,13 +14,32 @@ finishes, raises or is closed, every worker it has left is killed and
 reaped.  With one CPU, or one index, nothing forks.  Workers inherit the
 parent's memory through fork, so fn may be a closure over large inputs;
 only indices and results cross between processes.
+
+A worker's writes to inherited memory stay its own (copy on write), except
+in an array from shared_zeros made before the fork: its pages are shared,
+so an fn that writes its result into such an array, each index to its own
+part, sends nothing back and the parent reads the result in place.
 """
 from __future__ import annotations
 
+import math
+import mmap
 import os
 import pickle
 import signal
 import tempfile
+
+import numpy as np
+
+
+def shared_zeros(shape, dtype) -> np.ndarray:
+    """A zeroed C-contiguous array in an anonymous shared mapping, which
+    every process forked after it is made shares with this one; the mapping
+    is unmapped when the last view of the array goes."""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    pages = mmap.mmap(-1, max(1, count * dtype.itemsize), mmap.MAP_SHARED)
+    return np.frombuffer(pages, dtype, count).reshape(shape)
 
 
 def _processes(n: int) -> int:

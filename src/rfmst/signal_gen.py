@@ -8,16 +8,18 @@ a radio share the reference-oscillator impairments (CFO, phase-noise
 bandwidth); everything else is per-transmitter.
 
 `generate_corpus` synthesises on every usable CPU (rfmst.parallel): each
-process modulates whole payloads and sends each through every profile.
-Every packet draws its noise from streams seeded by (corpus seed,
-transmitter, payload), never from state one packet leaves for the next,
-so the corpus is the same bit for bit however many CPUs made it.
+process modulates whole payloads, sends each through every profile and
+writes each packet into its row of one capture array that every process
+shares.  Every packet draws its noise from streams seeded by (corpus
+seed, transmitter, payload), never from state one packet leaves for the
+next, so the corpus is the same bit for bit however many CPUs made it.
 
-The capture is complex64: each packet's impairment chain runs in float64
-and is rounded once, at the end, to the bytes `save_corpus` writes.  The
-rounding error's power is about 150 dB below the burst and 120 dB below
-the receiver noise at 30 dB, so it is lost in the noise, and a corpus
-holds half the memory a complex128 one would.
+The capture is complex64: each packet's impairment chain runs in float64,
+in a workspace each process reuses for all its packets, and is rounded
+once, at the end, to the bytes `save_corpus` writes.  The rounding
+error's power is about 150 dB below the burst and 120 dB below the
+receiver noise at 30 dB, so it is lost in the noise, and a corpus holds
+half the memory a complex128 one would.
 
 `modulate` resamples the baseband burst to the capture rate with a local
 polyphase resampler after `scipy.signal.resample_poly(x, up, down)` with
@@ -43,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .manifest import build, read_array, read_manifest
-from .parallel import fork_map
+from .parallel import fork_map, shared_zeros
 
 
 @dataclass(frozen=True)
@@ -293,78 +295,141 @@ def _noise_rng(corpus_seed: int, tx_label: int, packet_id: int, stream: int):
                                 tx_label, packet_id, stream]))
 
 
+def impairment_workspace(n: int) -> np.ndarray:
+    """Scratch for `apply_impairments` on packets of n samples: four
+    complex128 rows, made once and reused by every packet."""
+    return np.empty((4, n), np.complex128)
+
+
+@functools.lru_cache(maxsize=4)
+def _sample_index(n: int) -> np.ndarray:
+    """0, 1, ..., n - 1 as float64, read-only: the carrier ramp's time axis."""
+    index = np.arange(n, dtype=np.float64)
+    index.flags.writeable = False
+    return index
+
+
 def apply_impairments(packet: np.ndarray, profile: TransmitterProfile,
                       params: OfdmParams, noise_snr_db: float | None,
-                      rng_phase, rng_noise, rng_carrier) -> np.ndarray:
+                      rng_phase, rng_noise, rng_carrier,
+                      workspace: np.ndarray | None = None) -> np.ndarray:
     """Impairment chain in fixed order: IQ imbalance, AM/AM cubic, carrier
     rotation (CFO plus per-packet start phase, with the phase-noise walk
     added to the same phase, so one complex exp), DC offset, AWGN, drawn
     from rng_carrier, rng_phase and rng_noise.  noise_snr_db None means no
-    noise; a NaN or infinite one raises ValueError.  The IQ step makes a
-    new array, so the input packet is never written.  Returns the
-    complex128 chain; a corpus packet is this rounded once to complex64."""
-    x = packet
+    noise; a NaN or infinite one raises ValueError.
+
+    The chain runs in float64 whatever the packet's dtype: the packet is
+    upcast once to complex128 and never written.  It is computed in
+    `workspace`, an `impairment_workspace(len(packet))`, or in one the call
+    makes; the returned complex128 array is that workspace's first row, so
+    with a given workspace it is the same buffer on every call, valid
+    until the next.  A corpus packet is this rounded once to complex64.
+    """
+    x = np.asarray(packet, np.complex128)
+    n = len(x)
+    if workspace is None:
+        workspace = impairment_workspace(n)
+    out, rot, tmp = workspace[:3]
+    pair = workspace[3].view(np.float64).reshape(2, n)   # float64 scratch
+    u, v = pair
+    silence, n_burst = params.silence_len, n - params.silence_len
+    # Each step runs the ufunc of the out-of-place expression it stands for
+    # (noted at its end) on the same operands, so every bit, and the sign
+    # of every zero, is the same.  Where numpy would cast a float array to
+    # complex (f + 0j) to meet a complex one, the step writes it into a
+    # complex row (`rot[...] = f`) and runs the complex ufunc.  A
+    # normal(0, s) draw is 0.0 + s * standard_normal(); leaving out the 0.0
+    # moves only a draw of exactly -0.0.
+    # the receiver noise is scaled to the ideal burst's power: read it first
+    if noise_snr_db is not None:
+        if not math.isfinite(noise_snr_db):
+            raise ValueError(f"noise_snr_db must be finite or None, got "
+                             f"{noise_snr_db}")
+        power = np.square(np.abs(x[silence:], out=u[:n_burst]),
+                          out=u[:n_burst])
+        noise_power = np.mean(power) / 10 ** (noise_snr_db / 10)  # |burst|**2
+        scale = np.sqrt(noise_power / 2)
     # IQ imbalance: gain error on I, quadrature skew leaking I into Q
-    i = (1.0 + profile.iq_gain_imbalance) * x.real
-    q = x.imag * np.cos(profile.iq_phase_imbalance) \
-        + x.real * np.sin(profile.iq_phase_imbalance)
-    x = i + 1j * q
+    np.multiply(x.imag, np.cos(profile.iq_phase_imbalance), out=u)
+    np.multiply(x.real, np.sin(profile.iq_phase_imbalance), out=v)
+    np.add(u, v, out=v)                                   # q
+    np.multiply(x.real, 1.0 + profile.iq_gain_imbalance, out=u)   # i
+    rot[...] = v
+    np.multiply(1j, rot, out=rot)
+    out[...] = u
+    np.add(out, rot, out=out)                             # i + 1j * q
     # memoryless cubic AM/AM compression
     if profile.amam_cubic_coeff != 0.0:
-        x = x * (1.0 - profile.amam_cubic_coeff * np.abs(x) ** 2)
+        np.square(np.abs(out, out=u), out=u)
+        np.multiply(u, profile.amam_cubic_coeff, out=u)
+        np.subtract(1.0, u, out=u)
+        rot[...] = u
+        np.multiply(out, rot, out=out)                    # x * (1 - c|x|^2)
     # carrier rotation: frequency offset plus the oscillator's random phase
     # at key-on (captures never see a repeatable absolute carrier phase)
     phi0 = 0.0
     if profile.carrier_phase_jitter > 0.0:
         phi0 = profile.carrier_phase_jitter * rng_carrier.uniform(-1.0, 1.0)
-    phase = (2 * np.pi * profile.carrier_freq_offset * np.arange(len(x))
-             / params.capture_rate + phi0)
+    phase = u
+    np.multiply(2 * np.pi * profile.carrier_freq_offset, _sample_index(n),
+                out=phase)
+    np.divide(phase, params.capture_rate, out=phase)
+    np.add(phase, phi0, out=phase)
     # phase-noise random walk with variance 2*pi*bw per second; the walk is
     # referenced to key-on (pre-burst oscillator drift is what the start
     # phase jitter term already models)
     if profile.phase_noise_bw > 0.0:
         sigma = np.sqrt(2 * np.pi * profile.phase_noise_bw / params.capture_rate)
-        n_burst = len(x) - params.silence_len
-        phase[params.silence_len:] += np.cumsum(
-            rng_phase.normal(0.0, sigma, size=n_burst))
+        walk = rng_phase.standard_normal(out=v[:n_burst])
+        np.multiply(walk, sigma, out=walk)
+        np.cumsum(walk, out=walk)
+        np.add(phase[silence:], walk, out=phase[silence:])   # cumsum(normal)
     # one complex exp for the rotation and the walk together
     if phase.any():
-        x = x * np.exp(1j * phase)
+        rot[...] = phase
+        np.multiply(1j, rot, out=rot)
+        np.exp(rot, out=rot)
+        np.multiply(out, rot, out=out)                    # x * exp(1j * phase)
     # DC offset radiates only while the transmitter is keyed; the leading
     # silence is receiver noise alone, which keeps onset thresholding honest
-    x[params.silence_len:] += complex(profile.dc_offset)
-    # receiver noise over the whole capture, scaled to the ideal burst's power
+    np.add(out[silence:], complex(profile.dc_offset), out=out[silence:])
+    # receiver noise over the whole capture: row 0 of the draw goes to I,
+    # row 1 to Q, the order of two normal(size=n) calls
     if noise_snr_db is not None:
-        if not math.isfinite(noise_snr_db):
-            raise ValueError(f"noise_snr_db must be finite or None, got "
-                             f"{noise_snr_db}")
-        burst = packet[params.silence_len:]
-        burst_power = np.mean(np.abs(burst) ** 2)
-        noise_power = burst_power / 10 ** (noise_snr_db / 10)
-        scale = np.sqrt(noise_power / 2)
-        x = x + scale * (rng_noise.normal(size=len(x))
-                         + 1j * rng_noise.normal(size=len(x)))
-    return x
+        noise_i, noise_q = rng_noise.standard_normal(out=pair)
+        rot[...] = noise_q
+        np.multiply(1j, rot, out=rot)
+        tmp[...] = noise_i
+        np.add(tmp, rot, out=rot)
+        np.multiply(scale, rot, out=rot)
+        np.add(out, rot, out=out)              # x + scale * (n_i + 1j * n_q)
+    return out
 
 
-def _impair(ideal: np.ndarray, profile: TransmitterProfile,
-            params: OfdmParams, noise_snr_db: float | None, tx_label: int,
-            packet_id: int, corpus_seed: int) -> IqPacket:
+def _iq_packet(samples: np.ndarray, profile: TransmitterProfile,
+               tx_label: int, packet_id: int) -> IqPacket:
+    return IqPacket(samples=samples, tx_label=tx_label, packet_id=packet_id,
+                    name=f"{profile.name}_{packet_id:04d}")
+
+
+def _impair(samples: np.ndarray, ideal: np.ndarray,
+            profile: TransmitterProfile, params: OfdmParams,
+            noise_snr_db: float | None, tx_label: int, packet_id: int,
+            corpus_seed: int, workspace: np.ndarray | None = None) -> None:
     """Send one ideal packet through a profile's impairment chain, with the
-    packet's own noise streams, round it to complex64 and check that the
-    result is finite (a sample past float32's range rounds to inf)."""
+    packet's own noise streams, and round it once into `samples`, a
+    complex64 array; raises ValueError if a sample is not finite (one past
+    float32's range rounds to inf)."""
     rng_phase = _noise_rng(corpus_seed, tx_label, packet_id, 1)
     rng_noise = _noise_rng(corpus_seed, tx_label, packet_id, 2)
     rng_carrier = _noise_rng(corpus_seed, tx_label, packet_id, 3)
     chain = apply_impairments(ideal, profile, params, noise_snr_db,
-                              rng_phase, rng_noise, rng_carrier)
+                              rng_phase, rng_noise, rng_carrier, workspace)
     with np.errstate(over="ignore"):
-        samples = chain.astype(np.complex64)
-    if not np.all(np.isfinite(samples)):
+        samples[...] = chain
+    if not np.isfinite(samples).all():
         raise ValueError("synthesized packet contains non-finite samples")
-    name = f"{profile.name}_{packet_id:04d}"
-    return IqPacket(samples=samples, tx_label=tx_label,
-                    packet_id=packet_id, name=name)
 
 
 def synthesize_packet(payload: np.ndarray, profile: TransmitterProfile,
@@ -373,8 +438,10 @@ def synthesize_packet(payload: np.ndarray, profile: TransmitterProfile,
                       tx_label: int = 1, packet_id: int = 0,
                       corpus_seed: int = 0) -> IqPacket:
     """Modulate one payload through a transmitter profile."""
-    return _impair(modulate(payload, params), profile, params, noise_snr_db,
-                   tx_label, packet_id, corpus_seed)
+    samples = np.empty(params.packet_len, np.complex64)
+    _impair(samples, modulate(payload, params), profile, params,
+            noise_snr_db, tx_label, packet_id, corpus_seed)
+    return _iq_packet(samples, profile, tx_label, packet_id)
 
 
 @dataclass
@@ -440,9 +507,14 @@ def generate_corpus(profiles: list[TransmitterProfile], packets_per_tx: int,
     corrupting the other transmitters' packets.  The result equals
     `synthesize_packet` called packet by packet, bit for bit.
 
-    Each process of rfmst.parallel.fork_map modulates the payloads it takes
-    and sends each through every profile, and the parent puts the packets
-    in order; the module docstring says why the CPU count changes no bit.
+    The capture is one (len(profiles) * packets_per_tx, packet_len)
+    complex64 array in shared memory (rfmst.parallel.shared_zeros), and
+    each packet is a row of it, as `load_corpus` lays them out.  Each
+    process of rfmst.parallel.fork_map modulates the payloads it takes,
+    sends each through every profile in its copy of one impairment
+    workspace made before the fork, and writes each packet straight into
+    its row, so no sample crosses a pipe; the module docstring says why
+    the CPU count changes no bit.
 
     tx_label follows the profile list order (1-based), and the packets are
     transmitter-major: every packet of transmitter 1, then of 2, ...
@@ -450,17 +522,23 @@ def generate_corpus(profiles: list[TransmitterProfile], packets_per_tx: int,
     if packets_per_tx < 1:
         raise ValueError("packets_per_tx must be >= 1")
     validate_profiles(profiles)
+    capture = shared_zeros((len(profiles) * packets_per_tx, params.packet_len),
+                           np.complex64)
+    workspace = impairment_workspace(params.packet_len)
 
-    def payload_packets(m):
+    def synthesise(m):
         ideal = modulate(generate_payload(seed * 1_000_003 + m, params), params)
         ideal.flags.writeable = False
-        return [_impair(ideal, profile, params, noise_snr_db, tx_label=label,
-                        packet_id=m, corpus_seed=seed)
-                for label, profile in enumerate(profiles, start=1)]
+        for t, profile in enumerate(profiles):
+            _impair(capture[t * packets_per_tx + m], ideal, profile, params,
+                    noise_snr_db, tx_label=t + 1, packet_id=m,
+                    corpus_seed=seed, workspace=workspace)
 
-    with contextlib.closing(fork_map(payload_packets, packets_per_tx)) as sent:
-        by_payload = dict(sent)
-    packets = [by_payload[m][t] for t in range(len(profiles))
+    with contextlib.closing(fork_map(synthesise, packets_per_tx)) as done:
+        for _ in done:
+            pass
+    packets = [_iq_packet(capture[t * packets_per_tx + m], profile, t + 1, m)
+               for t, profile in enumerate(profiles)
                for m in range(packets_per_tx)]
     return Corpus(packets=packets, profiles=list(profiles), params=params,
                   seed=seed, snr_db=noise_snr_db)

@@ -1,9 +1,10 @@
 import os
 import time
 
+import numpy as np
 import pytest
 
-from rfmst.parallel import fork_map
+from rfmst.parallel import fork_map, shared_zeros
 
 
 def _cpus(monkeypatch, n):
@@ -113,3 +114,28 @@ def test_closing_the_map_early_leaves_no_worker(monkeypatch):
     assert next(results) is not None
     results.close()
     _assert_no_child_left()
+
+
+def test_workers_write_into_a_shared_array_in_place(monkeypatch):
+    _cpus(monkeypatch, 3)
+    forks = _counted_forks(monkeypatch)
+    parent = os.getpid()
+    shared = shared_zeros((6, 2), np.int64)
+    private = np.zeros((6, 2), np.int64)
+    assert shared.flags.c_contiguous and not shared.any()
+
+    def write(i):
+        _slow_in(parent)
+        shared[i] = private[i] = (i + 1, os.getpid())
+
+    assert [i for i, _ in sorted(fork_map(write, 6))] == list(range(6))
+    assert shared[:, 0].tolist() == [1, 2, 3, 4, 5, 6]
+    writers = set(shared[:, 1].tolist())
+    assert writers & set(forks) and writers <= {parent, *forks}
+    # a worker's writes to ordinary memory stay its own
+    assert set(private[:, 1].tolist()) <= {0, parent}
+    _assert_no_child_left()
+
+
+def test_an_empty_shared_array():
+    assert shared_zeros((0, 5), np.complex64).shape == (0, 5)

@@ -117,6 +117,94 @@ def test_cfo_phase_advance_matches_oracle():
                                atol=1e-9)
 
 
+def reference_chain(packet, profile, params, noise_snr_db, rng_phase,
+                    rng_noise, rng_carrier):
+    """The impairment chain written as out-of-place numpy expressions, one
+    new array per step: what `apply_impairments` must equal bit for bit."""
+    x = packet
+    i = (1.0 + profile.iq_gain_imbalance) * x.real
+    q = x.imag * np.cos(profile.iq_phase_imbalance) \
+        + x.real * np.sin(profile.iq_phase_imbalance)
+    x = i + 1j * q
+    if profile.amam_cubic_coeff != 0.0:
+        x = x * (1.0 - profile.amam_cubic_coeff * np.abs(x) ** 2)
+    phi0 = 0.0
+    if profile.carrier_phase_jitter > 0.0:
+        phi0 = profile.carrier_phase_jitter * rng_carrier.uniform(-1.0, 1.0)
+    phase = (2 * np.pi * profile.carrier_freq_offset * np.arange(len(x))
+             / params.capture_rate + phi0)
+    if profile.phase_noise_bw > 0.0:
+        sigma = np.sqrt(2 * np.pi * profile.phase_noise_bw / params.capture_rate)
+        n_burst = len(x) - params.silence_len
+        phase[params.silence_len:] += np.cumsum(
+            rng_phase.normal(0.0, sigma, size=n_burst))
+    if phase.any():
+        x = x * np.exp(1j * phase)
+    x[params.silence_len:] += complex(profile.dc_offset)
+    if noise_snr_db is not None:
+        burst = packet[params.silence_len:]
+        burst_power = np.mean(np.abs(burst) ** 2)
+        noise_power = burst_power / 10 ** (noise_snr_db / 10)
+        scale = np.sqrt(noise_power / 2)
+        x = x + scale * (rng_noise.normal(size=len(x))
+                         + 1j * rng_noise.normal(size=len(x)))
+    return x
+
+
+def _rngs(packet_id):
+    return [signal_gen._noise_rng(5, 1, packet_id, s) for s in (1, 2, 3)]
+
+
+# every default transmitter, and three without DC offset, whose noiseless
+# captures keep the signs the chain's complex products give to zeros: the
+# last turns the silence's zeros negative in the IQ step
+CHAIN_PROFILES = default_profiles() + [
+    quiet_profile(),
+    quiet_profile(carrier_freq_offset=-5e3, amam_cubic_coeff=0.2),
+    quiet_profile(iq_gain_imbalance=-1.5, iq_phase_imbalance=-2.0,
+                  carrier_freq_offset=3e3)]
+
+
+@pytest.mark.parametrize("snr_db", [30.0, None])
+def test_chain_equals_the_out_of_place_reference_bit_for_bit(snr_db):
+    params = OfdmParams()
+    workspace = signal_gen.impairment_workspace(params.packet_len)
+    for m in range(3):
+        ideal = modulate(generate_payload(m, params), params)
+        for profile in CHAIN_PROFILES:
+            want = reference_chain(ideal, profile, params, snr_db, *_rngs(m))
+            got = apply_impairments(ideal, profile, params, snr_db,
+                                    *_rngs(m), workspace)
+            assert got.dtype == np.complex128
+            assert got.tobytes() == want.tobytes(), (m, profile.name)
+
+
+def test_a_workspace_keeps_nothing_from_the_packet_before():
+    params = OfdmParams()
+    a = modulate(generate_payload(1, params), params)
+    b = modulate(generate_payload(2, params), params)
+    profile_a, profile_b = default_profiles()[10:]
+    alone = apply_impairments(b, profile_b, params, 30.0, *_rngs(2)).copy()
+    workspace = signal_gen.impairment_workspace(params.packet_len)
+    apply_impairments(a, profile_a, params, 30.0, *_rngs(1), workspace)
+    after = apply_impairments(b, profile_b, params, 30.0, *_rngs(2),
+                              workspace)
+    assert after.tobytes() == alone.tobytes()
+    assert np.shares_memory(after, workspace)
+
+
+def test_a_complex64_packet_runs_the_float64_chain():
+    # the chain of a complex64 packet is the chain of its exact upcast, not
+    # a float32 one: a Python float times a float32 array stays float32
+    params = OfdmParams()
+    packet = modulate(generate_payload(1, params), params).astype(np.complex64)
+    profile = default_profiles()[3]
+    got = apply_impairments(packet, profile, params, 30.0, *_rngs(1))
+    want = apply_impairments(packet.astype(np.complex128), profile, params,
+                             30.0, *_rngs(1))
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("field, kw", [
     ("baseband_rate", {"baseband_rate": 1.92e6 + 0.4}),
     ("capture_rate", {"capture_rate": 5e6 + 0.5}),
@@ -287,6 +375,41 @@ def test_sample_past_the_float32_range_raises():
     with pytest.raises(ValueError, match="non-finite"):
         synthesize_packet(payload, quiet_profile(dc_offset=1e39), FAST,
                           noise_snr_db=None)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_corpus_packets_are_consecutive_rows_of_one_capture(monkeypatch,
+                                                             cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    corpus = generate_corpus(default_profiles()[:3], 4, seed=2, params=FAST)
+    rows = [p.samples for p in corpus.packets]
+    capture = rows[0].base
+    assert capture.dtype == np.complex64 and capture.flags.c_contiguous
+    assert capture.shape == (12 * FAST.packet_len,)
+    row_bytes = FAST.packet_len * capture.itemsize
+    start = capture.__array_interface__["data"][0]
+    for k, row in enumerate(rows):
+        assert row.base is capture and row.flags.c_contiguous
+        assert row.shape == (FAST.packet_len,)
+        assert row.__array_interface__["data"][0] == start + k * row_bytes
+
+
+def test_a_sample_past_the_float32_range_raises_from_a_worker(monkeypatch):
+    # the worker's ideal packets overflow float32, the parent's do not
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, modulated = os.getpid(), signal_gen.modulate
+
+    def too_loud_in_a_worker(payload, params):
+        if os.getpid() == parent:
+            time.sleep(0.05)
+            return modulated(payload, params)
+        return modulated(payload, params) * 1e39
+
+    monkeypatch.setattr(signal_gen, "modulate", too_loud_in_a_worker)
+    with pytest.raises(ValueError, match="non-finite"):
+        generate_corpus([quiet_profile()], 4, seed=1, params=FAST)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _two_cpus_recording(monkeypatch, log, name, record):
