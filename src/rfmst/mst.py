@@ -7,19 +7,19 @@ stage regresses the class index, and classification fuses the final-stage
 outputs by majority vote over rounded responses.
 
 Packed stages: each MLP trains on its own, and a model holds each stage as
-one Stage (pack_stage).  All MLPs of a stage share their layer sizes, so
-the first-layer weights of all m of them sit side by side in one read-only
-(fan_in, m * h) array, and each later layer is a read-only (m, h, h')
-stack.  train_mst copies each MLP into its stage's arrays as soon as it is
-trained, and load_model as soon as it is read; every Mlp of the model then
-holds views of those arrays, so the weights exist once.  A stage is
-evaluated as one GEMM for all first layers plus one batched matmul per
-later layer, both for the next stage's training inputs and in
-classify_batch: for the 2048-input raw stage 1, one (B, 2048) x
-(2048, 600) GEMM instead of 60 skinny ones.
+one Stage, whose float32 arrays are sized from the stage's config: the
+first-layer weights of all m MLPs side by side in one (fan_in, m * h)
+array, and each later layer as an (m, h, h') stack.  _put rounds one MLP
+into its slot, as train_mst gets it from training and as load_model reads
+it; _freeze then makes the arrays read-only and each Mlp of the stage a
+set of views of them, so the weights exist once.  A stage is evaluated as
+one GEMM for all first layers plus one batched matmul per later layer,
+both for the next stage's training inputs and in classify_batch: for the
+2048-input raw stage 1, one (B, 2048) x (2048, 600) GEMM instead of 60
+skinny ones.
 
-Precision: LM training runs in float64.  pack_stage rounds each trained
-net to float32, so a stored stage is float32, and _stage_outputs, the one
+Precision: LM training runs in float64.  _put rounds each trained net to
+float32, so a stored stage is float32, and _stage_outputs, the one
 evaluation of a stage, runs in float32: the next stage trains on the very
 numbers classify_batch computes.  A model's TrainRun traces describe its
 float64 nets before that rounding.
@@ -28,8 +28,8 @@ Stage workers: a stage's MLPs are independent, so train_mst trains them
 with rfmst.parallel.fork_map, once its inputs are ready: in this process
 and in workers forked for the stage, one process per CPU it may run on.
 Each MLP trains from its own seed, so the model is the same whichever
-process trained which MLP, and the parent packs each MLP by index as it
-arrives.  Each TrainRun's seconds is timed in the process that trained it.
+process trained which MLP; the parent puts each net, sent back by pickle,
+by index as it arrives.  Each TrainRun's seconds is timed where it ran.
 
 BLAS policy: training runs with the OpenBLAS that numpy and scipy bundle
 pinned to one thread in every process, parent and workers, so a trained
@@ -143,7 +143,6 @@ def scaled_config(configs, factor: int) -> list[StageConfig]:
 class MlpPlan:
     target_class: int | None      # None for class-index regression
     indices: np.ndarray           # rows of the training set
-    targets: np.ndarray           # regression target per row
 
 
 def stage_targets(cfg: StageConfig, all_labels: np.ndarray,
@@ -160,7 +159,7 @@ def stage_targets(cfg: StageConfig, all_labels: np.ndarray,
 
 def plan_batches(labels: np.ndarray, configs, seed: int,
                  known_labels=None) -> list[list[MlpPlan]]:
-    """Assign batches and targets to every MLP, one list of plans per stage.
+    """Plan every MLP's batch and target class, one list of plans per stage.
 
     DETECTOR_BLOCKS stages take all positives of the target class plus an
     equal count of seeded random negatives, drawn from the known-class pool
@@ -196,11 +195,9 @@ def plan_batches(labels: np.ndarray, configs, seed: int,
                 neg = rng.choice(neg_pool, size=pos.size,
                                  replace=neg_pool.size < pos.size)
                 idx = np.concatenate([pos, neg])
-                tgt = np.concatenate([np.ones(pos.size), np.zeros(neg.size)])
             else:
                 idx = np.arange(len(labels))
-                tgt = _mlp_targets(t, labels)
-            plans.append(MlpPlan(target_class=t, indices=idx, targets=tgt))
+            plans.append(MlpPlan(target_class=t, indices=idx))
         stage_plans.append(plans)
     return stage_plans
 
@@ -225,7 +222,7 @@ class Stage:
     biases.  weights and biases hold each later layer as an
     (m, fan_in, fan_out) stack and its (m, 1, fan_out) biases.  All are
     float32 and read-only, and the arrays of each Mlp in `mlps` are views
-    of them.  Build with pack_stage.
+    of them.
     """
     mlps: tuple[Mlp, ...]
     first_w: np.ndarray
@@ -234,50 +231,40 @@ class Stage:
     biases: tuple[np.ndarray, ...]
 
 
-def pack_stage(mlps, n_mlps: int) -> Stage:
-    """Copy n_mlps MLPs of one layer-size tuple into packed, read-only
-    float32 arrays, rounding each weight to nearest.
+def _stage_arrays(sizes, m: int):
+    """Empty arrays for m MLPs of layer sizes `sizes`: first_w, first_b,
+    weights and biases, as a Stage holds them."""
+    h = sizes[1]
+    return (np.empty((sizes[0], m * h), np.float32),
+            np.empty(m * h, np.float32),
+            tuple(np.empty((m, a, b), np.float32)
+                  for a, b in zip(sizes[1:-1], sizes[2:])),
+            tuple(np.empty((m, 1, b), np.float32) for b in sizes[2:]))
 
-    `mlps` yields (index, net) pairs in any order, each index of
-    range(n_mlps) exactly once.  It may be a generator: each MLP is copied
-    to its index as it arrives and not held after, so a stage trained or
-    loaded through one holds its weights once, not twice.
-    """
-    arrived = np.zeros(max(n_mlps, 0), dtype=bool)
-    sizes = None
-    for i, net in mlps:
-        if sizes is None:
-            sizes, h = net.layer_sizes, net.layer_sizes[1]
-            first_w = np.empty((sizes[0], n_mlps * h), np.float32)
-            first_b = np.empty(n_mlps * h, np.float32)
-            weights = tuple(np.empty((n_mlps, a, b), np.float32)
-                            for a, b in zip(sizes[1:-1], sizes[2:]))
-            biases = tuple(np.empty((n_mlps, 1, b), np.float32)
-                           for b in sizes[2:])
-        elif net.layer_sizes != sizes:
-            raise ValueError("the MLPs of a stage must share their layer sizes")
-        if not 0 <= i < n_mlps:
-            raise ValueError(f"MLP index {i} outside 0..{n_mlps - 1}")
-        if arrived[i]:
-            raise ValueError(f"MLP index {i} arrived twice")
-        arrived[i] = True
-        cols = slice(i * h, (i + 1) * h)
-        first_w[:, cols] = net.weights[0]
-        first_b[cols] = net.biases[0]
-        for w, b, net_w, net_b in zip(weights, biases, net.weights[1:],
-                                      net.biases[1:]):
-            w[i] = net_w
-            b[i, 0] = net_b
-    count = int(arrived.sum())
-    if n_mlps < 1 or count != n_mlps:
-        raise ValueError(f"expected {n_mlps} >= 1 MLPs, got {count}")
+
+def _put(arrays, i: int, net: Mlp) -> None:
+    """Round MLP i's weights to the nearest float32 into its slot."""
+    first_w, first_b, weights, biases = arrays
+    cols = slice(i * net.layer_sizes[1], (i + 1) * net.layer_sizes[1])
+    first_w[:, cols] = net.weights[0]
+    first_b[cols] = net.biases[0]
+    for w, b, net_w, net_b in zip(weights, biases, net.weights[1:],
+                                  net.biases[1:]):
+        w[i] = net_w
+        b[i, 0] = net_b
+
+
+def _freeze(arrays, sizes) -> Stage:
+    """The Stage of filled arrays, made read-only, its MLPs views of them."""
+    first_w, first_b, weights, biases = arrays
+    h = sizes[1]
     for arr in (first_w, first_b, *weights, *biases):
         arr.flags.writeable = False
     # views taken after the freeze, since a view keeps the flag it was made with
     views = tuple(
         Mlp(sizes, [first_w[:, i * h:(i + 1) * h], *(w[i] for w in weights)],
             [first_b[i * h:(i + 1) * h], *(b[i, 0] for b in biases)])
-        for i in range(n_mlps))
+        for i in range(first_b.size // h))
     return Stage(views, first_w, first_b, weights, biases)
 
 
@@ -321,21 +308,6 @@ class MstModel:
                 h.update(pack_parameters(net).tobytes())
             out.append(h.hexdigest()[:16])
         return out
-
-
-def _train_stage(train_one, n_mlps: int) -> tuple[Stage, list[TrainRun]]:
-    """Train and pack a stage's MLPs, train_one(i) returning MLP i and its
-    TrainRun, in this process and in forked stage workers (see the module
-    docstring).  No worker outlives the call, also when it raises."""
-    runs = [None] * n_mlps
-
-    def nets(trained):
-        for i, (net, run) in trained:
-            runs[i] = run
-            yield i, net
-
-    with contextlib.closing(fork_map(train_one, n_mlps)) as trained:
-        return pack_stage(nets(trained), n_mlps), runs
 
 
 @single_threaded_blas()
@@ -385,25 +357,31 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
             else min(cfg.max_iters, iter_cap)
         stop = StopCriteria(max_iters=max_iters, mse_goal=cfg.mse_goal,
                             val_patience=val_patience)
+        sizes = cfg.layer_sizes(cur_tr.shape[1])
 
         def train_one(i):
             mlp_plan = plan[s][i]
-            net = init_mlp(
-                cfg.layer_sizes(cur_tr.shape[1]),
-                seed=np.random.SeedSequence([0x3117, seed, s, i]))
-            xb = cur_tr[mlp_plan.indices]
-            tb = mlp_plan.targets[:, None]
-            tv = _mlp_targets(mlp_plan.target_class, val_y)[:, None]
+            net = init_mlp(sizes,
+                           seed=np.random.SeedSequence([0x3117, seed, s, i]))
+            rows, t = mlp_plan.indices, mlp_plan.target_class
+            train_xy = cur_tr[rows], _mlp_targets(t, train_y[rows])[:, None]
+            val_xy = cur_va, _mlp_targets(t, val_y)[:, None]
             opt = LmState() if order == 2 else SdOptimizer(lr=sd_lr)
-            return train(net, (xb, tb), (cur_va, tv), opt, stop)
+            return train(net, train_xy, val_xy, opt, stop)
 
-        stage, runs = _train_stage(train_one, cfg.n_mlps)
-        stages.append(stage)
+        arrays, runs = None, [None] * cfg.n_mlps
+        with contextlib.closing(fork_map(train_one, cfg.n_mlps)) as trained:
+            for i, (net, run) in trained:
+                # made at the first arrival, once the workers have forked
+                arrays = arrays or _stage_arrays(sizes, cfg.n_mlps)
+                _put(arrays, i, net)
+                runs[i] = run
+        stages.append(_freeze(arrays, sizes))
         traces.append(runs)
         if s + 1 < len(configs):
             # float64 once per stage, not once per LM step
-            cur_tr = _stage_outputs(stage, cur_tr).astype(np.float64)
-            cur_va = _stage_outputs(stage, cur_va).astype(np.float64)
+            cur_tr = _stage_outputs(stages[-1], cur_tr).astype(np.float64)
+            cur_va = _stage_outputs(stages[-1], cur_va).astype(np.float64)
     known = () if known_labels is None else tuple(int(v) for v in known_labels)
     return MstModel(configs=list(configs), stages=stages, n_labels=n_labels,
                     order=order, seed=seed, traces=traces, known_labels=known)
@@ -584,9 +562,10 @@ def load_model(in_dir) -> MstModel:
         sizes = cfg.layer_sizes(fan_in)
         params = read_array(path, f"stage{s}.f32", "<f4",
                             (cfg.n_mlps, count_parameters(sizes)))
-        stages.append(pack_stage(
-            enumerate(unpack_parameters(sizes, p) for p in params),
-            cfg.n_mlps))
+        arrays = _stage_arrays(sizes, cfg.n_mlps)
+        for i, p in enumerate(params):
+            _put(arrays, i, unpack_parameters(sizes, p))
+        stages.append(_freeze(arrays, sizes))
         fan_in = cfg.n_mlps
     model = MstModel(configs=configs, stages=stages, n_labels=n_labels,
                      order=order, seed=seed, traces=traces,

@@ -98,21 +98,19 @@ def test_stage1_batches_balanced_positives_negatives():
     y = _labels(12, 100)
     plan = plan_batches(y, default_config_2nd(12), seed=1)
     for mlp_plan in plan[0]:
-        t = mlp_plan.target_class
-        pos = mlp_plan.indices[mlp_plan.targets == 1.0]
-        neg = mlp_plan.indices[mlp_plan.targets == 0.0]
-        assert len(pos) == 100 and len(neg) == 100
-        assert np.all(y[pos] == t)
-        assert np.all(y[neg] != t)
+        rows, t = mlp_plan.indices, mlp_plan.target_class
+        positive = y[rows] == t
+        assert positive.sum() == 100 and (~positive).sum() == 100
+        np.testing.assert_array_equal(np.sort(rows[positive]),
+                                      np.flatnonzero(y == t))
 
 
 def test_stage2_batch_is_full_training_set():
     y = _labels(12, 10)
     plan = plan_batches(y, default_config_2nd(12), seed=1)
-    for mlp_plan in plan[1]:
-        assert len(mlp_plan.indices) == len(y)
-    for mlp_plan in plan[2]:
-        np.testing.assert_array_equal(mlp_plan.targets, y.astype(float))
+    for mlp_plan in plan[1] + plan[2]:
+        np.testing.assert_array_equal(mlp_plan.indices, np.arange(len(y)))
+    assert all(mlp_plan.target_class is None for mlp_plan in plan[2])
 
 
 def test_plan_is_deterministic_per_seed():
@@ -643,40 +641,18 @@ def test_trained_weights_are_read_only_views_of_the_packed_stage(tmp_path):
             m.stages[0].mlps[0].weights[0][0, 0] = 1.0
 
 
-def test_pack_stage_rejects_wrong_counts_and_mixed_shapes():
-    nets = [ann.init_mlp((3, 4, 1), seed=k) for k in range(3)]
-    with pytest.raises(ValueError):
-        mst.pack_stage([], 0)
-    with pytest.raises(ValueError, match="got 2"):
-        mst.pack_stage(enumerate(nets[:2]), 3)
-    with pytest.raises(ValueError, match=r"MLP index 2 outside 0\.\.1"):
-        mst.pack_stage(enumerate(nets), 2)
-    with pytest.raises(ValueError, match="MLP index 0 arrived twice"):
-        mst.pack_stage([(0, nets[0]), (0, nets[1])], 2)
-    with pytest.raises(ValueError, match="layer sizes"):
-        mst.pack_stage(enumerate([nets[0], ann.init_mlp((3, 5, 1), seed=0)]),
-                       2)
-
-
-def test_pack_stage_rounds_each_weight_to_the_nearest_float32():
-    nets = [ann.init_mlp((3, 4, 2, 1), seed=k) for k in range(3)]
-    stage = mst.pack_stage(enumerate(nets), 3)
+def test_a_filled_stage_rounds_each_weight_to_the_nearest_float32():
+    sizes = (3, 4, 2, 1)
+    nets = [ann.init_mlp(sizes, seed=k) for k in range(3)]
+    arrays = mst._stage_arrays(sizes, 3)
+    for i in (2, 0, 1):
+        mst._put(arrays, i, nets[i])
+    stage = mst._freeze(arrays, sizes)
     for net, packed in zip(nets, stage.mlps):
         for a, b in zip((*net.weights, *net.biases),
                         (*packed.weights, *packed.biases)):
             assert a.dtype == np.float64 and b.dtype == np.float32
             np.testing.assert_array_equal(b, a.astype(np.float32))
-
-
-def test_pack_stage_takes_mlps_in_any_order():
-    nets = [ann.init_mlp((3, 4, 2, 1), seed=k) for k in range(3)]
-    in_order = mst.pack_stage(enumerate(nets), 3)
-    shuffled = mst.pack_stage([(2, nets[2]), (0, nets[0]), (1, nets[1])], 3)
-    for a, b in zip((in_order.first_w, in_order.first_b, *in_order.weights,
-                     *in_order.biases),
-                    (shuffled.first_w, shuffled.first_b, *shuffled.weights,
-                     *shuffled.biases)):
-        np.testing.assert_array_equal(a, b)
 
 
 def test_classify_rejects_rows_of_the_wrong_width():
