@@ -385,6 +385,14 @@ class SdOptimizer:
         return net, mse(net, x, t), 0.0, True
 
 
+def as_count(name: str, value) -> int:
+    """value as an int, if it is a Python or numpy integer; anything else,
+    a float or a bool included, raises ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class StopCriteria:
     max_iters: int
@@ -392,6 +400,8 @@ class StopCriteria:
     val_patience: int = 10
 
     def __post_init__(self):
+        self.max_iters = as_count("max_iters", self.max_iters)
+        self.val_patience = as_count("val_patience", self.val_patience)
         if not self.max_iters >= 1 or not self.mse_goal > 0:
             raise ValueError("max_iters and mse_goal must be positive")
         if not self.val_patience >= 1:

@@ -61,6 +61,7 @@ from .ann import (
     SdOptimizer,
     StopCriteria,
     TrainRun,
+    as_count,
     count_parameters,
     forward,  # noqa: F401  (kept as mst.forward: perfbench/tracing.py wraps it)
     init_mlp,
@@ -89,6 +90,9 @@ class StageConfig:
     def __post_init__(self):
         if self.role not in (DETECTOR_BLOCKS, DETECTOR_CYCLE, CLASS_INDEX):
             raise ValueError(f"unknown stage role {self.role!r}")
+        for name in ("n_mlps", "hidden_layers", "neurons_per_layer",
+                     "max_iters"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
         if self.n_mlps < 1:
             raise ValueError("n_mlps must be >= 1")
         if not self.max_iters >= 1 or not self.mse_goal > 0:
@@ -319,10 +323,10 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
     Stage s+1 consumes the frozen stage-s outputs, evaluated once on the
     full training and validation sets.  known_labels restricts the classes
     whose data feeds stage 1 (incremental learning); later stages always
-    see every class.  iter_cap optionally lowers each stage's iteration
-    budget for reduced-scale runs.  Training labels must be exactly 1..n,
-    the validation set non-empty with labels among them, and all features
-    finite.
+    see every class.  iter_cap, an integer >= 1, optionally lowers each
+    stage's iteration budget for reduced-scale runs.  Training labels must
+    be exactly 1..n, the validation set non-empty with labels among them,
+    and all features finite.
 
     The whole call runs on one BLAS thread (single_threaded_blas), so the
     trained model is the same whatever the caller's BLAS thread count;
@@ -332,6 +336,8 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
         raise ValueError("order must be 1 (gradient) or 2 (damped Gauss-Newton)")
     if not configs:
         raise ValueError("need at least one stage config")
+    if iter_cap is not None and as_count("iter_cap", iter_cap) < 1:
+        raise ValueError(f"iter_cap must be >= 1, got {iter_cap}")
     train_x = np.asarray(train_x, dtype=np.float64)
     val_x = np.asarray(val_x, dtype=np.float64)
     train_y = np.asarray(train_y)
@@ -360,10 +366,9 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
         sizes = cfg.layer_sizes(cur_tr.shape[1])
 
         def train_one(i):
-            mlp_plan = plan[s][i]
             net = init_mlp(sizes,
                            seed=np.random.SeedSequence([0x3117, seed, s, i]))
-            rows, t = mlp_plan.indices, mlp_plan.target_class
+            rows, t = plan[s][i].indices, plan[s][i].target_class
             train_xy = cur_tr[rows], _mlp_targets(t, train_y[rows])[:, None]
             val_xy = cur_va, _mlp_targets(t, val_y)[:, None]
             opt = LmState() if order == 2 else SdOptimizer(lr=sd_lr)
@@ -372,7 +377,8 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
         arrays, runs = None, [None] * cfg.n_mlps
         with contextlib.closing(fork_map(train_one, cfg.n_mlps)) as trained:
             for i, (net, run) in trained:
-                # made at the first arrival, once the workers have forked
+                # private memory: stage arrays shared with the workers made
+                # each later raw_w1024 featurise fault ~1,900 pages
                 arrays = arrays or _stage_arrays(sizes, cfg.n_mlps)
                 _put(arrays, i, net)
                 runs[i] = run

@@ -731,6 +731,21 @@ def test_stop_criteria_reject_a_nan_goal():
         StopCriteria(max_iters=5, mse_goal=float("nan"))
 
 
+@pytest.mark.parametrize("field", ["max_iters", "val_patience"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True])
+def test_stop_criteria_reject_counts_that_are_not_integers(field, bad):
+    fields = {"max_iters": 5, "mse_goal": 1e-3, field: bad}
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be an integer, got {bad!r}$"):
+        StopCriteria(**fields)
+
+
+def test_stop_criteria_take_numpy_integers_as_ints():
+    stop = StopCriteria(np.int64(5), 1e-3, np.uint8(3))
+    assert (type(stop.max_iters), type(stop.val_patience)) == (int, int)
+    assert (stop.max_iters, stop.val_patience) == (5, 3)
+
+
 def test_lm_state_rejects_a_nan_mu():
     with pytest.raises(ValueError, match="mu must be positive"):
         LmState(mu=float("nan"))

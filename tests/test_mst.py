@@ -81,6 +81,26 @@ def test_stage_config_rejects_a_budget_training_cannot_use(max_iters,
         StageConfig(DETECTOR_BLOCKS, 4, 2, 10, max_iters, mse_goal)
 
 
+@pytest.mark.parametrize("field", ["n_mlps", "hidden_layers",
+                                   "neurons_per_layer", "max_iters"])
+@pytest.mark.parametrize("bad", [1.5, 2.0, True])
+def test_stage_config_rejects_counts_that_are_not_integers(field, bad):
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be an integer, got {bad!r}$"):
+        dataclasses.replace(StageConfig(DETECTOR_BLOCKS, 4), **{field: bad})
+
+
+def test_stage_config_takes_numpy_integers_as_ints():
+    cfg = StageConfig(DETECTOR_BLOCKS, np.int64(4), np.int32(2),
+                      np.uint8(6), np.int16(30))
+    counts = (cfg.n_mlps, cfg.hidden_layers, cfg.neurons_per_layer,
+              cfg.max_iters)
+    assert counts == (4, 2, 6, 30)
+    assert all(type(c) is int for c in counts)
+    MstModel([cfg], [], 3, 2, 0).config_hash()     # JSON takes them
+
+
+
 def test_scaled_config_triples_mlps():
     cfgs = scaled_config(default_config_2nd(12), 3)
     assert [c.n_mlps for c in cfgs] == [180, 90, 90]
@@ -242,6 +262,26 @@ def test_stage_freezing_later_stage_changes_leave_earlier_weights():
     assert m1.stage_hashes()[2] != m2.stage_hashes()[2]
 
 
+@pytest.mark.parametrize("iter_cap, message", [
+    (1.5, "iter_cap must be an integer, got 1.5"),
+    (True, "iter_cap must be an integer, got True"),
+    (0, "iter_cap must be >= 1, got 0")])
+def test_train_mst_rejects_an_iter_cap_that_is_not_a_positive_integer(
+        iter_cap, message):
+    x, y = _toy_gaussians(seed=6)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train_mst(*_split_toy(x, y), _tiny_configs(3), iter_cap=iter_cap)
+
+
+def test_a_numpy_iter_cap_trains_a_model_that_saves(tmp_path):
+    x, y = _toy_gaussians(seed=6)
+    model = train_mst(*_split_toy(x, y), _tiny_configs(3), seed=7,
+                      iter_cap=np.int64(2))
+    assert all(run.iterations <= 2 for runs in model.traces for run in runs)
+    loaded = load_model(save_model(model, tmp_path / "model"))
+    assert loaded.stage_hashes() == model.stage_hashes()
+
+
 def test_first_order_training_runs_with_iter_cap():
     x, y = _toy_gaussians(seed=6)
     xtr, ytr, xva, yva = _split_toy(x, y)
@@ -329,14 +369,23 @@ def test_an_error_in_the_parent_leaves_no_worker(monkeypatch, tmp_path):
     x, y = _toy_gaussians(seed=34)
     xtr, ytr, xva, yva = _split_toy(x, y)
     _cpus(monkeypatch, 4)
+    configs = _tiny_configs(3)
+    # each of the 3 workers holds at most one MLP while it waits for the
+    # parent, so the stage leaves the parent one to fail on
+    assert configs[0].n_mlps > 3
+    started = tmp_path / "parent-started"
 
     def fail_in_the_parent():
         if os.getpid() == parent:
+            started.touch()
             raise ValueError("MLP failed in the parent")
+        deadline = time.monotonic() + 10
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
 
     parent = _logged_train(monkeypatch, tmp_path / "pids", fail_in_the_parent)
     with pytest.raises(ValueError, match="MLP failed in the parent"):
-        train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=35)
+        train_mst(xtr, ytr, xva, yva, configs, seed=35)
     _assert_no_child_left()
 
 
