@@ -296,9 +296,9 @@ def _noise_rng(corpus_seed: int, tx_label: int, packet_id: int, stream: int):
 
 
 def impairment_workspace(n: int) -> np.ndarray:
-    """Scratch for `apply_impairments` on packets of n samples: four
+    """Scratch for `apply_impairments` on packets of n samples: three
     complex128 rows, made once and reused by every packet."""
-    return np.empty((4, n), np.complex128)
+    return np.empty((3, n), np.complex128)
 
 
 @functools.lru_cache(maxsize=4)
@@ -330,15 +330,14 @@ def apply_impairments(packet: np.ndarray, profile: TransmitterProfile,
     n = len(x)
     if workspace is None:
         workspace = impairment_workspace(n)
-    out, rot, tmp = workspace[:3]
-    pair = workspace[3].view(np.float64).reshape(2, n)   # float64 scratch
+    out, rot = workspace[:2]
+    pair = workspace[2].view(np.float64).reshape(2, n)   # float64 scratch
     u, v = pair
     silence, n_burst = params.silence_len, n - params.silence_len
     # Each step runs the ufunc of the out-of-place expression it stands for
     # (noted at its end) on the same operands, so every bit, and the sign
-    # of every zero, is the same.  Where numpy would cast a float array to
-    # complex (f + 0j) to meet a complex one, the step writes it into a
-    # complex row (`rot[...] = f`) and runs the complex ufunc.  A
+    # of every zero, is the same: a float operand meeting a complex one is
+    # cast to f + 0j inside the ufunc, as in the expression.  A
     # normal(0, s) draw is 0.0 + s * standard_normal(); leaving out the 0.0
     # moves only a draw of exactly -0.0.
     # the receiver noise is scaled to the ideal burst's power: read it first
@@ -355,17 +354,14 @@ def apply_impairments(packet: np.ndarray, profile: TransmitterProfile,
     np.multiply(x.real, np.sin(profile.iq_phase_imbalance), out=v)
     np.add(u, v, out=v)                                   # q
     np.multiply(x.real, 1.0 + profile.iq_gain_imbalance, out=u)   # i
-    rot[...] = v
-    np.multiply(1j, rot, out=rot)
-    out[...] = u
-    np.add(out, rot, out=out)                             # i + 1j * q
+    np.multiply(1j, v, out=rot)
+    np.add(u, rot, out=out)                               # i + 1j * q
     # memoryless cubic AM/AM compression
     if profile.amam_cubic_coeff != 0.0:
         np.square(np.abs(out, out=u), out=u)
         np.multiply(u, profile.amam_cubic_coeff, out=u)
         np.subtract(1.0, u, out=u)
-        rot[...] = u
-        np.multiply(out, rot, out=out)                    # x * (1 - c|x|^2)
+        np.multiply(out, u, out=out)                      # x * (1 - c|x|^2)
     # carrier rotation: frequency offset plus the oscillator's random phase
     # at key-on (captures never see a repeatable absolute carrier phase)
     phi0 = 0.0
@@ -387,8 +383,7 @@ def apply_impairments(packet: np.ndarray, profile: TransmitterProfile,
         np.add(phase[silence:], walk, out=phase[silence:])   # cumsum(normal)
     # one complex exp for the rotation and the walk together
     if phase.any():
-        rot[...] = phase
-        np.multiply(1j, rot, out=rot)
+        np.multiply(1j, phase, out=rot)
         np.exp(rot, out=rot)
         np.multiply(out, rot, out=out)                    # x * exp(1j * phase)
     # DC offset radiates only while the transmitter is keyed; the leading
@@ -398,10 +393,8 @@ def apply_impairments(packet: np.ndarray, profile: TransmitterProfile,
     # row 1 to Q, the order of two normal(size=n) calls
     if noise_snr_db is not None:
         noise_i, noise_q = rng_noise.standard_normal(out=pair)
-        rot[...] = noise_q
-        np.multiply(1j, rot, out=rot)
-        tmp[...] = noise_i
-        np.add(tmp, rot, out=rot)
+        np.multiply(1j, noise_q, out=rot)
+        np.add(noise_i, rot, out=rot)
         np.multiply(scale, rot, out=rot)
         np.add(out, rot, out=out)              # x + scale * (n_i + 1j * n_q)
     return out
