@@ -100,7 +100,6 @@ def test_stage_config_takes_numpy_integers_as_ints():
     MstModel([cfg], [], 3, 2, 0).config_hash()     # JSON takes them
 
 
-
 def test_scaled_config_triples_mlps():
     cfgs = scaled_config(default_config_2nd(12), 3)
     assert [c.n_mlps for c in cfgs] == [180, 90, 90]
