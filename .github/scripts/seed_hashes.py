@@ -27,15 +27,25 @@ and the loaded corpus's `corpus_digest` equal the built ones, and each
 `stage<s>.f32`'s sha256 (first 16 hex digits) equals its stage hash.
 These compare bytes with bytes, so they hold on any little-endian host.
 
-A last line, for comparison only, names the LAPACK wrappers that LM
-training solved with (`rfmst.openblas.lapack()`, the file of scipy's
-`_flapack` extension), the installed numpy and scipy versions, this
-process's peak RSS (`ru_maxrss`, in MB) and the minor page faults of the
-seed's first synthesis, this process's plus its reaped children's
-(`ru_minflt`): a synthesis that allocates a fresh array per packet step
-faults several times as often.  Run from anywhere:
+A last line, for comparison only, names the numeric profile the hashes
+belong to: the LAPACK wrappers that LM training solved with
+(`rfmst.openblas.lapack()`, the file of scipy's `_flapack` extension), the
+core each bundled OpenBLAS chose its kernels for (`rfmst.openblas.cores()`,
+which `OPENBLAS_CORETYPE` overrides), numpy's SIMD dispatch targets that
+run on this CPU (which `NPY_DISABLE_CPU_FEATURES` trims) and the installed
+numpy and scipy versions.  Another profile prints other feature and stage
+hashes with no code change.  The line also gives this process's peak RSS
+(`ru_maxrss`, in MB) and the minor page faults of the seed's first
+synthesis, this process's plus its reaped children's (`ru_minflt`): a
+synthesis that allocates a fresh array per packet step faults several
+times as often.  Run from anywhere:
 
     python3 .github/scripts/seed_hashes.py --seed 101
+
+`seed101_pinned.jsonl` beside this script holds the two workload lines of
+seed 101 under the profile CI pins: numpy 2.4.6 and scipy 1.17.1,
+`OPENBLAS_CORETYPE=Haswell` and
+`NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`.
 """
 import argparse
 import hashlib
@@ -55,6 +65,14 @@ def minor_faults() -> int:
     """Minor page faults so far of this process and its reaped children."""
     return sum(resource.getrusage(who).ru_minflt
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+
+
+def numpy_dispatch() -> list[str]:
+    """numpy's SIMD dispatch targets that this process runs: those this CPU
+    has, less any that NPY_DISABLE_CPU_FEATURES disables."""
+    from numpy._core import _multiarray_umath as umath
+    return [target for target in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(target)]
 
 
 def round_trip_faults(model, corpus, corpus_digest) -> list[str]:
@@ -115,9 +133,11 @@ def main() -> int:
                                        workloads.corpus_digest):
             print(f"{wl.name}: round trip: {fault}", file=sys.stderr)
             failed = True
-    from rfmst.openblas import lapack
+    from rfmst.openblas import cores, lapack
     print(json.dumps({
         "lapack": lapack(),
+        "openblas_cores": cores(),
+        "numpy_dispatch": numpy_dispatch(),
         "numpy": importlib.metadata.version("numpy"),
         "scipy": importlib.metadata.version("scipy"),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF)

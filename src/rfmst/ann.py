@@ -29,6 +29,7 @@ from time import perf_counter
 
 import numpy as np
 
+from .manifest import as_count
 from .openblas import cho_factor, cho_solve
 
 MU_INIT = 1e-3
@@ -383,14 +384,6 @@ class SdOptimizer:
     def step(self, net, x, t):
         net = sd_step(net, x, t, self.lr)
         return net, mse(net, x, t), 0.0, True
-
-
-def as_count(name: str, value) -> int:
-    """value as an int, if it is a Python or numpy integer; anything else,
-    a float or a bool included, raises ValueError naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .manifest import as_count
+
 DEFAULT_TAU = 0.05
 
 
@@ -78,9 +80,9 @@ def segment(f: np.ndarray, onset_index: int, n: int,
     """Take the n samples starting at the (1-based) onset index of the
     1-D packet f."""
     f = _as_packet(f)
-    if onset_index < 1:
+    if as_count("onset_index", onset_index) < 1:
         raise ValueError("onset_index is 1-based and must be >= 1")
-    if n < 1:
+    if as_count("n", n) < 1:
         raise ValueError(f"segment length n must be >= 1, got {n}")
     if onset_index + n - 1 > len(f):
         raise TooShort(

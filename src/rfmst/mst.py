@@ -1,10 +1,13 @@
 """Multi-stage training orchestrator.
 
-A model is an ordered list of stages, each a group of MLPs.  Stage-1 nets
-are narrow detectors trained on balanced per-class batches; later stages
-consume the previous stage's outputs on the full training set.  The final
-stage regresses the class index, and classification fuses the final-stage
-outputs by majority vote over rounded responses.
+A model is an ordered list of stages, each a group of MLPs; which class
+each MLP learns is one rule, _model_targets, that train_mst trains by,
+save_model records and load_model checks.  Stage-1 nets are narrow
+detectors, each trained on the balanced batch it draws where it trains
+(_detector_batch); later stages consume the previous stage's outputs on
+the full training set.  The final stage regresses the class index, and
+classification fuses the final-stage outputs by majority vote over
+rounded responses.
 
 Packed stages: each MLP trains on its own, and a model holds each stage as
 one Stage, whose float32 arrays are sized from the stage's config: the
@@ -61,7 +64,6 @@ from .ann import (
     SdOptimizer,
     StopCriteria,
     TrainRun,
-    as_count,
     count_parameters,
     forward,  # noqa: F401  (kept as mst.forward: perfbench/tracing.py wraps it)
     init_mlp,
@@ -69,7 +71,7 @@ from .ann import (
     train,
     unpack_parameters,
 )
-from .manifest import build, read_array, read_manifest
+from .manifest import as_count, build, read_array, read_manifest
 from .openblas import single_threaded_blas
 from .parallel import fork_map
 
@@ -108,7 +110,7 @@ def default_config_2nd(n_t: int = 12) -> list[StageConfig]:
     Stage settings: 10 neurons and goal 1e-3 at 100 iterations, then
     15-neuron stages at 150/1e-5 and 250/1e-7.
     """
-    if n_t < 2:
+    if as_count("n_t", n_t) < 2:
         raise ValueError("need at least two transmitters")
     later = math.ceil(2.5 * n_t)
     return [
@@ -121,7 +123,7 @@ def default_config_2nd(n_t: int = 12) -> list[StageConfig]:
 def default_config_1st(n_t: int = 12) -> list[StageConfig]:
     """Six stages for first-order training: goal 1e-1 at the first stage,
     decreasing geometrically to 1e-3 at the last, 15,000 iteration cap."""
-    if n_t < 2:
+    if as_count("n_t", n_t) < 2:
         raise ValueError("need at least two transmitters")
     goals = np.geomspace(1e-1, 1e-3, 6)
     stages = [StageConfig(DETECTOR_BLOCKS, 2 * n_t, 2, 10, 15_000,
@@ -140,77 +142,44 @@ def scaled_config(configs, factor: int) -> list[StageConfig]:
 
 
 # ---------------------------------------------------------------------------
-# batch planning
+# what each MLP learns
 
 
-@dataclass
-class MlpPlan:
-    target_class: int | None      # None for class-index regression
-    indices: np.ndarray           # rows of the training set
-
-
-def stage_targets(cfg: StageConfig, all_labels: np.ndarray,
-                  known_labels: np.ndarray) -> list[int | None]:
-    """Per-MLP target class for one stage (None = class-index)."""
+def stage_targets(cfg: StageConfig, n_labels: int, known) -> list[int | None]:
+    """Per-MLP target class for one stage (None = class-index): stage-1
+    detectors in contiguous blocks over the sorted labels `known`, later
+    detectors cycling over 1..n_labels."""
     if cfg.role == CLASS_INDEX:
         return [None] * cfg.n_mlps
-    pool = known_labels if cfg.role == DETECTOR_BLOCKS else all_labels
-    k = len(pool)
     if cfg.role == DETECTOR_BLOCKS:
-        return [int(pool[(i * k) // cfg.n_mlps]) for i in range(cfg.n_mlps)]
-    return [int(pool[i % k]) for i in range(cfg.n_mlps)]
+        return [int(known[i * len(known) // cfg.n_mlps])
+                for i in range(cfg.n_mlps)]
+    return [i % n_labels + 1 for i in range(cfg.n_mlps)]
 
 
-def plan_batches(labels: np.ndarray, configs, seed: int,
-                 known_labels=None) -> list[list[MlpPlan]]:
-    """Plan every MLP's batch and target class, one list of plans per stage.
+def _model_targets(configs, n_labels: int, known_labels) -> list[list]:
+    """Each stage's per-MLP target classes (None = class index) for training
+    labels 1..n_labels, where empty known_labels means all of them: the one
+    rule train_mst trains by, save_model records and load_model checks."""
+    known = sorted(known_labels) or range(1, n_labels + 1)
+    return [stage_targets(cfg, n_labels, known) for cfg in configs]
 
-    DETECTOR_BLOCKS stages take all positives of the target class plus an
-    equal count of seeded random negatives, drawn from the known-class pool
-    only; every other stage uses the entire training set.  Batches may overlap.
-    """
-    labels = np.asarray(labels)
-    all_classes = np.unique(labels)
-    known = np.asarray(sorted(known_labels)) if known_labels is not None \
-        else all_classes
-    if known.size == 0:
-        raise ValueError("known_labels is empty")
-    if np.unique(known).size != known.size:
-        raise ValueError(f"known_labels repeats a label: {known.tolist()}")
-    missing = set(known) - set(all_classes)
-    if missing:
-        raise ValueError("no training data for classes "
-                         f"{sorted(int(c) for c in missing)}")
-    known_pool = np.nonzero(np.isin(labels, known))[0]
-    stage_plans = []
-    for s, cfg in enumerate(configs):
-        targets = stage_targets(cfg, all_classes, known)
-        plans = []
-        for i, t in enumerate(targets):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([0xB47C4, seed, s, i]))
-            if cfg.role == DETECTOR_BLOCKS:
-                pos = np.nonzero(labels == t)[0]
-                if pos.size == 0:
-                    raise ValueError(f"no positives for class {t}")
-                neg_pool = known_pool[labels[known_pool] != t]
-                if neg_pool.size == 0:
-                    raise ValueError("no negative examples available")
-                neg = rng.choice(neg_pool, size=pos.size,
-                                 replace=neg_pool.size < pos.size)
-                idx = np.concatenate([pos, neg])
-            else:
-                idx = np.arange(len(labels))
-            plans.append(MlpPlan(target_class=t, indices=idx))
-        stage_plans.append(plans)
-    return stage_plans
+
+def _detector_batch(train_y, known, t, seed, s, i) -> np.ndarray:
+    """Training rows of stage s's MLP i, a detector of class t: every row of
+    class t, then as many rows drawn, seeded per MLP, from the other
+    classes in `known` (with replacement only if they have fewer rows)."""
+    rng = np.random.default_rng(np.random.SeedSequence([0xB47C4, seed, s, i]))
+    pos = np.flatnonzero(train_y == t)
+    neg_pool = np.flatnonzero(np.isin(train_y, known) & (train_y != t))
+    neg = rng.choice(neg_pool, size=pos.size, replace=neg_pool.size < pos.size)
+    return np.concatenate([pos, neg])
 
 
 def _mlp_targets(target_class: int | None, labels: np.ndarray) -> np.ndarray:
     """Targets of one MLP's rule evaluated on an arbitrary labeled set."""
-    if target_class is None:
-        return labels.astype(np.float64)
-    return (labels == target_class).astype(np.float64)
+    hit = labels if target_class is None else labels == target_class
+    return hit.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +290,16 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
     """Train every stage to completion before the next one starts.
 
     Stage s+1 consumes the frozen stage-s outputs, evaluated once on the
-    full training and validation sets.  known_labels restricts the classes
-    whose data feeds stage 1 (incremental learning); later stages always
-    see every class.  iter_cap, an integer >= 1, optionally lowers each
-    stage's iteration budget for reduced-scale runs.  Training labels must
-    be exactly 1..n, the validation set non-empty with labels among them,
-    and all features finite.
+    full training and validation sets.  Each MLP learns the class
+    _model_targets gives it, a stage-1 detector from the rows
+    _detector_batch draws for it, and a later MLP from every row.
+    known_labels, distinct training labels, restricts the classes whose
+    data feeds stage 1 (incremental learning), and a detector stage needs
+    two of them; later stages always see every class.  iter_cap, an
+    integer >= 1, optionally lowers each stage's iteration budget for
+    reduced-scale runs.  Training labels must be exactly 1..n, the
+    validation set non-empty with labels among them, and all features
+    finite.  Every argument is checked before training starts.
 
     The whole call runs on one BLAS thread (single_threaded_blas), so the
     trained model is the same whatever the caller's BLAS thread count;
@@ -338,7 +311,8 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
         raise ValueError("need at least one stage config")
     if iter_cap is not None and as_count("iter_cap", iter_cap) < 1:
         raise ValueError(f"iter_cap must be >= 1, got {iter_cap}")
-    train_x = np.asarray(train_x, dtype=np.float64)
+    # C order: full-set stages train on these rows as they are
+    train_x = np.ascontiguousarray(train_x, dtype=np.float64)
     val_x = np.asarray(val_x, dtype=np.float64)
     train_y = np.asarray(train_y)
     val_y = np.asarray(val_y)
@@ -354,7 +328,19 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
                          f"{np.unique(val_y).tolist()}")
     if not (np.isfinite(train_x).all() and np.isfinite(val_x).all()):
         raise ValueError("training and validation features must be finite")
-    plan = plan_batches(train_y, configs, seed, known_labels)
+    known = classes if known_labels is None else \
+        np.asarray(sorted(known_labels))
+    if known.size == 0:
+        raise ValueError("known_labels is empty")
+    if np.unique(known).size != known.size:
+        raise ValueError(f"known_labels repeats a label: {known.tolist()}")
+    missing = known[~np.isin(known, classes)]
+    if missing.size:
+        raise ValueError(f"no training data for classes {missing.tolist()}")
+    if known.size < 2 and any(c.role == DETECTOR_BLOCKS for c in configs):
+        raise ValueError("a detector stage needs negatives from a second "
+                         f"known class, got only {known.tolist()}")
+    targets = _model_targets(configs, n_labels, known)
     val_patience = 10 if order == 2 else 20
     cur_tr, cur_va = train_x, val_x
     stages, traces = [], []
@@ -368,8 +354,11 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
         def train_one(i):
             net = init_mlp(sizes,
                            seed=np.random.SeedSequence([0x3117, seed, s, i]))
-            rows, t = plan[s][i].indices, plan[s][i].target_class
-            train_xy = cur_tr[rows], _mlp_targets(t, train_y[rows])[:, None]
+            t, x, y = targets[s][i], cur_tr, train_y
+            if cfg.role == DETECTOR_BLOCKS:
+                rows = _detector_batch(train_y, known, t, seed, s, i)
+                x, y = cur_tr[rows], train_y[rows]
+            train_xy = x, _mlp_targets(t, y)[:, None]
             val_xy = cur_va, _mlp_targets(t, val_y)[:, None]
             opt = LmState() if order == 2 else SdOptimizer(lr=sd_lr)
             return train(net, train_xy, val_xy, opt, stop)
@@ -388,21 +377,20 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
             # float64 once per stage, not once per LM step
             cur_tr = _stage_outputs(stages[-1], cur_tr).astype(np.float64)
             cur_va = _stage_outputs(stages[-1], cur_va).astype(np.float64)
-    known = () if known_labels is None else tuple(int(v) for v in known_labels)
     return MstModel(configs=list(configs), stages=stages, n_labels=n_labels,
-                    order=order, seed=seed, traces=traces, known_labels=known)
+                    order=order, seed=seed, traces=traces,
+                    known_labels=() if known_labels is None else
+                    tuple(int(v) for v in known_labels))
 
 
 def train_incremental(train_x, train_y, val_x, val_y, configs, k: int,
                       order: int = 2, seed: int = 0, **kw) -> MstModel:
     """Stage 1 learns from the first k classes only; later stages see all."""
     classes = np.unique(np.asarray(train_y))
-    n = len(classes)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}")
-    known = classes[:k]
+    if not 1 <= k <= len(classes):
+        raise ValueError(f"need 1 <= k <= {len(classes)}")
     return train_mst(train_x, train_y, val_x, val_y, configs, order=order,
-                     seed=seed, known_labels=known, **kw)
+                     seed=seed, known_labels=classes[:k], **kw)
 
 
 def fuse_labels(final_outputs: np.ndarray, n_labels: int) -> np.ndarray:
@@ -479,14 +467,6 @@ def evaluate(model: MstModel, test_x, test_y) -> ConfusionMatrix:
 # stage_hashes() entry.  The manifest holds the configs, input width,
 # config_hash, every MLP's target class and every MLP's training trace,
 # and names no file.
-
-
-def _model_targets(configs, n_labels: int, known_labels) -> list[list]:
-    """Each stage's per-MLP target classes (None = class index), as
-    train_mst plans them for training labels 1..n_labels."""
-    labels = np.arange(1, n_labels + 1)
-    known = np.asarray(sorted(known_labels)) if known_labels else labels
-    return [stage_targets(cfg, labels, known) for cfg in configs]
 
 
 def save_model(model: MstModel, out_dir) -> Path:

@@ -1,11 +1,13 @@
-"""The OpenBLAS that numpy and scipy bundle: BLAS thread pinning, and the
-Cholesky factor and solve of a Levenberg-Marquardt step.
+"""The OpenBLAS that numpy and scipy bundle: BLAS thread pinning, the
+kernels each one runs, and the Cholesky factor and solve of a
+Levenberg-Marquardt step.
 
 numpy and scipy wheels each bundle an OpenBLAS in their `<pkg>.libs`
 directory.  Both are found once, when this module is imported, through
 importlib, so scipy itself is never imported.  single_threaded_blas pins
 every one of them to one thread for the duration of a call; mst and
-frontend train under it.
+frontend train under it.  cores names the CPU core each one chose its
+kernels for, which a trained model's bits depend on.
 
 cho_factor and cho_solve call dpotrf and dpotrs of scipy.linalg._flapack,
 scipy's f2py LAPACK wrappers, with the arguments scipy.linalg.cho_factor
@@ -36,6 +38,8 @@ _THREAD_FUNCTIONS = (
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+_CORE_FUNCTIONS = ("scipy_openblas_get_corename64_",
+                   "scipy_openblas_get_corename", "openblas_get_corename")
 
 
 def _package_dir(package: str) -> Path:
@@ -43,9 +47,20 @@ def _package_dir(package: str) -> Path:
     return Path(importlib.util.find_spec(package).origin).parent
 
 
+def _core(lib) -> str | None:
+    """The core an OpenBLAS chose its kernels for, or None if it does not
+    say."""
+    for name in _CORE_FUNCTIONS:
+        function = getattr(lib, name, None)
+        if function is not None:
+            function.argtypes, function.restype = [], ctypes.c_char_p
+            return function().decode()
+    return None
+
+
 def _discover():
-    """[(path, set_num_threads, get_num_threads)] of every bundled OpenBLAS
-    in numpy's and scipy's `<pkg>.libs` directories."""
+    """[(path, set_num_threads, get_num_threads, core)] of every bundled
+    OpenBLAS in numpy's and scipy's `<pkg>.libs` directories."""
     threads = []
     for package in ("numpy", "scipy"):
         libs = _package_dir(package).parent / f"{package}.libs"
@@ -57,7 +72,7 @@ def _discover():
                     setter, getter = functions
                     setter.argtypes, setter.restype = [ctypes.c_int], None
                     getter.argtypes, getter.restype = [], ctypes.c_int
-                    threads.append((path, setter, getter))
+                    threads.append((path, setter, getter, _core(lib)))
                     break
     return threads
 
@@ -89,6 +104,13 @@ def lapack() -> str:
     return _FLAPACK.__file__
 
 
+def cores() -> dict[str, str | None]:
+    """Each bundled OpenBLAS's file name and the core it chose its kernels
+    for (None if it does not say): the one it detected, or the one
+    OPENBLAS_CORETYPE names."""
+    return {Path(path).name: core for path, _, _, core in _THREADS}
+
+
 @contextlib.contextmanager
 def single_threaded_blas():
     """Pin every bundled OpenBLAS to one thread; on exit, also on an
@@ -101,15 +123,15 @@ def single_threaded_blas():
         logger.debug("no bundled OpenBLAS found; BLAS threads left as they are")
         yield
         return
-    logger.debug("OpenBLAS libraries: %s", [path for path, _, _ in _THREADS])
-    saved = [getter() for _, _, getter in _THREADS]
-    for _, setter, _ in _THREADS:
+    logger.debug("OpenBLAS libraries: %s", [path for path, *_ in _THREADS])
+    saved = [getter() for _, _, getter, _ in _THREADS]
+    for _, setter, _, _ in _THREADS:
         setter(1)
     logger.debug("BLAS threads pinned to 1 (were %s)", saved)
     try:
         yield
     finally:
-        for (_, setter, _), n in zip(_THREADS, saved):
+        for (_, setter, _, _), n in zip(_THREADS, saved):
             setter(n)
         logger.debug("BLAS threads restored to %s", saved)
 

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .manifest import build, read_array, read_manifest
+from .manifest import as_count, build, read_array, read_manifest
 from .parallel import fork_map, shared_zeros
 
 
@@ -62,6 +62,9 @@ class OfdmParams:
     preamble_symbols: int = 1                 # fixed sync symbols per packet
 
     def __post_init__(self):
+        for name in ("subcarrier_count", "cyclic_prefix", "packet_len",
+                     "silence_len", "ramp_len", "preamble_symbols"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
         if self.subcarrier_count < 1:
             raise ValueError("subcarrier_count must be >= 1")
         for name in ("baseband_rate", "capture_rate"):
@@ -119,6 +122,8 @@ class TransmitterProfile:
     carrier_phase_jitter: float = 0.0     # radians; per-packet uniform phase
 
     def __post_init__(self):
+        object.__setattr__(self, "tx_index",
+                           as_count("tx_index", self.tx_index))
         if self.tx_index not in (1, 2):
             raise ValueError("tx_index must be 1 or 2")
         if not abs(self.amam_cubic_coeff) < 1:
@@ -512,7 +517,7 @@ def generate_corpus(profiles: list[TransmitterProfile], packets_per_tx: int,
     tx_label follows the profile list order (1-based), and the packets are
     transmitter-major: every packet of transmitter 1, then of 2, ...
     """
-    if packets_per_tx < 1:
+    if as_count("packets_per_tx", packets_per_tx) < 1:
         raise ValueError("packets_per_tx must be >= 1")
     validate_profiles(profiles)
     capture = shared_zeros((len(profiles) * packets_per_tx, params.packet_len),

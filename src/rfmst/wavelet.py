@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .manifest import as_count
+
 ENVELOPE_CUTOFF = 8.5  # wavelet support in units of the Gaussian width
 XI0 = 6.0              # the mother wavelet's centre frequency
 
@@ -51,6 +53,8 @@ class MorletParams:
     n_scales: int = 128
 
     def __post_init__(self):
+        object.__setattr__(self, "n_scales",
+                           as_count("n_scales", self.n_scales))
         if self.n_scales < 1:
             raise ValueError("n_scales must be >= 1")
 

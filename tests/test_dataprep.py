@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,40 @@ def test_segment_rejects_an_onset_or_length_out_of_range(onset, n, message):
     with pytest.raises(ValueError, match=message) as err:
         segment(f, onset, n)
     assert not isinstance(err.value, TooShort)
+
+
+@pytest.mark.parametrize("onset, n, name", [
+    (1, True, "n"),             # used to cut a 1-sample segment
+    (1, 2.0, "n"),              # used to raise TypeError from numpy
+    (2.0, 5, "onset_index"),
+    (True, 5, "onset_index"),
+])
+def test_segment_rejects_an_onset_or_length_that_is_not_an_integer(onset, n,
+                                                                  name):
+    f = np.zeros(100, dtype=complex)
+    bad = n if name == "n" else onset
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be an integer, got {bad!r}$"):
+        segment(f, onset, n)
+
+
+def test_segment_takes_numpy_integers():
+    f = np.arange(1, 101, dtype=float) + 0j
+    seg = segment(f, np.int64(5), np.int32(3))
+    np.testing.assert_array_equal(seg.g, [5, 6, 7])
+
+
+def test_raw_features_of_a_default_corpus_are_pinned():
+    # the concat_reim w1024 features of the seed-1 corpus that
+    # test_signal_gen pins; like the corpus, they did not move with the
+    # OpenBLAS core or numpy's SIMD dispatch
+    corpus = generate_corpus(default_profiles(), 2, seed=1)
+    x, y = feature_matrix(packets_to_segments(corpus.packets, 1024),
+                          "concat_reim")
+    assert x.shape == (24, 2048)
+    assert hashlib.sha256(x.astype("<f8", copy=False).tobytes()).hexdigest() \
+        == "6c1beef9e53e038587fb6564ec402685b7939c8763c7d058975e5902678bbc92"
+    np.testing.assert_array_equal(y, np.repeat(np.arange(1, 13), 2))
 
 
 def test_segment_roundtrip_recovers_packet_samples():

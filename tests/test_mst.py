@@ -25,7 +25,6 @@ from rfmst.mst import (
     evaluate,
     fuse_labels,
     load_model,
-    plan_batches,
     save_model,
     scaled_config,
     stage_targets,
@@ -51,14 +50,15 @@ def test_default_2nd_order_stage_sizes():
 def test_default_2nd_order_targets():
     cfgs = default_config_2nd(12)
     labels = np.arange(1, 13)
-    s1 = stage_targets(cfgs[0], labels, labels)
+    s1 = stage_targets(cfgs[0], 12, labels)
     assert s1[:6] == [1, 1, 1, 1, 1, 2]       # five detectors per class
     assert s1[-1] == 12
-    s2 = stage_targets(cfgs[1], labels, labels)
+    s2 = stage_targets(cfgs[1], 12, labels)
     assert s2[:12] == list(range(1, 13))      # cycling detectors
     assert s2[12:24] == list(range(1, 13))
-    s3 = stage_targets(cfgs[2], labels, labels)
+    s3 = stage_targets(cfgs[2], 12, labels)
     assert s3 == [None] * 30                  # class-index regression
+    assert mst._model_targets(cfgs, 12, ()) == [s1, s2, s3]
 
 
 def test_default_1st_order_shape():
@@ -100,13 +100,23 @@ def test_stage_config_takes_numpy_integers_as_ints():
     MstModel([cfg], [], 3, 2, 0).config_hash()     # JSON takes them
 
 
+@pytest.mark.parametrize("make", [default_config_1st, default_config_2nd])
+@pytest.mark.parametrize("bad", [2.5, 4.0, True])
+def test_default_configs_reject_a_transmitter_count_not_an_integer(make, bad):
+    # 2.5 used to be blamed on n_mlps
+    with pytest.raises(ValueError,
+                       match=f"^n_t must be an integer, got {bad!r}$"):
+        make(bad)
+    assert make(np.int64(4)) == make(4)
+
+
 def test_scaled_config_triples_mlps():
     cfgs = scaled_config(default_config_2nd(12), 3)
     assert [c.n_mlps for c in cfgs] == [180, 90, 90]
 
 
 # ---------------------------------------------------------------------------
-# batch planning
+# stage-1 batches
 
 
 def _labels(n_classes, per_class):
@@ -115,54 +125,52 @@ def _labels(n_classes, per_class):
 
 def test_stage1_batches_balanced_positives_negatives():
     y = _labels(12, 100)
-    plan = plan_batches(y, default_config_2nd(12), seed=1)
-    for mlp_plan in plan[0]:
-        rows, t = mlp_plan.indices, mlp_plan.target_class
+    known = np.arange(1, 13)
+    targets = stage_targets(default_config_2nd(12)[0], 12, known)
+    for i, t in enumerate(targets):
+        rows = mst._detector_batch(y, known, t, 1, 0, i)
         positive = y[rows] == t
         assert positive.sum() == 100 and (~positive).sum() == 100
-        np.testing.assert_array_equal(np.sort(rows[positive]),
-                                      np.flatnonzero(y == t))
+        np.testing.assert_array_equal(rows[positive], np.flatnonzero(y == t))
 
 
-def test_stage2_batch_is_full_training_set():
-    y = _labels(12, 10)
-    plan = plan_batches(y, default_config_2nd(12), seed=1)
-    for mlp_plan in plan[1] + plan[2]:
-        np.testing.assert_array_equal(mlp_plan.indices, np.arange(len(y)))
-    assert all(mlp_plan.target_class is None for mlp_plan in plan[2])
+def _reference_detector_rows(labels, known, t, seed, s, i):
+    """The stage-1 draw stated another way: the rows of the known classes
+    first, then the negatives taken from among them."""
+    rng = np.random.default_rng(np.random.SeedSequence([0xB47C4, seed, s, i]))
+    known_pool = np.nonzero(np.isin(labels, known))[0]
+    pos = np.nonzero(labels == t)[0]
+    neg_pool = known_pool[labels[known_pool] != t]
+    neg = rng.choice(neg_pool, size=pos.size, replace=neg_pool.size < pos.size)
+    return np.concatenate([pos, neg])
+
+
+@pytest.mark.parametrize("per_class, known", [
+    ((20, 20, 20, 20), [1, 2, 3, 4]),
+    ((20, 20, 20, 20), [2, 4]),
+    ((50, 10, 10, 10), [1, 2]),     # fewer negatives: drawn with replacement
+])
+def test_detector_batches_equal_the_reference_draw(per_class, known):
+    y = np.random.default_rng(3).permutation(
+        np.repeat(np.arange(1, 5), per_class))
+    for i, t in enumerate(stage_targets(StageConfig(DETECTOR_BLOCKS, 8), 4,
+                                        known)):
+        for seed, s in ((0, 0), (101, 0), (7, 2)):
+            np.testing.assert_array_equal(
+                mst._detector_batch(y, known, t, seed, s, i),
+                _reference_detector_rows(y, known, t, seed, s, i))
 
 
 def test_plan_is_deterministic_per_seed():
-    y = _labels(4, 30)
-    cfgs = default_config_2nd(4)
-    a = plan_batches(y, cfgs, seed=5)
-    b = plan_batches(y, cfgs, seed=5)
-    for pa, pb in zip(a[0], b[0]):
-        np.testing.assert_array_equal(pa.indices, pb.indices)
-    c = plan_batches(y, cfgs, seed=6)
-    assert any(
-        not np.array_equal(pa.indices, pc.indices)
-        for pa, pc in zip(a[0], c[0]))
-
-
-def test_plan_missing_class_raises():
-    y = _labels(3, 10)
-    with pytest.raises(ValueError, match=r"no training data for classes \[9\]"):
-        plan_batches(y, default_config_2nd(3), seed=0, known_labels=[1, 2, 9])
-
-
-def test_plan_rejects_empty_known_labels():
-    with pytest.raises(ValueError, match="known_labels is empty"):
-        plan_batches(_labels(3, 10), default_config_2nd(3), seed=0,
-                     known_labels=[])
-
-
-def test_plan_rejects_a_repeated_known_label():
-    # a repeat would hand class 1 more stage-1 detectors than class 2
-    with pytest.raises(ValueError,
-                       match=r"known_labels repeats a label: \[1, 1, 2\]"):
-        plan_batches(_labels(4, 10), default_config_2nd(4), seed=0,
-                     known_labels=[1, 1, 2])
+    y, known = _labels(4, 30), np.arange(1, 5)
+    a = [mst._detector_batch(y, known, 2, 5, 0, i) for i in range(8)]
+    b = [mst._detector_batch(y, known, 2, 5, 0, i) for i in range(8)]
+    for rows_a, rows_b in zip(a, b):
+        np.testing.assert_array_equal(rows_a, rows_b)
+    c = [mst._detector_batch(y, known, 2, 6, 0, i) for i in range(8)]
+    assert any(not np.array_equal(ra, rc) for ra, rc in zip(a, c))
+    # each MLP draws its own negatives
+    assert any(not np.array_equal(a[0], ra) for ra in a[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +412,93 @@ def test_a_worker_that_dies_is_reported(monkeypatch, tmp_path):
     _assert_no_child_left()
 
 
+def test_stage2_batch_is_full_training_set(monkeypatch):
+    x, y = _toy_gaussians(seed=38)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    _cpus(monkeypatch, 1)
+    batches, train = [], mst.train
+
+    def logged(net, train_xy, *args):
+        batches.append(train_xy)
+        return train(net, train_xy, *args)
+
+    monkeypatch.setattr(mst, "train", logged)
+    configs = _tiny_configs(3)
+    model = train_mst(xtr, ytr, xva, yva, configs, seed=39, iter_cap=2)
+    n1, n2, n3 = (c.n_mlps for c in configs)
+    assert len(batches) == n1 + n2 + n3
+    stage2_x = mst._stage_outputs(model.stages[0], xtr).astype(np.float64)
+    stage3_x = mst._stage_outputs(model.stages[1], stage2_x).astype(np.float64)
+    targets = mst._model_targets(configs, 3, ())
+    for i, (x_in, t) in enumerate(batches[:n1]):
+        rows = mst._detector_batch(ytr, [1, 2, 3], targets[0][i], 39, 0, i)
+        np.testing.assert_array_equal(x_in, xtr[rows])
+        np.testing.assert_array_equal(t[:, 0], ytr[rows] == targets[0][i])
+    for j, (x_in, t) in enumerate(batches[n1:n1 + n2]):
+        assert x_in is batches[n1][0]     # the stage input itself, no copy
+        np.testing.assert_array_equal(x_in, stage2_x)
+        np.testing.assert_array_equal(t[:, 0], ytr == targets[1][j])
+    for x_in, t in batches[n1 + n2:]:
+        assert x_in is batches[n1 + n2][0]
+        np.testing.assert_array_equal(x_in, stage3_x)
+        np.testing.assert_array_equal(t[:, 0], ytr)
+
+
+def _train_with_known_labels(monkeypatch, tmp_path, n_classes, known):
+    """train_mst with known_labels `known`; it must raise before any MLP
+    trains."""
+    x, y = _toy_gaussians(n_classes=n_classes, seed=40)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    log = tmp_path / "pids"
+    _logged_train(monkeypatch, log)
+    try:
+        train_mst(xtr, ytr, xva, yva, _tiny_configs(n_classes), seed=41,
+                  known_labels=known)
+    finally:
+        assert not log.exists()
+
+
+def test_plan_missing_class_raises(monkeypatch, tmp_path):
+    with pytest.raises(ValueError, match=r"no training data for classes \[9\]"):
+        _train_with_known_labels(monkeypatch, tmp_path, 3, [1, 2, 9])
+
+
+def test_plan_rejects_empty_known_labels(monkeypatch, tmp_path):
+    with pytest.raises(ValueError, match="known_labels is empty"):
+        _train_with_known_labels(monkeypatch, tmp_path, 3, [])
+
+
+def test_plan_rejects_a_repeated_known_label(monkeypatch, tmp_path):
+    # a repeat would hand class 1 more stage-1 detectors than class 2
+    with pytest.raises(ValueError,
+                       match=r"known_labels repeats a label: \[1, 1, 2\]"):
+        _train_with_known_labels(monkeypatch, tmp_path, 4, [2, 1, 1])
+
+
+def test_a_detector_stage_needs_two_known_labels(monkeypatch, tmp_path):
+    with pytest.raises(ValueError, match=r"a detector stage needs negatives "
+                                         r"from a second known class, got "
+                                         r"only \[2\]"):
+        _train_with_known_labels(monkeypatch, tmp_path, 3, [2])
+
+
+def test_incremental_k_of_one_leaves_stage1_no_negatives():
+    x, y = _toy_gaussians(seed=42)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    with pytest.raises(ValueError, match="needs negatives"):
+        train_incremental(xtr, ytr, xva, yva, _tiny_configs(3), k=1)
+
+
+def test_training_does_not_depend_on_the_feature_layout():
+    x, y = _toy_gaussians(seed=43)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    # only class-index stages, so stage 1 trains on train_x as it is
+    configs = [StageConfig(CLASS_INDEX, 3, 2, 6, 10, 1e-6)] * 2
+    c = train_mst(xtr, ytr, xva, yva, configs, seed=44)
+    f = train_mst(np.asfortranarray(xtr), ytr, xva, yva, configs, seed=44)
+    assert f.stage_hashes() == c.stage_hashes()
+
+
 def test_label_permutation_equivariance_on_separable_toy():
     x, y = _toy_gaussians(seed=8, spread=0.02)
     perm = {1: 2, 2: 3, 3: 1}
@@ -545,14 +640,13 @@ def test_incremental_k_equals_n_is_bit_identical_to_full_training():
 
 
 def test_incremental_stage1_sees_only_first_k_classes():
-    y = _labels(4, 25)
-    plan = plan_batches(y, _tiny_configs(4), seed=1, known_labels=[1, 2])
-    for mlp_plan in plan[0]:
-        assert mlp_plan.target_class in (1, 2)
-        assert np.all(y[mlp_plan.indices] <= 2)
+    y, known = _labels(4, 25), [1, 2]
+    targets = mst._model_targets(_tiny_configs(4), 4, known)
+    assert set(targets[0]) == {1, 2}
+    for i, t in enumerate(targets[0]):
+        assert np.all(y[mst._detector_batch(y, known, t, 1, 0, i)] <= 2)
     # later stages still cover all four classes
-    s2_targets = {p.target_class for p in plan[1]}
-    assert s2_targets == {1, 2, 3, 4}
+    assert set(targets[1]) == {1, 2, 3, 4}
 
 
 def test_incremental_classifies_all_classes():

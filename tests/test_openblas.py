@@ -3,6 +3,7 @@ loaded without scipy.linalg: the same bits as scipy.linalg, the same
 errors, and the same functions a later scipy.linalg import finds."""
 import os
 import pkgutil
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -119,3 +120,23 @@ def test_standalone_load_agrees_with_a_later_scipy_linalg_import():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "same"
+
+
+def test_cores_name_each_bundled_openblas():
+    cores = openblas.cores()
+    assert sorted(cores) == sorted(Path(path).name
+                                   for path, *_ in openblas._THREADS)
+    assert all(isinstance(core, str) and core for core in cores.values())
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64",
+                    reason="Haswell is an x86-64 OpenBLAS core")
+def test_cores_follow_openblas_coretype():
+    code = ("from rfmst.openblas import cores\n"
+            "print(sorted(set(cores().values())))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC),
+           "OPENBLAS_CORETYPE": "Haswell"}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['Haswell']"

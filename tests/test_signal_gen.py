@@ -233,6 +233,37 @@ def test_params_reject_bursts_that_modulate_cannot_make(field, kw):
         OfdmParams(**kw)
 
 
+_PARAM_COUNTS = ("subcarrier_count", "cyclic_prefix", "packet_len",
+                 "silence_len", "ramp_len", "preamble_symbols")
+
+
+@pytest.mark.parametrize("field", _PARAM_COUNTS)
+@pytest.mark.parametrize("whole_float", [False, True])
+def test_params_reject_counts_that_are_not_integers(field, whole_float):
+    # OfdmParams(silence_len=True) and packet_len=2000.0 used to be taken
+    bad = float(getattr(OfdmParams(), field)) if whole_float else True
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be an integer, got {bad!r}$"):
+        dataclasses.replace(OfdmParams(), **{field: bad})
+
+
+def test_params_take_numpy_integers_as_ints():
+    params = OfdmParams(**{f: np.int32(getattr(FAST, f))
+                           for f in _PARAM_COUNTS},
+                        subcarrier_spacing=FAST.subcarrier_spacing)
+    assert params == FAST
+    assert all(type(getattr(params, f)) is int for f in _PARAM_COUNTS)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_profile_rejects_a_tx_index_that_is_not_an_integer(bad):
+    # TransmitterProfile("R", True) used to be named "R_TxTrue"
+    with pytest.raises(ValueError,
+                       match=f"^tx_index must be an integer, got {bad!r}$"):
+        quiet_profile("R", bad)
+    assert quiet_profile("R", np.int64(2)).name == "R_Tx2"
+
+
 def test_profile_validation_rejects_out_of_range():
     with pytest.raises(ValueError):
         quiet_profile(amam_cubic_coeff=1.5)
@@ -306,6 +337,37 @@ def test_corpus_size_is_profiles_times_packets():
     corpus = generate_corpus(default_profiles(), 1000, seed=1, params=tiny,
                              noise_snr_db=None)
     assert len(corpus.packets) == 12_000
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, 2.0])
+def test_corpus_rejects_a_packet_count_that_is_not_an_integer(bad):
+    # True used to make one packet per transmitter, 1.5 raise TypeError
+    with pytest.raises(ValueError,
+                       match=f"^packets_per_tx must be an integer, got {bad!r}$"):
+        generate_corpus([quiet_profile()], bad, seed=1, params=FAST)
+
+
+def _corpus_digest(corpus):
+    """sha256 of every packet's little-endian complex64 samples, each
+    followed by its label as two little-endian bytes."""
+    h = hashlib.sha256()
+    for p in corpus.packets:
+        h.update(p.samples.astype("<c8", copy=False).tobytes())
+        h.update(int(p.tx_label).to_bytes(2, "little"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "9ed01226f6f3746986f93963e7c5d0c4bfe8b212bcea50d1f9caa4d7e9dba500"),
+    (2, "a98f209198770316528e8e2c225661f6f2943718d87251c33952f9c3b431a4dd"),
+    (101, "d35ea98c44bf1e1420b06627bf56032566c4512adccf5d9053ec1467a2f373e0"),
+], ids=["seed1", "seed2", "seed101"])
+def test_default_corpus_bytes_are_pinned(seed, digest):
+    # the samples and labels, at the default parameters and SNR, did not
+    # move with the OpenBLAS core or numpy's SIMD dispatch; a change here
+    # is a synthesis change, whatever the host
+    corpus = generate_corpus(default_profiles(), 2, seed=seed)
+    assert _corpus_digest(corpus) == digest
 
 
 def test_corpus_single_profile_single_packet():

@@ -20,6 +20,15 @@ from rfmst.wavelet import (
 )
 
 
+@pytest.mark.parametrize("bad", [4.0, True])
+def test_morlet_params_reject_a_scale_count_that_is_not_an_integer(bad):
+    # 4.0 used to raise TypeError from numpy, True to make one scale
+    with pytest.raises(ValueError,
+                       match=f"^n_scales must be an integer, got {bad!r}$"):
+        MorletParams(n_scales=bad)
+    assert type(MorletParams(n_scales=np.int64(4)).n_scales) is int
+
+
 # ---------------------------------------------------------------------------
 # direct-integration oracle (kept independent of the FFT fast path)
 
