@@ -18,6 +18,14 @@ cho_factor through this module's global, so a tracer can wrap it.  The
 first-order trainer is full-batch steepest descent; its MSE gradient,
 -2/B * J'r, comes from the same sweep.
 
+"A-LM", the paper's accelerated Levenberg-Marquardt, is this damped
+Gauss-Newton trainer with its dual-form Gram.  Its acceleration is
+computational: the dual Gram here, and in rfmst.mst float32 stages packed
+for one GEMM each and a stage's MLPs trained in forked workers.  Geodesic
+acceleration, a second-order correction to each step, was measured on
+both benchmark workloads: it was slower, took more iterations and was
+mostly less accurate, so it is not used.
+
 No function writes a net's arrays in place: a step returns a new net or
 the one it was given, so a trainer may keep any net by reference.
 """
@@ -65,7 +73,7 @@ def init_mlp(layer_sizes, seed=None) -> Mlp:
     seed is anything np.random.default_rng takes, a Generator included, which
     it uses as it is.
     """
-    sizes = tuple(int(s) for s in layer_sizes)
+    sizes = tuple(as_count("layer size", s) for s in layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError(f"invalid layer sizes {sizes}")
     rng = np.random.default_rng(seed)
@@ -110,7 +118,7 @@ def count_parameters_reference(layer_sizes) -> int:
     their arithmetic slips) and falls back to the stated counting rule
     (hidden weights + hidden biases) for any other shape.
     """
-    shape = tuple(int(s) for s in layer_sizes)
+    shape = tuple(as_count("layer size", s) for s in layer_sizes)
     return QUOTED_STAGE_PARAMS.get(shape, count_hidden_parameters(shape))
 
 
@@ -192,7 +200,7 @@ def pack_parameters(net: Mlp) -> np.ndarray:
 def unpack_parameters(layer_sizes, theta: np.ndarray) -> Mlp:
     """New Mlp of the given layer sizes, its parameters copied from the flat
     vector in pack_parameters order."""
-    sizes = tuple(int(s) for s in layer_sizes)
+    sizes = tuple(as_count("layer size", s) for s in layer_sizes)
     expected = count_parameters(sizes)
     if theta.size != expected:
         raise ValueError(

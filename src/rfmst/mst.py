@@ -136,11 +136,6 @@ def default_config_1st(n_t: int = 12) -> list[StageConfig]:
     return stages
 
 
-def scaled_config(configs, factor: int) -> list[StageConfig]:
-    """Same stages with `factor` times the MLP count (the tripled variant)."""
-    return [dataclasses.replace(c, n_mlps=factor * c.n_mlps) for c in configs]
-
-
 # ---------------------------------------------------------------------------
 # what each MLP learns
 
@@ -294,9 +289,10 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
     _model_targets gives it, a stage-1 detector from the rows
     _detector_batch draws for it, and a later MLP from every row.
     known_labels, distinct training labels, restricts the classes whose
-    data feeds stage 1 (incremental learning), and a detector stage needs
-    two of them; later stages always see every class.  iter_cap, an
-    integer >= 1, optionally lowers each stage's iteration budget for
+    data feeds stage 1 (incremental learning: range(1, k + 1) for the
+    first k classes), and a detector stage needs two of them; later
+    stages always see every class.  seed is an integer >= 0.  iter_cap,
+    an integer >= 1, optionally lowers each stage's iteration budget for
     reduced-scale runs.  Training labels must be exactly 1..n, the
     validation set non-empty with labels among them, and all features
     finite.  Every argument is checked before training starts.
@@ -311,6 +307,9 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
         raise ValueError("need at least one stage config")
     if iter_cap is not None and as_count("iter_cap", iter_cap) < 1:
         raise ValueError(f"iter_cap must be >= 1, got {iter_cap}")
+    seed = as_count("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     # C order: full-set stages train on these rows as they are
     train_x = np.ascontiguousarray(train_x, dtype=np.float64)
     val_x = np.asarray(val_x, dtype=np.float64)
@@ -383,16 +382,6 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
                     tuple(int(v) for v in known_labels))
 
 
-def train_incremental(train_x, train_y, val_x, val_y, configs, k: int,
-                      order: int = 2, seed: int = 0, **kw) -> MstModel:
-    """Stage 1 learns from the first k classes only; later stages see all."""
-    classes = np.unique(np.asarray(train_y))
-    if not 1 <= k <= len(classes):
-        raise ValueError(f"need 1 <= k <= {len(classes)}")
-    return train_mst(train_x, train_y, val_x, val_y, configs, order=order,
-                     seed=seed, known_labels=classes[:k], **kw)
-
-
 def fuse_labels(final_outputs: np.ndarray, n_labels: int) -> np.ndarray:
     """Majority vote over rounded, clamped final-stage outputs.
 
@@ -455,18 +444,13 @@ def confusion_from_predictions(y_true, y_pred, n_labels: int) -> ConfusionMatrix
     return ConfusionMatrix(counts=counts.reshape(n_labels, n_labels))
 
 
-def evaluate(model: MstModel, test_x, test_y) -> ConfusionMatrix:
-    preds = classify_batch(model, test_x)
-    return confusion_from_predictions(test_y, preds, model.n_labels)
-
-
 # ---------------------------------------------------------------------------
 # persistence: manifest.json plus one stage<s>.f32 per stage, holding the
 # stage's MLPs in order as little-endian float32 pack_parameters vectors,
 # the stored weights exactly, so on a little-endian host its sha256 is its
 # stage_hashes() entry.  The manifest holds the configs, input width,
-# config_hash, every MLP's target class and every MLP's training trace,
-# and names no file.
+# config_hash, stage_hashes(), every MLP's target class and every MLP's
+# training trace, and names no file.
 
 
 def save_model(model: MstModel, out_dir) -> Path:
@@ -490,6 +474,7 @@ def save_model(model: MstModel, out_dir) -> Path:
         "known_labels": list(model.known_labels),
         "input_dim": model.stages[0].first_w.shape[0],
         "config_hash": model.config_hash(),
+        "stage_hashes": model.stage_hashes(),
         "configs": [dataclasses.asdict(c) for c in model.configs],
         "targets": _model_targets(model.configs, model.n_labels,
                                   model.known_labels),
@@ -502,40 +487,41 @@ def save_model(model: MstModel, out_dir) -> Path:
 
 def load_model(in_dir) -> MstModel:
     """Read a model that save_model wrote.  A manifest key, trace count,
-    config_hash, field, n_labels (not a positive integer), order (not 1
-    or 2), seed (not an integer), known_labels (not distinct in
-    1..n_labels) or per-MLP target class (not the one train_mst plans for
-    n_labels and known_labels) that is wrong, or a stage file that does
-    not hold exactly its configured MLPs, raises ValueError naming the
+    config_hash, field, n_labels or input_dim (not a positive integer),
+    order (not 1 or 2), seed (not an integer >= 0), known_labels (not
+    distinct in 1..n_labels) or per-MLP target class (not the one
+    train_mst plans for n_labels and known_labels) that is wrong, or a
+    stage file that does not hold exactly its configured MLPs or does not
+    hash to its recorded stage hash, raises ValueError naming the
     manifest.  The stages are float32, as saved."""
     path = Path(in_dir) / "manifest.json"
     manifest = read_manifest(path, (
         "n_labels", "order", "seed", "known_labels", "input_dim",
-        "config_hash", "configs", "targets", "traces"))
+        "config_hash", "configs", "targets", "traces", "stage_hashes"),
+        configs=list, targets=list, traces=list[list],
+        stage_hashes=list[str])
     configs = [build(StageConfig, c, path) for c in manifest["configs"]]
-    traces = [[build(TrainRun, run, path,
-                     stop=lambda stop: build(StopCriteria, stop, path))
-               for run in runs] for runs in manifest["traces"]]
+    traces = [[build(TrainRun, run, path) for run in runs]
+              for runs in manifest["traces"]]
     counts = [len(runs) for runs in traces]
     if counts != [c.n_mlps for c in configs]:
         raise ValueError(f"{path}: {counts} traces per stage for "
                          f"{[c.n_mlps for c in configs]} configured MLPs")
+    for key in ("n_labels", "input_dim"):
+        if type(manifest[key]) is not int or manifest[key] < 1:
+            raise ValueError(f"{path}: {key} {manifest[key]!r} is not a "
+                             "positive integer")
     n_labels, known = manifest["n_labels"], manifest["known_labels"]
-    if type(n_labels) is not int or n_labels < 1:
-        raise ValueError(f"{path}: n_labels {n_labels!r} is not a positive "
-                         "integer")
     order, seed = manifest["order"], manifest["seed"]
     if type(order) is not int or order not in (1, 2):
         raise ValueError(f"{path}: order {order!r} is not 1 or 2")
-    if type(seed) is not int:
-        raise ValueError(f"{path}: seed {seed!r} is not an integer")
-    if not isinstance(known, list) or len(set(known)) < len(known) \
-            or not all(type(v) is int and 1 <= v <= n_labels for v in known):
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"{path}: seed {seed!r} is not an integer >= 0")
+    if not isinstance(known, list) \
+            or not all(type(v) is int and 1 <= v <= n_labels for v in known) \
+            or len(set(known)) < len(known):
         raise ValueError(f"{path}: known_labels {known} are not distinct "
                          f"labels in 1..{n_labels}")
-    if not isinstance(manifest["targets"], list):
-        raise ValueError(f"{path}: targets {manifest['targets']!r} is not a "
-                         "list")
     planned = _model_targets(configs, n_labels, known)
     for s, (got, want) in enumerate(
             itertools.zip_longest(manifest["targets"], planned), start=1):
@@ -559,4 +545,9 @@ def load_model(in_dir) -> MstModel:
     if model.config_hash() != manifest["config_hash"]:
         raise ValueError(f"{path}: configuration does not match its "
                          "config_hash")
+    for s, (got, want) in enumerate(itertools.zip_longest(
+            model.stage_hashes(), manifest["stage_hashes"]), start=1):
+        if got != want:
+            raise ValueError(f"{path}: stage {s} weights hash to {got}, not "
+                             f"to the recorded {want!r}")
     return model

@@ -629,7 +629,8 @@ def load_corpus(in_dir) -> Corpus:
     raises ValueError naming the manifest."""
     path = Path(in_dir) / "manifest.json"
     manifest = read_manifest(path, ("seed", "snr_db", "params", "profiles",
-                                    "profile_hash", "packets"))
+                                    "profile_hash", "packets"),
+                             profiles=list, packets=list[dict])
     params = build(OfdmParams, manifest["params"], path)
     profiles = [build(TransmitterProfile, d, path,
                       dc_offset=lambda v: complex(*v))

@@ -181,26 +181,6 @@ def variance_map(scalograms: np.ndarray) -> VarianceMap:
     return VarianceMap(var=var, mean=mean, n_tx=n_tx, n_sig=n_sig)
 
 
-def difference_scalogram(s: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    if s.shape != mean.shape:
-        raise ValueError(f"{s.shape} vs {mean.shape}")
-    return s - mean
-
-
-def difference_timedomain(magnitudes: np.ndarray) -> np.ndarray:
-    """delta[t, m, i] = f[t, m, i] - mean over (t, m) of f[., ., i].
-
-    magnitudes: array (n_tx, n_sig, n) of |f_i| traces.
-    """
-    f = np.asarray(magnitudes, dtype=np.float64)
-    if f.ndim != 3:
-        raise ValueError("expected (n_tx, n_sig, n)")
-    mean = f.mean(axis=(0, 1))
-    return f - mean
-
-
 def variance_sparsity(var: np.ndarray, threshold_fraction: float = 0.1) -> float:
     """Fraction of pixels above threshold_fraction of the peak variance."""
     peak = var.max()

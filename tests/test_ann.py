@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -758,6 +760,20 @@ def test_init_is_seeded_and_bounded():
         np.testing.assert_array_equal(wa, wb)
     lim = 1.0 / np.sqrt(10)
     assert np.abs(a.weights[0]).max() <= lim
+
+
+@pytest.mark.parametrize("call", [
+    lambda sizes: init_mlp(sizes, seed=0).layer_sizes,
+    lambda sizes: unpack_parameters(sizes, np.zeros(17)).layer_sizes,
+    count_parameters_reference,
+], ids=["init_mlp", "unpack_parameters", "count_parameters_reference"])
+@pytest.mark.parametrize("bad", [2.7, True, "2"])
+def test_layer_sizes_must_be_integers(call, bad):
+    # 2.7 used to build a (2, 4, 1) net and True a (1, 4, 1) one
+    with pytest.raises(ValueError, match=re.escape(
+            f"layer size must be an integer, got {bad!r}")):
+        call((bad, 4, 1))
+    assert call((np.int64(2), 4, 1)) == call((2, 4, 1))
 
 
 # ---------------------------------------------------------------------------

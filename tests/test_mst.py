@@ -22,13 +22,10 @@ from rfmst.mst import (
     confusion_from_predictions,
     default_config_1st,
     default_config_2nd,
-    evaluate,
     fuse_labels,
     load_model,
     save_model,
-    scaled_config,
     stage_targets,
-    train_incremental,
     train_mst,
 )
 from rfmst import ann, mst
@@ -108,11 +105,6 @@ def test_default_configs_reject_a_transmitter_count_not_an_integer(make, bad):
                        match=f"^n_t must be an integer, got {bad!r}$"):
         make(bad)
     assert make(np.int64(4)) == make(4)
-
-
-def test_scaled_config_triples_mlps():
-    cfgs = scaled_config(default_config_2nd(12), 3)
-    assert [c.n_mlps for c in cfgs] == [180, 90, 90]
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +279,34 @@ def test_a_numpy_iter_cap_trains_a_model_that_saves(tmp_path):
     assert all(run.iterations <= 2 for runs in model.traces for run in runs)
     loaded = load_model(save_model(model, tmp_path / "model"))
     assert loaded.stage_hashes() == model.stage_hashes()
+
+
+@pytest.mark.parametrize("bad", [-1, "x", 1.5, True])
+def test_train_mst_rejects_a_seed_that_is_not_an_integer_at_least_0(
+        monkeypatch, tmp_path, bad):
+    # each used to train (or fail inside the first MLP's training), and
+    # True to save a model that load_model rejects
+    x, y = _toy_gaussians(seed=40)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    log = tmp_path / "pids"
+    _logged_train(monkeypatch, log)
+    with pytest.raises(ValueError, match=r"^seed must be"):
+        train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=bad)
+    assert not log.exists()
+    _assert_no_child_left()
+
+
+def test_a_numpy_seed_trains_the_model_of_its_int(saved_toy_model, tmp_path):
+    # np.int64 used to train, then fail in config_hash and save_model
+    x, y = _toy_gaussians(seed=17)
+    xtr, ytr, xva, yva = _split_toy(x, y)
+    model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3),
+                      seed=np.int64(18))
+    assert type(model.seed) is int
+    loaded = load_model(save_model(model, tmp_path / "model"))
+    assert loaded.stage_hashes() == model.stage_hashes() == \
+        load_model(saved_toy_model).stage_hashes()
+    assert loaded.config_hash() == load_model(saved_toy_model).config_hash()
 
 
 def test_first_order_training_runs_with_iter_cap():
@@ -486,7 +506,8 @@ def test_incremental_k_of_one_leaves_stage1_no_negatives():
     x, y = _toy_gaussians(seed=42)
     xtr, ytr, xva, yva = _split_toy(x, y)
     with pytest.raises(ValueError, match="needs negatives"):
-        train_incremental(xtr, ytr, xva, yva, _tiny_configs(3), k=1)
+        train_mst(xtr, ytr, xva, yva, _tiny_configs(3),
+                  known_labels=range(1, 2))
 
 
 def test_training_does_not_depend_on_the_feature_layout():
@@ -503,13 +524,20 @@ def test_label_permutation_equivariance_on_separable_toy():
     x, y = _toy_gaussians(seed=8, spread=0.02)
     perm = {1: 2, 2: 3, 3: 1}
     y_perm = np.vectorize(perm.get)(y)
-    xtr, ytr, xva, yva = _split_toy(x, y)
-    cm = evaluate(train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=9),
-                  *_split_toy(x, y)[0:2])
-    xtr2, ytr2, xva2, yva2 = _split_toy(x, y_perm)
-    cm_perm = evaluate(
-        train_mst(xtr2, ytr2, xva2, yva2, _tiny_configs(3), seed=9),
-        xtr2, ytr2)
+
+    def confusion(labels):
+        xtr, ytr, xva, yva = _split_toy(x, labels)
+        model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=9)
+        cm = confusion_from_predictions(ytr, classify_batch(model, xtr),
+                                        model.n_labels)
+        # the same counts whatever the order of the rows
+        rows = np.random.default_rng(10).permutation(ytr.size)
+        shuffled = confusion_from_predictions(
+            ytr[rows], classify_batch(model, xtr[rows]), model.n_labels)
+        np.testing.assert_array_equal(shuffled.counts, cm.counts)
+        return cm
+
+    cm, cm_perm = confusion(y), confusion(y_perm)
     p = np.array([perm[1], perm[2], perm[3]]) - 1
     permuted = np.zeros_like(cm.counts)
     for i in range(3):
@@ -635,7 +663,8 @@ def test_incremental_k_equals_n_is_bit_identical_to_full_training():
     x, y = _toy_gaussians(seed=12)
     xtr, ytr, xva, yva = _split_toy(x, y)
     full = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=13)
-    inc = train_incremental(xtr, ytr, xva, yva, _tiny_configs(3), k=3, seed=13)
+    inc = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=13,
+                    known_labels=range(1, 4))
     assert full.stage_hashes() == inc.stage_hashes()
 
 
@@ -652,8 +681,8 @@ def test_incremental_stage1_sees_only_first_k_classes():
 def test_incremental_classifies_all_classes():
     x, y = _toy_gaussians(n_classes=4, seed=14, spread=0.03)
     xtr, ytr, xva, yva = _split_toy(x, y)
-    model = train_incremental(xtr, ytr, xva, yva, _tiny_configs(4), k=2,
-                              seed=15)
+    model = train_mst(xtr, ytr, xva, yva, _tiny_configs(4), seed=15,
+                      known_labels=range(1, 3))
     preds = classify_batch(model, xtr)
     assert set(np.unique(preds)) >= {3, 4}  # unseen-by-stage-1 classes reachable
     assert (preds == ytr).mean() > 0.8
@@ -662,8 +691,13 @@ def test_incremental_classifies_all_classes():
 def test_incremental_k_out_of_range():
     x, y = _toy_gaussians(seed=16)
     xtr, ytr, xva, yva = _split_toy(x, y)
-    with pytest.raises(ValueError):
-        train_incremental(xtr, ytr, xva, yva, _tiny_configs(3), k=0)
+    with pytest.raises(ValueError, match="known_labels is empty"):
+        train_mst(xtr, ytr, xva, yva, _tiny_configs(3),
+                  known_labels=range(1, 1))
+    with pytest.raises(ValueError,
+                       match=r"no training data for classes \[4\]"):
+        train_mst(xtr, ytr, xva, yva, _tiny_configs(3),
+                  known_labels=range(1, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -952,8 +986,9 @@ def test_load_model_rejects_a_nan_stage_goal(saved_toy_model, tmp_path):
 
 
 @pytest.mark.parametrize("n_labels, known", [
-    (1, [9]), (3, [2, 2]), (3, [0]), (3, [1.0]), (3, 5),
-], ids=["outside_n_labels", "repeated", "zero", "float", "not_a_list"])
+    (1, [9]), (3, [2, 2]), (3, [0]), (3, [1.0]), (3, 5), (3, [[1]]),
+], ids=["outside_n_labels", "repeated", "zero", "float", "not_a_list",
+        "nested_list"])
 def test_load_model_rejects_known_labels_outside_n_labels(
         saved_toy_model, tmp_path, n_labels, known):
     out = shutil.copytree(saved_toy_model, tmp_path / "model")
@@ -984,15 +1019,26 @@ def test_load_model_rejects_n_labels_not_a_positive_integer(
     (("configs", 0, "n_mlps"), 3.0, r"StageConfig n_mlps 3\.0 is not of "
                                     r"type int"),
     (("configs", 1, "hidden_layers"), 2.0, r"StageConfig hidden_layers 2\.0"),
-    (("input_dim",), 4.0, r"stage1\.f32 shape \(6, .*\) is not one of "
-                          r"non-negative integers"),
+    (("input_dim",), 4.0, r"input_dim 4\.0 is not a positive integer"),
+    (("input_dim",), "x", r"input_dim 'x' is not a positive integer"),
+    (("input_dim",), None, r"input_dim None is not a positive integer"),
+    (("input_dim",), [4], r"input_dim \[4\] is not a positive integer"),
+    (("traces", 0, 0, "stop"), 5, r"StopCriteria 5 is not an object"),
+    (("traces", 1, 0, "train_mse"), "abc", r"TrainRun train_mse 'abc' is "
+                                           r"not of type list\[float\]"),
+    (("traces", 1, 0, "train_mse"), [1, "x"], r"TrainRun train_mse "
+                                              r"\[1, 'x'\] is not of type "
+                                              r"list\[float\]"),
     (("traces", 2, 0, "stop", "max_iters"), 5.5, r"StopCriteria max_iters "
                                                   r"5\.5 is not of type int"),
     (("order",), 7, r"order 7 is not 1 or 2"),
     (("order",), True, r"order True is not 1 or 2"),
     (("seed",), "x", r"seed 'x' is not an integer"),
-], ids=["n_mlps", "hidden_layers", "input_dim", "max_iters", "order",
-        "bool_order", "seed"])
+    (("seed",), -1, r"seed -1 is not an integer >= 0"),
+], ids=["n_mlps", "hidden_layers", "input_dim", "str_input_dim",
+        "null_input_dim", "list_input_dim", "stop", "str_train_mse",
+        "str_in_train_mse", "max_iters", "order", "bool_order", "seed",
+        "negative_seed"])
 def test_load_model_rejects_a_value_of_the_wrong_type(
         saved_toy_model, tmp_path, keys, value, message):
     out = shutil.copytree(saved_toy_model, tmp_path / "model")
@@ -1051,7 +1097,7 @@ def _targets_not_a_list(manifest):
                       r"\[1, 2, 3\]"),
     (_missing_stage_targets, r"stage 3 target classes None are not "
                              r"\[None, None, None, None, None\]"),
-    (_targets_not_a_list, "targets 5 is not a list"),
+    (_targets_not_a_list, "manifest targets 5 is not of type list"),
 ], ids=["n_labels", "known_labels", "target", "stage_count", "not_a_list"])
 def test_load_model_rejects_targets_not_planned_for_its_labels(
         saved_toy_model, tmp_path, tamper, message):
@@ -1158,3 +1204,70 @@ def test_saved_model_is_a_manifest_and_one_parameter_file_per_stage(
                             for net in stage.mlps)
         assert (saved_toy_model / f"stage{s}.f32").read_bytes() == expected
     assert '"file"' not in (saved_toy_model / "manifest.json").read_text()
+
+
+def _flip_one_weight_byte(out):
+    blob = bytearray((out / "stage2.f32").read_bytes())
+    blob[5] ^= 0x01
+    (out / "stage2.f32").write_bytes(bytes(blob))
+
+
+def _drop_a_recorded_stage_hash(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["stage_hashes"].pop()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_flip_one_weight_byte, r"stage 2 weights hash to [0-9a-f]{16}, not to "
+                            r"the recorded '[0-9a-f]{16}'"),
+    (_drop_a_recorded_stage_hash, r"stage 3 weights hash to [0-9a-f]{16}, "
+                                  r"not to the recorded None"),
+], ids=["flipped_byte", "missing_hash"])
+def test_load_model_checks_each_stage_file_against_its_recorded_hash(
+        saved_toy_model, tmp_path, tamper, message):
+    # a flipped byte used to load without a word, with other weights
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    tamper(out)
+    with pytest.raises(ValueError, match=r"manifest\.json: " + message):
+        load_model(out)
+
+
+def test_saved_model_records_its_stage_hashes(saved_toy_model, tmp_path):
+    manifest = json.loads((saved_toy_model / "manifest.json").read_text())
+    assert manifest["stage_hashes"] == \
+        load_model(saved_toy_model).stage_hashes()
+    # a model saved before the stage hashes were recorded does not load
+    del manifest["stage_hashes"]
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: manifest key "
+                                         r"'stage_hashes' is missing"):
+        load_model(out)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("configs", 5, r"manifest configs 5 is not of type list"),
+    ("traces", [[], 5], r"manifest traces \[\[\], 5\] is not of type "
+                        r"list\[list\]"),
+    ("stage_hashes", "abc", r"manifest stage_hashes 'abc' is not of type "
+                            r"list\[str\]"),
+    ("configs", [[2]], r"StageConfig \[2\] is not an object"),
+], ids=["configs", "traces", "stage_hashes", "config"])
+def test_load_model_rejects_a_manifest_entry_of_the_wrong_shape(
+        saved_toy_model, tmp_path, key, value, message):
+    # each used to raise a bare TypeError
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest[key] = value
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: " + message):
+        load_model(out)
+
+
+def test_load_model_names_a_manifest_that_is_not_json(saved_toy_model,
+                                                      tmp_path):
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    (out / "manifest.json").write_text("{")
+    with pytest.raises(ValueError, match=r"manifest\.json: Expecting"):
+        load_model(out)

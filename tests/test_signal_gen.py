@@ -735,7 +735,14 @@ def test_load_names_the_manifest_on_a_field_error(tmp_path, tamper, message):
     (("packets", 1, "tx_label"), 1.5, r"IqPacket tx_label 1\.5"),
     (("packets", 1, "tx_label"), True, r"IqPacket tx_label True"),
     (("profiles", 0, "tx_index"), 1.0, r"TransmitterProfile tx_index 1\.0"),
-], ids=["packet_len", "float_tx_label", "bool_tx_label", "tx_index"])
+    (("profiles", 0, "dc_offset"), "ab", r"TransmitterProfile dc_offset "
+                                         r"'ab': "),
+    (("profiles", 1, "dc_offset"), 5, r"TransmitterProfile dc_offset 5: "),
+    (("packets", 1), 5, r"manifest packets \[.*5.*\] is not of type "
+                        r"list\[dict\]"),
+    (("profiles",), 5, r"manifest profiles 5 is not of type list"),
+], ids=["packet_len", "float_tx_label", "bool_tx_label", "tx_index",
+        "str_dc_offset", "int_dc_offset", "packet", "profiles"])
 def test_load_rejects_a_value_of_the_wrong_type(tmp_path, keys, value,
                                                 message):
     out = _saved_corpus(tmp_path)
