@@ -387,7 +387,16 @@ def sd_step(net: Mlp, x, t, lr: float) -> Mlp:
 
 @dataclass
 class SdOptimizer:
+    """Steepest-descent optimizer: its learning rate lr, finite and >= 0."""
+
     lr: float = 0.01
+
+    def __post_init__(self):
+        real = (int, float, np.integer, np.floating)
+        if type(self.lr) is bool or not isinstance(self.lr, real) \
+                or not 0 <= self.lr < np.inf:
+            raise ValueError("lr must be a finite real number >= 0, got "
+                             f"{self.lr!r}")
 
     def step(self, net, x, t):
         net = sd_step(net, x, t, self.lr)

@@ -2,7 +2,9 @@
 
 A model is an ordered list of stages, each a group of MLPs; which class
 each MLP learns is one rule, _model_targets, that train_mst trains by,
-save_model records and load_model checks.  Stage-1 nets are narrow
+save_model records and load_model checks, and which models are valid is
+another, _check_model, that MstModel checks on every model and train_mst
+on its arguments before it trains.  Stage-1 nets are narrow
 detectors, each trained on the balanced batch it draws where it trains
 (_detector_batch); later stages consume the previous stage's outputs on
 the full training set.  The final stage regresses the class index, and
@@ -53,7 +55,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +162,35 @@ def _model_targets(configs, n_labels: int, known_labels) -> list[list]:
     return [stage_targets(cfg, n_labels, known) for cfg in configs]
 
 
+def _check_model(configs, n_labels, order, seed, known_labels):
+    """n_labels, order, seed (as int) and known_labels (a tuple of int) of a
+    model train_mst trains: one stage config or more, n_labels >= 1, order
+    1 or 2, seed >= 0, and distinct known_labels in 1..n_labels (empty for
+    all), two of them if a stage is DETECTOR_BLOCKS; else ValueError."""
+    if not configs:
+        raise ValueError("need at least one stage config")
+    n_labels = as_count("n_labels", n_labels)
+    order = as_count("order", order)
+    seed = as_count("seed", seed)
+    if n_labels < 1:
+        raise ValueError(f"n_labels must be >= 1, got {n_labels}")
+    if order not in (1, 2):
+        raise ValueError("order must be 1 (gradient) or 2 (damped "
+                         f"Gauss-Newton), got {order}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    known = tuple(as_count("a known label", v) for v in known_labels)
+    if len(set(known)) < len(known) \
+            or not all(1 <= v <= n_labels for v in known):
+        raise ValueError(f"known_labels {list(known)} are not distinct "
+                         f"labels in 1..{n_labels}")
+    seen = sorted(known) or list(range(1, n_labels + 1))
+    if len(seen) < 2 and any(c.role == DETECTOR_BLOCKS for c in configs):
+        raise ValueError("a detector stage needs negatives from a second "
+                         f"known class, got only {seen}")
+    return n_labels, order, seed, known
+
+
 def _detector_batch(train_y, known, t, seed, s, i) -> np.ndarray:
     """Training rows of stage s's MLP i, a detector of class t: every row of
     class t, then as many rows drawn, seeded per MLP, from the other
@@ -252,15 +283,31 @@ def _stage_outputs(stage: Stage, x) -> np.ndarray:
     return a.transpose(1, 0, 2).reshape(x.shape[0], m * a.shape[2])
 
 
-@dataclass
+@dataclass(frozen=True)
 class MstModel:
+    """A model train_mst could train, frozen once __post_init__ checked it:
+    one Stage of n_mlps MLPs per config, one TrainRun per MLP, and fields
+    as _check_model returns them (empty known_labels: every class)."""
     configs: list[StageConfig]
     stages: list[Stage]
     n_labels: int
     order: int
     seed: int
-    traces: list[list[TrainRun]] = field(default_factory=list)
+    traces: list[list[TrainRun]]
     known_labels: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        checked = _check_model(self.configs, self.n_labels, self.order,
+                               self.seed, self.known_labels)
+        for name, value in zip(("n_labels", "order", "seed", "known_labels"),
+                               checked):
+            object.__setattr__(self, name, value)
+        want = [c.n_mlps for c in self.configs]
+        for what, got in (("MLPs", [len(st.mlps) for st in self.stages]),
+                          ("traces", [len(runs) for runs in self.traces])):
+            if got != want:
+                raise ValueError(f"{got} {what} per stage for {want} "
+                                 "configured MLPs")
 
     def config_hash(self) -> str:
         blob = json.dumps(
@@ -288,28 +335,22 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
     full training and validation sets.  Each MLP learns the class
     _model_targets gives it, a stage-1 detector from the rows
     _detector_batch draws for it, and a later MLP from every row.
-    known_labels, distinct training labels, restricts the classes whose
-    data feeds stage 1 (incremental learning: range(1, k + 1) for the
-    first k classes), and a detector stage needs two of them; later
-    stages always see every class.  seed is an integer >= 0.  iter_cap,
-    an integer >= 1, optionally lowers each stage's iteration budget for
-    reduced-scale runs.  Training labels must be exactly 1..n, the
-    validation set non-empty with labels among them, and all features
-    finite.  Every argument is checked before training starts.
+    known_labels, if given, restricts the classes whose data feeds stage 1
+    (incremental learning: range(1, k + 1) for the first k classes); later
+    stages always see every class.  iter_cap, an integer >= 1, optionally
+    lowers each stage's iteration budget for reduced-scale runs.  Training
+    labels must be exactly 1..n, the validation set non-empty with labels
+    among them, all features finite and known_labels, if given, not
+    empty; SdOptimizer checks sd_lr and _check_model the rest, all before
+    training starts.
 
     The whole call runs on one BLAS thread (single_threaded_blas), so the
     trained model is the same whatever the caller's BLAS thread count;
     that count is restored on return, also when the call raises.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 (gradient) or 2 (damped Gauss-Newton)")
-    if not configs:
-        raise ValueError("need at least one stage config")
     if iter_cap is not None and as_count("iter_cap", iter_cap) < 1:
         raise ValueError(f"iter_cap must be >= 1, got {iter_cap}")
-    seed = as_count("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    first_order = SdOptimizer(lr=sd_lr)
     # C order: full-set stages train on these rows as they are
     train_x = np.ascontiguousarray(train_x, dtype=np.float64)
     val_x = np.asarray(val_x, dtype=np.float64)
@@ -327,19 +368,13 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
                          f"{np.unique(val_y).tolist()}")
     if not (np.isfinite(train_x).all() and np.isfinite(val_x).all()):
         raise ValueError("training and validation features must be finite")
-    known = classes if known_labels is None else \
-        np.asarray(sorted(known_labels))
-    if known.size == 0:
+    known = () if known_labels is None else tuple(known_labels)
+    if known_labels is not None and not known:
         raise ValueError("known_labels is empty")
-    if np.unique(known).size != known.size:
-        raise ValueError(f"known_labels repeats a label: {known.tolist()}")
-    missing = known[~np.isin(known, classes)]
-    if missing.size:
-        raise ValueError(f"no training data for classes {missing.tolist()}")
-    if known.size < 2 and any(c.role == DETECTOR_BLOCKS for c in configs):
-        raise ValueError("a detector stage needs negatives from a second "
-                         f"known class, got only {known.tolist()}")
+    n_labels, order, seed, known = _check_model(configs, n_labels, order,
+                                                seed, known)
     targets = _model_targets(configs, n_labels, known)
+    pool = sorted(known) or classes     # the classes stage 1 draws from
     val_patience = 10 if order == 2 else 20
     cur_tr, cur_va = train_x, val_x
     stages, traces = [], []
@@ -355,11 +390,11 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
                            seed=np.random.SeedSequence([0x3117, seed, s, i]))
             t, x, y = targets[s][i], cur_tr, train_y
             if cfg.role == DETECTOR_BLOCKS:
-                rows = _detector_batch(train_y, known, t, seed, s, i)
+                rows = _detector_batch(train_y, pool, t, seed, s, i)
                 x, y = cur_tr[rows], train_y[rows]
             train_xy = x, _mlp_targets(t, y)[:, None]
             val_xy = cur_va, _mlp_targets(t, val_y)[:, None]
-            opt = LmState() if order == 2 else SdOptimizer(lr=sd_lr)
+            opt = LmState() if order == 2 else first_order
             return train(net, train_xy, val_xy, opt, stop)
 
         arrays, runs = None, [None] * cfg.n_mlps
@@ -378,8 +413,7 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
             cur_va = _stage_outputs(stages[-1], cur_va).astype(np.float64)
     return MstModel(configs=list(configs), stages=stages, n_labels=n_labels,
                     order=order, seed=seed, traces=traces,
-                    known_labels=() if known_labels is None else
-                    tuple(int(v) for v in known_labels))
+                    known_labels=known)
 
 
 def fuse_labels(final_outputs: np.ndarray, n_labels: int) -> np.ndarray:
@@ -398,8 +432,6 @@ def classify_batch(model: MstModel, x) -> np.ndarray:
     """Label of each row of x, or of the single row x.  A row that is not
     finite once rounded to float32 (1e39 is not) raises ValueError naming
     its index."""
-    if not model.stages:
-        raise ValueError("model has untrained stages")
     with np.errstate(over="ignore"):
         cur = np.asarray(x, dtype=np.float32)
     if cur.ndim == 1:
@@ -454,13 +486,9 @@ def confusion_from_predictions(y_true, y_pred, n_labels: int) -> ConfusionMatrix
 
 
 def save_model(model: MstModel, out_dir) -> Path:
-    """Write a model with its training traces, one per MLP; a model without
-    them raises ValueError.  Each stage<s>.f32 holds the stage's float32
-    weights as they are; the traces describe the float64 nets that
-    training rounded to them."""
-    if [len(runs) for runs in model.traces] != \
-            [len(stage.mlps) for stage in model.stages]:
-        raise ValueError("a saved model needs one training trace per MLP")
+    """Write a model, which MstModel has checked, with its training traces.
+    Each stage<s>.f32 holds the stage's float32 weights as they are; the
+    traces describe the float64 nets that training rounded to them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for s, stage in enumerate(model.stages, start=1):
@@ -486,50 +514,26 @@ def save_model(model: MstModel, out_dir) -> Path:
 
 
 def load_model(in_dir) -> MstModel:
-    """Read a model that save_model wrote.  A manifest key, trace count,
-    config_hash, field, n_labels or input_dim (not a positive integer),
-    order (not 1 or 2), seed (not an integer >= 0), known_labels (not
-    distinct in 1..n_labels) or per-MLP target class (not the one
-    train_mst plans for n_labels and known_labels) that is wrong, or a
-    stage file that does not hold exactly its configured MLPs or does not
-    hash to its recorded stage hash, raises ValueError naming the
-    manifest.  The stages are float32, as saved."""
+    """Read a model that save_model wrote.  A manifest key or JSON type,
+    input_dim (not a positive integer), per-MLP target class (not the one
+    _model_targets gives for n_labels and known_labels) or config_hash
+    that is wrong, a stage file that does not hold exactly its configured
+    MLPs or does not hash to its recorded stage hash, or a model that
+    MstModel rejects, raises ValueError naming the manifest.  The stages
+    are float32, as saved."""
     path = Path(in_dir) / "manifest.json"
     manifest = read_manifest(path, (
         "n_labels", "order", "seed", "known_labels", "input_dim",
         "config_hash", "configs", "targets", "traces", "stage_hashes"),
         configs=list, targets=list, traces=list[list],
-        stage_hashes=list[str])
+        stage_hashes=list[str], known_labels=list)
     configs = [build(StageConfig, c, path) for c in manifest["configs"]]
     traces = [[build(TrainRun, run, path) for run in runs]
               for runs in manifest["traces"]]
-    counts = [len(runs) for runs in traces]
-    if counts != [c.n_mlps for c in configs]:
-        raise ValueError(f"{path}: {counts} traces per stage for "
-                         f"{[c.n_mlps for c in configs]} configured MLPs")
-    for key in ("n_labels", "input_dim"):
-        if type(manifest[key]) is not int or manifest[key] < 1:
-            raise ValueError(f"{path}: {key} {manifest[key]!r} is not a "
-                             "positive integer")
-    n_labels, known = manifest["n_labels"], manifest["known_labels"]
-    order, seed = manifest["order"], manifest["seed"]
-    if type(order) is not int or order not in (1, 2):
-        raise ValueError(f"{path}: order {order!r} is not 1 or 2")
-    if type(seed) is not int or seed < 0:
-        raise ValueError(f"{path}: seed {seed!r} is not an integer >= 0")
-    if not isinstance(known, list) \
-            or not all(type(v) is int and 1 <= v <= n_labels for v in known) \
-            or len(set(known)) < len(known):
-        raise ValueError(f"{path}: known_labels {known} are not distinct "
-                         f"labels in 1..{n_labels}")
-    planned = _model_targets(configs, n_labels, known)
-    for s, (got, want) in enumerate(
-            itertools.zip_longest(manifest["targets"], planned), start=1):
-        if got != want:
-            raise ValueError(f"{path}: stage {s} target classes {got} are "
-                             f"not {want}, the ones planned for n_labels "
-                             f"{n_labels} and known_labels {known}")
     stages, fan_in = [], manifest["input_dim"]
+    if type(fan_in) is not int or fan_in < 1:
+        raise ValueError(f"{path}: input_dim {fan_in!r} is not a positive "
+                         "integer")
     for s, cfg in enumerate(configs, start=1):
         sizes = cfg.layer_sizes(fan_in)
         params = read_array(path, f"stage{s}.f32", "<f4",
@@ -539,9 +543,18 @@ def load_model(in_dir) -> MstModel:
             _put(arrays, i, unpack_parameters(sizes, p))
         stages.append(_freeze(arrays, sizes))
         fan_in = cfg.n_mlps
-    model = MstModel(configs=configs, stages=stages, n_labels=n_labels,
-                     order=order, seed=seed, traces=traces,
-                     known_labels=tuple(known))
+    model = build(MstModel, dict(
+        configs=configs, stages=stages, traces=traces,
+        **{k: manifest[k] for k in ("n_labels", "order", "seed",
+                                    "known_labels")}), path)
+    n_labels, known = model.n_labels, list(model.known_labels)
+    planned = _model_targets(configs, n_labels, known)
+    for s, (got, want) in enumerate(
+            itertools.zip_longest(manifest["targets"], planned), start=1):
+        if got != want:
+            raise ValueError(f"{path}: stage {s} target classes {got} are "
+                             f"not {want}, the ones planned for n_labels "
+                             f"{n_labels} and known_labels {known}")
     if model.config_hash() != manifest["config_hash"]:
         raise ValueError(f"{path}: configuration does not match its "
                          "config_hash")

@@ -477,6 +477,8 @@ def profiles_hash(profiles) -> str:
 
 
 def validate_profiles(profiles: list[TransmitterProfile]) -> None:
+    if not profiles:
+        raise ValueError("need at least one transmitter profile")
     seen = set()
     by_radio: dict[str, list[TransmitterProfile]] = {}
     for p in profiles:
@@ -516,9 +518,14 @@ def generate_corpus(profiles: list[TransmitterProfile], packets_per_tx: int,
 
     tx_label follows the profile list order (1-based), and the packets are
     transmitter-major: every packet of transmitter 1, then of 2, ...
+    seed lies in [0, 2**32), since the noise streams take it modulo 2**32;
+    profiles must not be empty.
     """
     if as_count("packets_per_tx", packets_per_tx) < 1:
         raise ValueError("packets_per_tx must be >= 1")
+    seed = as_count("seed", seed)
+    if not 0 <= seed < 2**32:
+        raise ValueError(f"seed must lie in [0, 2**32), got {seed}")
     validate_profiles(profiles)
     capture = shared_zeros((len(profiles) * packets_per_tx, params.packet_len),
                            np.complex64)

@@ -94,7 +94,7 @@ def test_stage_config_takes_numpy_integers_as_ints():
               cfg.max_iters)
     assert counts == (4, 2, 6, 30)
     assert all(type(c) is int for c in counts)
-    MstModel([cfg], [], 3, 2, 0).config_hash()     # JSON takes them
+    json.dumps(dataclasses.astuple(cfg))     # config_hash takes them
 
 
 @pytest.mark.parametrize("make", [default_config_1st, default_config_2nd])
@@ -232,7 +232,7 @@ def test_train_mst_rejects_validation_labels_outside_training_labels():
 
 
 def test_train_mst_rejects_empty_configs():
-    # a model with no stages would fail only later, in classify_batch
+    # MstModel's own rule, checked before any MLP trains
     x, y = _toy_gaussians()
     xtr, ytr, xva, yva = _split_toy(x, y)
     with pytest.raises(ValueError, match="need at least one stage config"):
@@ -307,6 +307,49 @@ def test_a_numpy_seed_trains_the_model_of_its_int(saved_toy_model, tmp_path):
     assert loaded.stage_hashes() == model.stage_hashes() == \
         load_model(saved_toy_model).stage_hashes()
     assert loaded.config_hash() == load_model(saved_toy_model).config_hash()
+
+
+@pytest.mark.parametrize("order, message", [
+    (True, "order must be an integer, got True"),
+    (2.0, "order must be an integer, got 2.0"),
+    (3, r"order must be 1 \(gradient\) or 2 \(damped Gauss-Newton\), got 3"),
+], ids=["bool", "float", "three"])
+def test_train_mst_rejects_an_order_that_is_not_1_or_2(monkeypatch, tmp_path,
+                                                       order, message):
+    # True used to train and save a model that load_model rejects
+    x, y = _toy_gaussians(seed=40)
+    log = tmp_path / "pids"
+    _logged_train(monkeypatch, log)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train_mst(*_split_toy(x, y), _tiny_configs(3), order=order)
+    assert not log.exists()
+
+
+def test_a_numpy_order_trains_a_model_that_saves(tmp_path):
+    # np.int64 used to train, then fail in save_model with a bare TypeError
+    x, y = _toy_gaussians(seed=6)
+    model = train_mst(*_split_toy(x, y), _tiny_configs(3), seed=7,
+                      order=np.int64(2), iter_cap=2)
+    assert type(model.order) is int
+    loaded = load_model(save_model(model, tmp_path / "model"))
+    assert loaded.stage_hashes() == model.stage_hashes()
+    assert loaded.config_hash() == model.config_hash()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("sd_lr", [float("nan"), float("inf"), -1.0, "x",
+                                   True])
+def test_train_mst_rejects_a_learning_rate_that_is_not_finite_and_at_least_0(
+        monkeypatch, tmp_path, order, sd_lr):
+    # nan used to train every MLP of an order-1 model without a word
+    x, y = _toy_gaussians(seed=40)
+    log = tmp_path / "pids"
+    _logged_train(monkeypatch, log)
+    with pytest.raises(ValueError, match=r"^lr must be a finite real number "
+                                         r">= 0, got "):
+        train_mst(*_split_toy(x, y), _tiny_configs(3), order=order,
+                  sd_lr=sd_lr)
+    assert not log.exists()
 
 
 def test_first_order_training_runs_with_iter_cap():
@@ -479,8 +522,19 @@ def _train_with_known_labels(monkeypatch, tmp_path, n_classes, known):
 
 
 def test_plan_missing_class_raises(monkeypatch, tmp_path):
-    with pytest.raises(ValueError, match=r"no training data for classes \[9\]"):
+    with pytest.raises(ValueError, match=r"known_labels \[1, 2, 9\] are not "
+                                         r"distinct labels in 1\.\.3"):
         _train_with_known_labels(monkeypatch, tmp_path, 3, [1, 2, 9])
+
+
+@pytest.mark.parametrize("known", [[True, 2], [1.0, 2], ["1", 2]],
+                         ids=["bool", "float", "str"])
+def test_plan_rejects_a_known_label_that_is_not_an_integer(monkeypatch,
+                                                           tmp_path, known):
+    # [True, 2] used to train and record known_labels (1, 2)
+    with pytest.raises(ValueError, match=f"^a known label must be an integer, "
+                                         f"got {known[0]!r}$"):
+        _train_with_known_labels(monkeypatch, tmp_path, 3, known)
 
 
 def test_plan_rejects_empty_known_labels(monkeypatch, tmp_path):
@@ -490,8 +544,8 @@ def test_plan_rejects_empty_known_labels(monkeypatch, tmp_path):
 
 def test_plan_rejects_a_repeated_known_label(monkeypatch, tmp_path):
     # a repeat would hand class 1 more stage-1 detectors than class 2
-    with pytest.raises(ValueError,
-                       match=r"known_labels repeats a label: \[1, 1, 2\]"):
+    with pytest.raises(ValueError, match=r"known_labels \[2, 1, 1\] are not "
+                                         r"distinct labels in 1\.\.4"):
         _train_with_known_labels(monkeypatch, tmp_path, 4, [2, 1, 1])
 
 
@@ -650,9 +704,9 @@ def test_later_stages_train_on_the_float32_outputs_classify_sees(
 
 
 def test_untrained_model_rejected():
-    model = MstModel(configs=[], stages=[], n_labels=3, order=2, seed=0)
-    with pytest.raises(ValueError, match="model has untrained stages"):
-        classify_batch(model, np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="need at least one stage config"):
+        MstModel(configs=[], stages=[], n_labels=3, order=2, seed=0,
+                 traces=[])
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +748,8 @@ def test_incremental_k_out_of_range():
     with pytest.raises(ValueError, match="known_labels is empty"):
         train_mst(xtr, ytr, xva, yva, _tiny_configs(3),
                   known_labels=range(1, 1))
-    with pytest.raises(ValueError,
-                       match=r"no training data for classes \[4\]"):
+    with pytest.raises(ValueError, match=r"known_labels \[1, 2, 3, 4\] are "
+                                         r"not distinct labels in 1\.\.3"):
         train_mst(xtr, ytr, xva, yva, _tiny_configs(3),
                   known_labels=range(1, 5))
 
@@ -895,14 +949,17 @@ def test_load_model_rejects_manifest_not_matching_its_hash(tmp_path):
         load_model(out)
 
 
-def test_save_model_needs_one_trace_per_mlp(tmp_path):
-    x, y = _toy_gaussians(seed=17)
-    xtr, ytr, xva, yva = _split_toy(x, y)
-    model = train_mst(xtr, ytr, xva, yva, _tiny_configs(3), seed=18)
-    untraced = dataclasses.replace(model, traces=[])
-    with pytest.raises(ValueError, match="one training trace per MLP"):
-        save_model(untraced, tmp_path / "model")
-    assert not (tmp_path / "model").exists()
+def test_save_model_needs_one_trace_per_mlp(saved_toy_model):
+    # a model without its traces is not made, so there is none to save
+    model = load_model(saved_toy_model)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.traces = []
+    with pytest.raises(ValueError, match=r"^\[\] traces per stage for "
+                                         r"\[6, 3, 5\] configured MLPs$"):
+        dataclasses.replace(model, traces=[])
+    with pytest.raises(ValueError, match=r"^\[6, 3\] MLPs per stage for "
+                                         r"\[6, 3, 5\] configured MLPs$"):
+        dataclasses.replace(model, stages=model.stages[:2])
 
 
 @pytest.fixture(scope="module")
@@ -985,33 +1042,43 @@ def test_load_model_rejects_a_nan_stage_goal(saved_toy_model, tmp_path):
         load_model(out)
 
 
-@pytest.mark.parametrize("n_labels, known", [
-    (1, [9]), (3, [2, 2]), (3, [0]), (3, [1.0]), (3, 5), (3, [[1]]),
+_NOT_DISTINCT = r"known_labels .* are not distinct labels in 1\.\."
+
+
+@pytest.mark.parametrize("n_labels, known, message", [
+    (1, [9], _NOT_DISTINCT + "1"),
+    (3, [2, 2], _NOT_DISTINCT + "3"),
+    (3, [0], _NOT_DISTINCT + "3"),
+    (3, [1.0], r"a known label must be an integer, got 1\.0"),
+    (3, 5, r"manifest known_labels 5 is not of type list"),
+    (3, [[1]], r"a known label must be an integer, got \[1\]"),
+    (3, [True, 2], r"a known label must be an integer, got True"),
 ], ids=["outside_n_labels", "repeated", "zero", "float", "not_a_list",
-        "nested_list"])
+        "nested_list", "bool"])
 def test_load_model_rejects_known_labels_outside_n_labels(
-        saved_toy_model, tmp_path, n_labels, known):
+        saved_toy_model, tmp_path, n_labels, known, message):
     out = shutil.copytree(saved_toy_model, tmp_path / "model")
     manifest = json.loads((out / "manifest.json").read_text())
     manifest["n_labels"], manifest["known_labels"] = n_labels, known
     _rehash(manifest)
     (out / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=r"manifest\.json: known_labels "
-                                         r".* are not distinct labels in "
-                                         rf"1\.\.{n_labels}"):
+    with pytest.raises(ValueError, match=r"manifest\.json: " + message):
         load_model(out)
 
 
-@pytest.mark.parametrize("n_labels", [0, 2.0, "3"])
+@pytest.mark.parametrize("n_labels, message", [
+    (0, r"n_labels must be >= 1, got 0"),
+    (2.0, r"MstModel n_labels 2\.0 is not of type int"),
+    ("3", r"MstModel n_labels '3' is not of type int"),
+], ids=["0", "2.0", "3"])
 def test_load_model_rejects_n_labels_not_a_positive_integer(
-        saved_toy_model, tmp_path, n_labels):
+        saved_toy_model, tmp_path, n_labels, message):
     out = shutil.copytree(saved_toy_model, tmp_path / "model")
     manifest = json.loads((out / "manifest.json").read_text())
     manifest["n_labels"] = n_labels
     _rehash(manifest)
     (out / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=r"manifest\.json: n_labels .* is "
-                                         r"not a positive integer"):
+    with pytest.raises(ValueError, match=r"manifest\.json: " + message):
         load_model(out)
 
 
@@ -1031,10 +1098,11 @@ def test_load_model_rejects_n_labels_not_a_positive_integer(
                                               r"list\[float\]"),
     (("traces", 2, 0, "stop", "max_iters"), 5.5, r"StopCriteria max_iters "
                                                   r"5\.5 is not of type int"),
-    (("order",), 7, r"order 7 is not 1 or 2"),
-    (("order",), True, r"order True is not 1 or 2"),
-    (("seed",), "x", r"seed 'x' is not an integer"),
-    (("seed",), -1, r"seed -1 is not an integer >= 0"),
+    (("order",), 7, r"order must be 1 \(gradient\) or 2 \(damped "
+                    r"Gauss-Newton\), got 7"),
+    (("order",), True, r"MstModel order True is not of type int"),
+    (("seed",), "x", r"MstModel seed 'x' is not of type int"),
+    (("seed",), -1, r"seed must be >= 0, got -1"),
 ], ids=["n_mlps", "hidden_layers", "input_dim", "str_input_dim",
         "null_input_dim", "list_input_dim", "stop", "str_train_mse",
         "str_in_train_mse", "max_iters", "order", "bool_order", "seed",
@@ -1072,7 +1140,14 @@ def _fewer_labels(manifest):
 
 
 def _one_known_label(manifest):
-    manifest["known_labels"] = [1]
+    # the targets train_mst would plan for it, if it trained it
+    manifest["known_labels"] = [2]
+    manifest["targets"][0] = [2] * 6
+
+
+def _no_stages(manifest):
+    for key in ("configs", "targets", "traces", "stage_hashes"):
+        manifest[key] = []
 
 
 def _retargeted_mlp(manifest):
@@ -1091,14 +1166,16 @@ def _targets_not_a_list(manifest):
     (_fewer_labels, r"stage 1 target classes \[1, 1, 2, 2, 3, 3\] are not "
                     r"\[1, 1, 1, 2, 2, 2\], the ones planned for n_labels 2 "
                     r"and known_labels \[\]"),
-    (_one_known_label, r"stage 1 target classes \[1, 1, 2, 2, 3, 3\] are not "
-                       r"\[1, 1, 1, 1, 1, 1\], .* known_labels \[1\]"),
+    (_one_known_label, r"a detector stage needs negatives from a second "
+                       r"known class, got only \[2\]"),
     (_retargeted_mlp, r"stage 2 target classes \[2, 2, 3\] are not "
                       r"\[1, 2, 3\]"),
     (_missing_stage_targets, r"stage 3 target classes None are not "
                              r"\[None, None, None, None, None\]"),
     (_targets_not_a_list, "manifest targets 5 is not of type list"),
-], ids=["n_labels", "known_labels", "target", "stage_count", "not_a_list"])
+    (_no_stages, "need at least one stage config"),
+], ids=["n_labels", "known_labels", "target", "stage_count", "not_a_list",
+        "no_stages"])
 def test_load_model_rejects_targets_not_planned_for_its_labels(
         saved_toy_model, tmp_path, tamper, message):
     out = shutil.copytree(saved_toy_model, tmp_path / "model")

@@ -347,6 +347,35 @@ def test_corpus_rejects_a_packet_count_that_is_not_an_integer(bad):
         generate_corpus([quiet_profile()], bad, seed=1, params=FAST)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (True, "seed must be an integer, got True"),
+    (1.0, "seed must be an integer, got 1.0"),
+    ("1", "seed must be an integer, got '1'"),
+    (2**32 + 1, r"seed must lie in \[0, 2\*\*32\), got 4294967297"),
+    (-(2**32) + 1, r"seed must lie in \[0, 2\*\*32\), got -4294967295"),
+    (-1, r"seed must lie in \[0, 2\*\*32\), got -1"),
+], ids=["bool", "float", "str", "above", "below", "negative"])
+def test_corpus_rejects_a_seed_outside_0_to_2_to_the_32(monkeypatch, seed,
+                                                        message):
+    # True, 2**32 + 1 and -(2**32) + 1 used to synthesise seed 1's bytes,
+    # recorded as another seed; 1.0 and "1" to raise a bare TypeError
+    monkeypatch.setattr(signal_gen, "shared_zeros", _no_capture)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_corpus([quiet_profile()], 1, seed=seed, params=FAST)
+
+
+def test_corpus_rejects_an_empty_profile_list(monkeypatch):
+    # used to return a corpus of no transmitters
+    monkeypatch.setattr(signal_gen, "shared_zeros", _no_capture)
+    with pytest.raises(ValueError, match="^need at least one transmitter "
+                                         "profile$"):
+        generate_corpus([], 3, seed=1)
+
+
+def _no_capture(*args):
+    raise AssertionError("a capture was made before the arguments' checks")
+
+
 def _corpus_digest(corpus):
     """sha256 of every packet's little-endian complex64 samples, each
     followed by its label as two little-endian bytes."""
