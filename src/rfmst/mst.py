@@ -14,27 +14,30 @@ rounded responses.
 Packed stages: each MLP trains on its own, and a model holds each stage as
 one Stage, whose float32 arrays are sized from the stage's config: the
 first-layer weights of all m MLPs side by side in one (fan_in, m * h)
-array, and each later layer as an (m, h, h') stack.  _put rounds one MLP
-into its slot, as train_mst gets it from training and as load_model reads
-it; _freeze then makes the arrays read-only and each Mlp of the stage a
-set of views of them, so the weights exist once.  A stage is evaluated as
-one GEMM for all first layers plus one batched matmul per later layer,
-both for the next stage's training inputs and in classify_batch: for the
-2048-input raw stage 1, one (B, 2048) x (2048, 600) GEMM instead of 60
-skinny ones.
+array, and each later layer as an (m, h, h') stack.  _stage, the one
+constructor of a Stage, copies them out of the stage's (m, P) matrix of
+pack_parameters rows, the layout of its stage<s>.f32 file, as train_mst
+packs it from training and as load_model reads it; it makes the arrays
+read-only and each Mlp of the stage a set of views of them, so the
+weights exist once.  A stage is evaluated as one GEMM for all first
+layers plus one batched matmul per later layer, both for the next
+stage's training inputs and in classify_batch: for the 2048-input raw
+stage 1, one (B, 2048) x (2048, 600) GEMM instead of 60 skinny ones.
 
-Precision: LM training runs in float64.  _put rounds each trained net to
-float32, so a stored stage is float32, and _stage_outputs, the one
-evaluation of a stage, runs in float32: the next stage trains on the very
-numbers classify_batch computes.  A model's TrainRun traces describe its
-float64 nets before that rounding.
+Precision: LM training runs in float64.  Each trained net is rounded to
+float32 in the matrix _stage builds its stage from, so a stored stage is
+float32, and _stage_outputs, the one evaluation of a stage, runs in
+float32: the next stage trains on the very numbers classify_batch
+computes.  A model's TrainRun traces describe its float64 nets before
+that rounding.
 
 Stage workers: a stage's MLPs are independent, so train_mst trains them
 with rfmst.parallel.fork_map, once its inputs are ready: in this process
 and in workers forked for the stage, one process per CPU it may run on.
 Each MLP trains from its own seed, so the model is the same whichever
-process trained which MLP; the parent puts each net, sent back by pickle,
-by index as it arrives.  Each TrainRun's seconds is timed where it ran.
+process trained which MLP; the parent packs each net, sent back by
+pickle, into its row as it arrives.  Each TrainRun's seconds is timed
+where it ran.
 
 BLAS policy: training runs with the OpenBLAS that numpy and scipy bundle
 pinned to one thread in every process, parent and workers, so a trained
@@ -71,7 +74,6 @@ from .ann import (
     init_mlp,
     pack_parameters,
     train,
-    unpack_parameters,
 )
 from .manifest import as_count, build, read_array, read_manifest
 from .openblas import single_threaded_blas
@@ -230,41 +232,34 @@ class Stage:
     biases: tuple[np.ndarray, ...]
 
 
-def _stage_arrays(sizes, m: int):
-    """Empty arrays for m MLPs of layer sizes `sizes`: first_w, first_b,
-    weights and biases, as a Stage holds them."""
-    h = sizes[1]
-    return (np.empty((sizes[0], m * h), np.float32),
-            np.empty(m * h, np.float32),
-            tuple(np.empty((m, a, b), np.float32)
-                  for a, b in zip(sizes[1:-1], sizes[2:])),
-            tuple(np.empty((m, 1, b), np.float32) for b in sizes[2:]))
-
-
-def _put(arrays, i: int, net: Mlp) -> None:
-    """Round MLP i's weights to the nearest float32 into its slot."""
-    first_w, first_b, weights, biases = arrays
-    cols = slice(i * net.layer_sizes[1], (i + 1) * net.layer_sizes[1])
-    first_w[:, cols] = net.weights[0]
-    first_b[cols] = net.biases[0]
-    for w, b, net_w, net_b in zip(weights, biases, net.weights[1:],
-                                  net.biases[1:]):
-        w[i] = net_w
-        b[i, 0] = net_b
-
-
-def _freeze(arrays, sizes) -> Stage:
-    """The Stage of filled arrays, made read-only, its MLPs views of them."""
-    first_w, first_b, weights, biases = arrays
-    h = sizes[1]
+def _stage(sizes, params) -> Stage:
+    """The read-only Stage of the m MLPs of layer sizes `sizes` whose
+    parameters are the rows of params, an (m, P) matrix in pack_parameters
+    order, the layout of a stage<s>.f32 file, each weight rounded to the
+    nearest float32.  The Stage's arrays are copies, its MLPs views of
+    them."""
+    m, n, h = len(params), sizes[0], sizes[1]
+    # np.array copies each block, rounded to float32; order="C" lays the
+    # transposed first layer out as first_w, so reshape copies no more
+    first_w = np.array(params[:, :n * h].reshape(m, n, h).transpose(1, 0, 2),
+                       np.float32, order="C").reshape(n, m * h)
+    first_b = np.array(params[:, n * h:(n + 1) * h], np.float32).reshape(m * h)
+    weights, biases, k = [], [], (n + 1) * h
+    for a, b in zip(sizes[1:-1], sizes[2:]):
+        weights.append(np.array(params[:, k:k + a * b].reshape(m, a, b),
+                                np.float32))
+        k += a * b
+        biases.append(np.array(params[:, k:k + b].reshape(m, 1, b),
+                               np.float32))
+        k += b
     for arr in (first_w, first_b, *weights, *biases):
         arr.flags.writeable = False
     # views taken after the freeze, since a view keeps the flag it was made with
-    views = tuple(
+    mlps = tuple(
         Mlp(sizes, [first_w[:, i * h:(i + 1) * h], *(w[i] for w in weights)],
             [first_b[i * h:(i + 1) * h], *(b[i, 0] for b in biases)])
-        for i in range(first_b.size // h))
-    return Stage(views, first_w, first_b, weights, biases)
+        for i in range(m))
+    return Stage(mlps, first_w, first_b, tuple(weights), tuple(biases))
 
 
 def _stage_outputs(stage: Stage, x) -> np.ndarray:
@@ -397,15 +392,17 @@ def train_mst(train_x, train_y, val_x, val_y, configs, order: int = 2,
             opt = LmState() if order == 2 else first_order
             return train(net, train_xy, val_xy, opt, stop)
 
-        arrays, runs = None, [None] * cfg.n_mlps
+        params, runs = None, [None] * cfg.n_mlps
         with contextlib.closing(fork_map(train_one, cfg.n_mlps)) as trained:
             for i, (net, run) in trained:
                 # private memory: stage arrays shared with the workers made
                 # each later raw_w1024 featurise fault ~1,900 pages
-                arrays = arrays or _stage_arrays(sizes, cfg.n_mlps)
-                _put(arrays, i, net)
+                if params is None:
+                    params = np.empty((cfg.n_mlps, count_parameters(sizes)),
+                                      np.float32)
+                params[i] = pack_parameters(net)
                 runs[i] = run
-        stages.append(_freeze(arrays, sizes))
+        stages.append(_stage(sizes, params))
         traces.append(runs)
         if s + 1 < len(configs):
             # float64 once per stage, not once per LM step
@@ -536,12 +533,9 @@ def load_model(in_dir) -> MstModel:
                          "integer")
     for s, cfg in enumerate(configs, start=1):
         sizes = cfg.layer_sizes(fan_in)
-        params = read_array(path, f"stage{s}.f32", "<f4",
-                            (cfg.n_mlps, count_parameters(sizes)))
-        arrays = _stage_arrays(sizes, cfg.n_mlps)
-        for i, p in enumerate(params):
-            _put(arrays, i, unpack_parameters(sizes, p))
-        stages.append(_freeze(arrays, sizes))
+        stages.append(_stage(sizes, read_array(
+            path, f"stage{s}.f32", "<f4",
+            (cfg.n_mlps, count_parameters(sizes)))))
         fan_in = cfg.n_mlps
     model = build(MstModel, dict(
         configs=configs, stages=stages, traces=traces,

@@ -7,6 +7,11 @@ offset, phase-noise random walk, DC offset, AWGN).  Transmitters that share
 a radio share the reference-oscillator impairments (CFO, phase-noise
 bandwidth); everything else is per-transmitter.
 
+Which corpora are valid is one rule, `_check_corpus` (profiles, seed and
+SNR), that `generate_corpus` runs on its arguments before it synthesises
+anything and `Corpus` on every corpus it holds, a loaded one included;
+`Corpus` also checks its packets.
+
 `generate_corpus` synthesises on every usable CPU (rfmst.parallel): each
 process modulates whole payloads, sends each through every profile and
 writes each packet into its row of one capture array that every process
@@ -39,6 +44,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -145,7 +151,7 @@ class TransmitterProfile:
         return f"{self.radio_id}_Tx{self.tx_index}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class IqPacket:
     samples: np.ndarray        # complex64, length packet_len; the file's bytes
     tx_label: int              # 1..N_t
@@ -322,7 +328,7 @@ def apply_impairments(packet: np.ndarray, profile: TransmitterProfile,
     rotation (CFO plus per-packet start phase, with the phase-noise walk
     added to the same phase, so one complex exp), DC offset, AWGN, drawn
     from rng_carrier, rng_phase and rng_noise.  noise_snr_db None means no
-    noise; a NaN or infinite one raises ValueError.
+    noise; one that _check_snr rejects raises ValueError.
 
     The chain runs in float64 whatever the packet's dtype: the packet is
     upcast once to complex128 and never written.  It is computed in
@@ -346,10 +352,8 @@ def apply_impairments(packet: np.ndarray, profile: TransmitterProfile,
     # normal(0, s) draw is 0.0 + s * standard_normal(); leaving out the 0.0
     # moves only a draw of exactly -0.0.
     # the receiver noise is scaled to the ideal burst's power: read it first
+    noise_snr_db = _check_snr(noise_snr_db)
     if noise_snr_db is not None:
-        if not math.isfinite(noise_snr_db):
-            raise ValueError(f"noise_snr_db must be finite or None, got "
-                             f"{noise_snr_db}")
         power = np.square(np.abs(x[silence:], out=u[:n_burst]),
                           out=u[:n_burst])
         noise_power = np.mean(power) / 10 ** (noise_snr_db / 10)  # |burst|**2
@@ -442,8 +446,41 @@ def synthesize_packet(payload: np.ndarray, profile: TransmitterProfile,
     return _iq_packet(samples, profile, tx_label, packet_id)
 
 
-@dataclass
+def _check_snr(snr_db) -> float | None:
+    """snr_db as a float, or None for no noise; a bool, a value that is not
+    a real number, or a NaN or infinite one raises ValueError."""
+    if snr_db is None:
+        return None
+    if isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real):
+        raise ValueError(f"noise_snr_db must be a real number or None, got "
+                         f"{snr_db!r}")
+    try:
+        value = float(snr_db)
+    except OverflowError:       # an int past float's range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"noise_snr_db must be finite or None, got {value}")
+    return value
+
+
+def _check_corpus(profiles, seed, snr_db) -> tuple[int, float | None]:
+    """seed (as int) and snr_db (as _check_snr returns it) of a corpus
+    generate_corpus makes: profiles that pass validate_profiles, a seed in
+    [0, 2**32), since the noise streams take it modulo 2**32, and an
+    snr_db that _check_snr takes; else ValueError."""
+    validate_profiles(profiles)
+    seed = as_count("seed", seed)
+    if not 0 <= seed < 2**32:
+        raise ValueError(f"seed must lie in [0, 2**32), got {seed}")
+    return seed, _check_snr(snr_db)
+
+
+@dataclass(frozen=True)
 class Corpus:
+    """A corpus generate_corpus could make, frozen once __post_init__
+    checked it: seed and snr_db as _check_corpus returns them, at least one
+    packet, each of packet_len complex64 samples and a tx_label in 1..n for
+    n profiles."""
     packets: list[IqPacket]
     profiles: list[TransmitterProfile]
     params: OfdmParams
@@ -451,7 +488,18 @@ class Corpus:
     snr_db: float | None
 
     def __post_init__(self):
-        validate_profiles(self.profiles)
+        seed, snr_db = _check_corpus(self.profiles, self.seed, self.snr_db)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "snr_db", snr_db)
+        if not self.packets:
+            raise ValueError("a corpus holds at least one packet")
+        n_samples = self.params.packet_len
+        for p in self.packets:
+            if not (isinstance(p.samples, np.ndarray)
+                    and p.samples.shape == (n_samples,)
+                    and p.samples.dtype == np.complex64):
+                raise ValueError(f"packet {p.name} is not {n_samples} "
+                                 "complex64 samples")
         n = len(self.profiles)
         bad = [p.tx_label for p in self.packets if not 1 <= p.tx_label <= n]
         if bad:
@@ -518,15 +566,12 @@ def generate_corpus(profiles: list[TransmitterProfile], packets_per_tx: int,
 
     tx_label follows the profile list order (1-based), and the packets are
     transmitter-major: every packet of transmitter 1, then of 2, ...
-    seed lies in [0, 2**32), since the noise streams take it modulo 2**32;
-    profiles must not be empty.
+    packets_per_tx must be an integer >= 1; _check_corpus checks the rest,
+    both before anything is synthesised.
     """
     if as_count("packets_per_tx", packets_per_tx) < 1:
         raise ValueError("packets_per_tx must be >= 1")
-    seed = as_count("seed", seed)
-    if not 0 <= seed < 2**32:
-        raise ValueError(f"seed must lie in [0, 2**32), got {seed}")
-    validate_profiles(profiles)
+    seed, noise_snr_db = _check_corpus(profiles, seed, noise_snr_db)
     capture = shared_zeros((len(profiles) * packets_per_tx, params.packet_len),
                            np.complex64)
     workspace = impairment_workspace(params.packet_len)
@@ -608,9 +653,7 @@ def default_profiles() -> list[TransmitterProfile]:
 
 
 def save_corpus(corpus: Corpus, out_dir) -> Path:
-    n = corpus.params.packet_len
-    if any(p.samples.shape != (n,) for p in corpus.packets):
-        raise ValueError(f"every packet must hold packet_len={n} samples")
+    """Write a corpus, which Corpus has checked, as it is."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "samples.c64", "wb") as f:
@@ -630,10 +673,11 @@ def save_corpus(corpus: Corpus, out_dir) -> Path:
 
 
 def load_corpus(in_dir) -> Corpus:
-    """Read a corpus that save_corpus wrote.  A manifest key, field or
-    profile_hash that is wrong, a Corpus that fails its own checks, or a
-    samples.c64 that does not hold exactly packet_len samples per packet,
-    raises ValueError naming the manifest."""
+    """Read a corpus that save_corpus wrote.  A manifest key, JSON type or
+    profile_hash that is wrong, a samples.c64 that does not hold exactly
+    packet_len samples per packet or holds a sample that is not finite, or
+    a corpus that OfdmParams, TransmitterProfile or Corpus rejects, raises
+    ValueError naming the manifest."""
     path = Path(in_dir) / "manifest.json"
     manifest = read_manifest(path, ("seed", "snr_db", "params", "profiles",
                                     "profile_hash", "packets"),
@@ -647,6 +691,10 @@ def load_corpus(in_dir) -> Corpus:
     entries = manifest["packets"]
     samples = read_array(path, "samples.c64", "<c8",
                          (len(entries), params.packet_len))
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: samples.c64 packet {bad[0]} holds a "
+                         "sample that is not finite")
     packets = [build(IqPacket, {**entry, "samples": row}, path)
                for entry, row in zip(entries, samples)]
     return build(Corpus, dict(packets=packets, profiles=profiles,

@@ -874,10 +874,7 @@ def test_trained_weights_are_read_only_views_of_the_packed_stage(tmp_path):
 def test_a_filled_stage_rounds_each_weight_to_the_nearest_float32():
     sizes = (3, 4, 2, 1)
     nets = [ann.init_mlp(sizes, seed=k) for k in range(3)]
-    arrays = mst._stage_arrays(sizes, 3)
-    for i in (2, 0, 1):
-        mst._put(arrays, i, nets[i])
-    stage = mst._freeze(arrays, sizes)
+    stage = mst._stage(sizes, np.stack([ann.pack_parameters(n) for n in nets]))
     for net, packed in zip(nets, stage.mlps):
         for a, b in zip((*net.weights, *net.biases),
                         (*packed.weights, *packed.biases)):

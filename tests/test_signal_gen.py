@@ -2,8 +2,10 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import operator
 import os
+import re
 import time
 
 import numpy as np
@@ -637,12 +639,45 @@ def test_snr_contract_within_half_db():
     assert abs(measured_db - snr_db) <= 0.5
 
 
-@pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf])
-def test_non_finite_snr_raises(snr_db):
-    # None is the one spelling of "no noise"
+@pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "int_past_float"])
+def test_non_finite_snr_raises(monkeypatch, snr_db):
+    # None is the one spelling of "no noise"; NaN used to be caught only
+    # once the capture was made
+    monkeypatch.setattr(signal_gen, "shared_zeros", _no_capture)
     with pytest.raises(ValueError, match="noise_snr_db must be finite or None"):
         generate_corpus([quiet_profile()], 1, seed=3, params=FAST,
                         noise_snr_db=snr_db)
+
+
+@pytest.mark.parametrize("snr_db", [True, "30", [25.0], 30j],
+                         ids=["bool", "str", "list", "complex"])
+def test_corpus_rejects_an_snr_that_is_not_a_real_number(monkeypatch,
+                                                         snr_db):
+    # True used to synthesise at 1 dB and record True, "30" to raise a bare
+    # TypeError from inside synthesis
+    monkeypatch.setattr(signal_gen, "shared_zeros", _no_capture)
+    with pytest.raises(ValueError, match="^noise_snr_db must be a real number "
+                       f"or None, got {re.escape(repr(snr_db))}$"):
+        generate_corpus([quiet_profile()], 1, seed=3, params=FAST,
+                        noise_snr_db=snr_db)
+
+
+@pytest.mark.parametrize("snr_db", [np.float32(30), np.int64(30), 30],
+                         ids=["float32", "int64", "int"])
+def test_an_snr_of_another_real_type_makes_the_corpus_of_its_float(
+        tmp_path, snr_db):
+    # np.float32(30) used to synthesise, then fail to save with a bare
+    # TypeError
+    saved = []
+    for name, snr in (("given", snr_db), ("float", 30.0)):
+        corpus = generate_corpus([quiet_profile()], 2, seed=4, params=FAST,
+                                 noise_snr_db=snr)
+        assert type(corpus.snr_db) is float
+        saved.append(save_corpus(corpus, tmp_path / name))
+    for name in ("manifest.json", "samples.c64"):
+        assert (saved[0] / name).read_bytes() == (saved[1] / name).read_bytes()
+    assert load_corpus(saved[0]).snr_db == 30.0
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -745,10 +780,32 @@ def _third_tx_index(manifest):
     manifest["profiles"][1]["tx_index"] = 3
 
 
+def _seed_above(manifest):
+    manifest["seed"] = 2**32 + 1
+
+
+def _negative_seed(manifest):
+    manifest["seed"] = -5
+
+
+def _nan_snr(manifest):
+    manifest["snr_db"] = math.nan       # json writes and reads NaN
+
+
+def _infinite_snr(manifest):
+    manifest["snr_db"] = math.inf
+
+
 @pytest.mark.parametrize("tamper, message", [
     (_zero_packet_len, "packet_len must be >= 1"),
     (_third_tx_index, "tx_index must be 1 or 2"),
-], ids=["packet_len", "tx_index"])
+    # the seeds and SNRs used to load, and to be reported as they were
+    (_seed_above, r"seed must lie in \[0, 2\*\*32\), got 4294967297"),
+    (_negative_seed, r"seed must lie in \[0, 2\*\*32\), got -5"),
+    (_nan_snr, "noise_snr_db must be finite or None, got nan"),
+    (_infinite_snr, "noise_snr_db must be finite or None, got inf"),
+], ids=["packet_len", "tx_index", "seed_above", "negative_seed", "nan_snr",
+        "infinite_snr"])
 def test_load_names_the_manifest_on_a_field_error(tmp_path, tamper, message):
     out = _saved_corpus(tmp_path)
     manifest = json.loads((out / "manifest.json").read_text())
@@ -845,8 +902,49 @@ def test_saved_corpus_is_a_manifest_and_one_capture_file(tmp_path):
     assert '"file"' not in (out / "manifest.json").read_text()
 
 
-def test_save_rejects_a_packet_of_another_length(tmp_path):
+@pytest.mark.parametrize("samples", [
+    lambda x: x[:-1],
+    lambda x: x[:10],
+    lambda x: x.astype(np.complex128),
+    lambda x: x[None, :],
+    lambda x: list(x),
+], ids=["one_short", "ten_samples", "complex128", "2d", "list"])
+def test_corpus_rejects_a_packet_that_is_not_packet_len_complex64_samples(
+        samples):
+    # a 10-sample packet used to make a Corpus that only save_corpus
+    # rejected
     corpus = generate_corpus([quiet_profile()], 2, seed=4, params=FAST)
-    corpus.packets[0].samples = corpus.packets[0].samples[:-1]
-    with pytest.raises(ValueError, match="packet_len=1500 samples"):
-        save_corpus(corpus, tmp_path / "corpus")
+    first = corpus.packets[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.samples = first.samples[:-1]
+    bad = dataclasses.replace(first, samples=samples(first.samples))
+    with pytest.raises(ValueError, match="^packet R01v1_Tx1_0000 is not 1500 "
+                                         "complex64 samples$"):
+        dataclasses.replace(corpus, packets=[bad, corpus.packets[1]])
+
+
+def test_load_rejects_a_corpus_of_no_packets(tmp_path):
+    # used to load as a corpus of 0 packets
+    out = _saved_corpus(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["packets"] = []
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    (out / "samples.c64").write_bytes(b"")
+    with pytest.raises(ValueError, match=r"manifest\.json: a corpus holds at "
+                                         r"least one packet$"):
+        load_corpus(out)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "imaginary_inf"])
+def test_load_rejects_a_sample_that_is_not_finite(tmp_path, value):
+    # used to load without a word, though synthesis refuses such a packet
+    out = _saved_corpus(tmp_path)
+    samples = np.fromfile(out / "samples.c64", "<c8")
+    samples[2 * FAST.packet_len + 700] = value
+    samples[3 * FAST.packet_len + 5] = value
+    samples.tofile(out / "samples.c64")
+    with pytest.raises(ValueError, match=r"manifest\.json: samples\.c64 "
+                                         r"packet 2 holds a sample that is "
+                                         r"not finite$"):
+        load_corpus(out)
