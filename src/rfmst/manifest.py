@@ -1,10 +1,13 @@
 """Field checks: as_count for the integer counts every constructor takes,
-and readers for the model and corpus loaders, whose errors name the
-manifest."""
+and write_manifest and the readers for the model and corpus loaders, whose
+errors name the manifest.  write_manifest signs each manifest with a
+`digest`, the sha256 of its other fields as canonical JSON, which
+read_manifest checks before it reads any other field."""
 from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
 import reprlib
 import typing
@@ -59,13 +62,30 @@ def _check_keys(what: str, fields, names, path) -> None:
             raise ValueError(f"{path}: {what} key {key!r} is missing")
 
 
+def _digest(fields: dict) -> str:
+    canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def write_manifest(out, fields: dict) -> None:
+    """Write fields, JSON values, to manifest.json in the directory out, a
+    Path, with a `digest` key that signs them."""
+    text = json.dumps({**fields, "digest": _digest(fields)}, indent=1)
+    (out / "manifest.json").write_text(text)
+
+
 def read_manifest(path, keys, **hints) -> dict:
-    """The JSON object at path, once its keys are exactly `keys` and the
-    value of each key named in hints has that type (see _fits)."""
+    """The JSON object at path without its digest, once the digest matches
+    the other fields, their keys are exactly `keys` and the value of each
+    key named in hints has that type (see _fits)."""
     try:
         fields = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: {err}") from err
+    if type(fields) is not dict or "digest" not in fields:
+        _check_keys("manifest", fields, (*keys, "digest"), path)
+    if fields.pop("digest") != _digest(fields):
+        raise ValueError(f"{path}: manifest does not match its digest")
     _check_keys("manifest", fields, keys, path)
     for key, hint in hints.items():
         if not _fits(hint, fields[key]):

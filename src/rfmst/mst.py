@@ -56,7 +56,6 @@ import contextlib
 import dataclasses
 import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,7 +74,8 @@ from .ann import (
     pack_parameters,
     train,
 )
-from .manifest import as_count, build, read_array, read_manifest
+from .manifest import (as_count, build, read_array, read_manifest,
+                       write_manifest)
 from .openblas import single_threaded_blas
 from .parallel import fork_map
 
@@ -304,12 +304,6 @@ class MstModel:
                 raise ValueError(f"{got} {what} per stage for {want} "
                                  "configured MLPs")
 
-    def config_hash(self) -> str:
-        blob = json.dumps(
-            [dataclasses.astuple(c) for c in self.configs]
-            + [self.n_labels, self.order, self.seed, list(self.known_labels)])
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
     def stage_hashes(self) -> list[str]:
         out = []
         for stage in self.stages:
@@ -478,8 +472,8 @@ def confusion_from_predictions(y_true, y_pred, n_labels: int) -> ConfusionMatrix
 # stage's MLPs in order as little-endian float32 pack_parameters vectors,
 # the stored weights exactly, so on a little-endian host its sha256 is its
 # stage_hashes() entry.  The manifest holds the configs, input width,
-# config_hash, stage_hashes(), every MLP's target class and every MLP's
-# training trace, and names no file.
+# stage_hashes(), every MLP's target class and every MLP's training trace,
+# and names no file; write_manifest signs it with its digest.
 
 
 def save_model(model: MstModel, out_dir) -> Path:
@@ -492,36 +486,34 @@ def save_model(model: MstModel, out_dir) -> Path:
         with open(out / f"stage{s}.f32", "wb") as f:
             for net in stage.mlps:
                 pack_parameters(net).astype("<f4", copy=False).tofile(f)
-    manifest = {
+    write_manifest(out, {
         "n_labels": model.n_labels,
         "order": model.order,
         "seed": model.seed,
         "known_labels": list(model.known_labels),
         "input_dim": model.stages[0].first_w.shape[0],
-        "config_hash": model.config_hash(),
         "stage_hashes": model.stage_hashes(),
         "configs": [dataclasses.asdict(c) for c in model.configs],
         "targets": _model_targets(model.configs, model.n_labels,
                                   model.known_labels),
         "traces": [[dataclasses.asdict(run) for run in runs]
                    for runs in model.traces],
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    })
     return out
 
 
 def load_model(in_dir) -> MstModel:
-    """Read a model that save_model wrote.  A manifest key or JSON type,
-    input_dim (not a positive integer), per-MLP target class (not the one
-    _model_targets gives for n_labels and known_labels) or config_hash
-    that is wrong, a stage file that does not hold exactly its configured
-    MLPs or does not hash to its recorded stage hash, or a model that
-    MstModel rejects, raises ValueError naming the manifest.  The stages
-    are float32, as saved."""
+    """Read a model that save_model wrote.  A manifest that does not match
+    its digest, a manifest key or JSON type, input_dim (not a positive
+    integer) or per-MLP target class (not the one _model_targets gives for
+    n_labels and known_labels) that is wrong, a stage file that does not
+    hold exactly its configured MLPs or does not hash to its recorded
+    stage hash, or a model that MstModel rejects, raises ValueError naming
+    the manifest.  The stages are float32, as saved."""
     path = Path(in_dir) / "manifest.json"
     manifest = read_manifest(path, (
         "n_labels", "order", "seed", "known_labels", "input_dim",
-        "config_hash", "configs", "targets", "traces", "stage_hashes"),
+        "configs", "targets", "traces", "stage_hashes"),
         configs=list, targets=list, traces=list[list],
         stage_hashes=list[str], known_labels=list)
     configs = [build(StageConfig, c, path) for c in manifest["configs"]]
@@ -549,9 +541,6 @@ def load_model(in_dir) -> MstModel:
             raise ValueError(f"{path}: stage {s} target classes {got} are "
                              f"not {want}, the ones planned for n_labels "
                              f"{n_labels} and known_labels {known}")
-    if model.config_hash() != manifest["config_hash"]:
-        raise ValueError(f"{path}: configuration does not match its "
-                         "config_hash")
     for s, (got, want) in enumerate(itertools.zip_longest(
             model.stage_hashes(), manifest["stage_hashes"]), start=1):
         if got != want:

@@ -10,7 +10,8 @@ bandwidth); everything else is per-transmitter.
 Which corpora are valid is one rule, `_check_corpus` (profiles, seed and
 SNR), that `generate_corpus` runs on its arguments before it synthesises
 anything and `Corpus` on every corpus it holds, a loaded one included;
-`Corpus` also checks its packets.
+`Corpus` also checks its capture, and makes its packets the capture's
+rows.
 
 `generate_corpus` synthesises on every usable CPU (rfmst.parallel): each
 process modulates whole payloads, sends each through every profile and
@@ -41,16 +42,15 @@ from __future__ import annotations
 import cmath
 import contextlib
 import functools
-import hashlib
-import json
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
 import numpy as np
 
-from .manifest import as_count, build, read_array, read_manifest
+from .manifest import (as_count, build, read_array, read_manifest,
+                       write_manifest)
 from .parallel import fork_map, shared_zeros
 
 
@@ -478,32 +478,33 @@ def _check_corpus(profiles, seed, snr_db) -> tuple[int, float | None]:
 @dataclass(frozen=True)
 class Corpus:
     """A corpus generate_corpus could make, frozen once __post_init__
-    checked it: seed and snr_db as _check_corpus returns them, at least one
-    packet, each of packet_len complex64 samples and a tx_label in 1..n for
-    n profiles."""
-    packets: list[IqPacket]
+    checked it: seed and snr_db as _check_corpus returns them, and a
+    capture of k >= 1 complex64 rows of packet_len samples per profile,
+    transmitter-major, which packets holds as IqPackets that view them."""
+    capture: np.ndarray
     profiles: list[TransmitterProfile]
     params: OfdmParams
     seed: int
     snr_db: float | None
+    packets: list[IqPacket] = field(init=False, repr=False)
 
     def __post_init__(self):
         seed, snr_db = _check_corpus(self.profiles, self.seed, self.snr_db)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "snr_db", snr_db)
-        if not self.packets:
-            raise ValueError("a corpus holds at least one packet")
-        n_samples = self.params.packet_len
-        for p in self.packets:
-            if not (isinstance(p.samples, np.ndarray)
-                    and p.samples.shape == (n_samples,)
-                    and p.samples.dtype == np.complex64):
-                raise ValueError(f"packet {p.name} is not {n_samples} "
-                                 "complex64 samples")
-        n = len(self.profiles)
-        bad = [p.tx_label for p in self.packets if not 1 <= p.tx_label <= n]
-        if bad:
-            raise ValueError(f"packet tx_label {bad[0]} outside 1..{n}")
+        capture, n_samples = self.capture, self.params.packet_len
+        if not (isinstance(capture, np.ndarray) and capture.ndim == 2
+                and capture.shape[1] == n_samples
+                and capture.dtype == np.complex64):
+            raise ValueError(f"capture is not rows of {n_samples} complex64 "
+                             "samples")
+        k, extra = divmod(len(capture), len(self.profiles))
+        if k < 1 or extra:
+            raise ValueError(f"capture of {len(capture)} packets for "
+                             f"{len(self.profiles)} transmitters")
+        object.__setattr__(self, "packets", [
+            _iq_packet(capture[t * k + m], profile, t + 1, m)
+            for t, profile in enumerate(self.profiles) for m in range(k)])
 
     @property
     def n_transmitters(self) -> int:
@@ -517,11 +518,6 @@ def _profile_dict(p: TransmitterProfile) -> dict:
     d = asdict(p)
     d["dc_offset"] = [complex(p.dc_offset).real, complex(p.dc_offset).imag]
     return d
-
-
-def profiles_hash(profiles) -> str:
-    blob = json.dumps([_profile_dict(p) for p in profiles], sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def validate_profiles(profiles: list[TransmitterProfile]) -> None:
@@ -555,19 +551,19 @@ def generate_corpus(profiles: list[TransmitterProfile], packets_per_tx: int,
     corrupting the other transmitters' packets.  The result equals
     `synthesize_packet` called packet by packet, bit for bit.
 
-    The capture is one (len(profiles) * packets_per_tx, packet_len)
-    complex64 array in shared memory (rfmst.parallel.shared_zeros), and
-    each packet is a row of it, as `load_corpus` lays them out.  Each
+    The corpus's capture is one (len(profiles) * packets_per_tx,
+    packet_len) complex64 array in shared memory
+    (rfmst.parallel.shared_zeros), and each packet is a row of it.  Each
     process of rfmst.parallel.fork_map modulates the payloads it takes,
     sends each through every profile in its copy of one impairment
     workspace made before the fork, and writes each packet straight into
     its row, so no sample crosses a pipe; the module docstring says why
     the CPU count changes no bit.
 
-    tx_label follows the profile list order (1-based), and the packets are
-    transmitter-major: every packet of transmitter 1, then of 2, ...
-    packets_per_tx must be an integer >= 1; _check_corpus checks the rest,
-    both before anything is synthesised.
+    tx_label follows the profile list order (1-based), and the rows are
+    transmitter-major, as Corpus reads them.  packets_per_tx must be an
+    integer >= 1; _check_corpus checks the rest, both before anything is
+    synthesised.
     """
     if as_count("packets_per_tx", packets_per_tx) < 1:
         raise ValueError("packets_per_tx must be >= 1")
@@ -587,10 +583,7 @@ def generate_corpus(profiles: list[TransmitterProfile], packets_per_tx: int,
     with contextlib.closing(fork_map(synthesise, packets_per_tx)) as done:
         for _ in done:
             pass
-    packets = [_iq_packet(capture[t * packets_per_tx + m], profile, t + 1, m)
-               for t, profile in enumerate(profiles)
-               for m in range(packets_per_tx)]
-    return Corpus(packets=packets, profiles=list(profiles), params=params,
+    return Corpus(capture=capture, profiles=list(profiles), params=params,
                   seed=seed, snr_db=noise_snr_db)
 
 
@@ -644,59 +637,51 @@ def default_profiles() -> list[TransmitterProfile]:
 
 
 # ---------------------------------------------------------------------------
-# disk format: manifest.json plus samples.c64, every packet's samples back
-# to back in packet order as little-endian complex64 ("<c8"): interleaved
-# float32 I/Q, the layout of an SDR file sink.  The samples are already
-# complex64, so a save -> load round trip is byte-exact.  The manifest
-# holds the params, the profiles and their hash, and each packet's name,
-# label and id, and names no file.
+# disk format: manifest.json plus samples.c64, the capture as it is, row
+# after row, as little-endian complex64 ("<c8"): interleaved float32 I/Q,
+# the layout of an SDR file sink.  The samples are already complex64, so a
+# save -> load round trip is byte-exact.  The manifest holds the seed, the
+# SNR, the params, the profiles and packets_per_tx, from which the packet
+# labels and ids follow, and names no file; write_manifest signs it with
+# its digest.
 
 
 def save_corpus(corpus: Corpus, out_dir) -> Path:
     """Write a corpus, which Corpus has checked, as it is."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "samples.c64", "wb") as f:
-        for p in corpus.packets:
-            p.samples.astype("<c8", copy=False).tofile(f)
-    manifest = {
+    corpus.capture.astype("<c8", copy=False).tofile(out / "samples.c64")
+    write_manifest(out, {
         "seed": corpus.seed,
         "snr_db": corpus.snr_db,
         "params": asdict(corpus.params),
         "profiles": [_profile_dict(p) for p in corpus.profiles],
-        "profile_hash": profiles_hash(corpus.profiles),
-        "packets": [{"name": p.name, "tx_label": p.tx_label,
-                     "packet_id": p.packet_id} for p in corpus.packets],
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
+        "packets_per_tx": len(corpus.capture) // corpus.n_transmitters,
+    })
     return out
 
 
 def load_corpus(in_dir) -> Corpus:
-    """Read a corpus that save_corpus wrote.  A manifest key, JSON type or
-    profile_hash that is wrong, a samples.c64 that does not hold exactly
-    packet_len samples per packet or holds a sample that is not finite, or
-    a corpus that OfdmParams, TransmitterProfile or Corpus rejects, raises
-    ValueError naming the manifest."""
+    """Read a corpus that save_corpus wrote.  A manifest that does not
+    match its digest, a manifest key or JSON type that is wrong, a
+    samples.c64 that does not hold exactly packets_per_tx packets of
+    packet_len samples per transmitter or holds a sample that is not
+    finite, or a corpus that OfdmParams, TransmitterProfile or Corpus
+    rejects, raises ValueError naming the manifest."""
     path = Path(in_dir) / "manifest.json"
     manifest = read_manifest(path, ("seed", "snr_db", "params", "profiles",
-                                    "profile_hash", "packets"),
-                             profiles=list, packets=list[dict])
+                                    "packets_per_tx"),
+                             profiles=list, packets_per_tx=int)
     params = build(OfdmParams, manifest["params"], path)
     profiles = [build(TransmitterProfile, d, path,
                       dc_offset=lambda v: complex(*v))
                 for d in manifest["profiles"]]
-    if profiles_hash(profiles) != manifest["profile_hash"]:
-        raise ValueError(f"{path}: profiles do not match their profile_hash")
-    entries = manifest["packets"]
-    samples = read_array(path, "samples.c64", "<c8",
-                         (len(entries), params.packet_len))
-    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    capture = read_array(path, "samples.c64", "<c8", (
+        len(profiles) * manifest["packets_per_tx"], params.packet_len))
+    bad = np.flatnonzero(~np.isfinite(capture).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: samples.c64 packet {bad[0]} holds a "
                          "sample that is not finite")
-    packets = [build(IqPacket, {**entry, "samples": row}, path)
-               for entry, row in zip(entries, samples)]
-    return build(Corpus, dict(packets=packets, profiles=profiles,
+    return build(Corpus, dict(capture=capture, profiles=profiles,
                               params=params, seed=manifest["seed"],
                               snr_db=manifest["snr_db"]), path)

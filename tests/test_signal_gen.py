@@ -24,7 +24,6 @@ from rfmst.signal_gen import (
     generate_payload,
     load_corpus,
     modulate,
-    profiles_hash,
     save_corpus,
     synthesize_packet,
     validate_profiles,
@@ -687,12 +686,14 @@ def test_save_load_roundtrip(tmp_path):
     loaded = load_corpus(tmp_path / "corpus")
     assert len(loaded.packets) == 6
     assert loaded.params == corpus.params
-    assert profiles_hash(loaded.profiles) == profiles_hash(corpus.profiles)
+    assert loaded.profiles == corpus.profiles
+    # the file holds the complex64 samples' own bytes
+    assert loaded.capture.dtype == np.complex64
+    np.testing.assert_array_equal(loaded.capture, corpus.capture)
     for pa, pb in zip(corpus.packets, loaded.packets):
-        assert pa.name == pb.name
-        assert pa.tx_label == pb.tx_label
-        # the file holds the complex64 samples' own bytes
-        assert pb.samples.dtype == np.complex64
+        assert (pa.name, pa.tx_label, pa.packet_id) == \
+            (pb.name, pb.tx_label, pb.packet_id)
+        assert np.shares_memory(pb.samples, loaded.capture)
         np.testing.assert_array_equal(pb.samples, pa.samples)
 
 
@@ -700,15 +701,6 @@ def _saved_corpus(tmp_path):
     corpus = generate_corpus(default_profiles()[:2], 2, seed=4, params=FAST,
                              noise_snr_db=25.0)
     return save_corpus(corpus, tmp_path / "corpus")
-
-
-def test_load_rejects_profiles_not_matching_their_hash(tmp_path):
-    out = _saved_corpus(tmp_path)
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["profiles"][0]["iq_gain_imbalance"] += 0.01
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError):
-        load_corpus(out)
 
 
 def test_load_rejects_truncated_packet(tmp_path):
@@ -744,30 +736,17 @@ def _missing_params_key(manifest):
     del manifest["params"]["packet_len"]
 
 
-def _file_in_packet(manifest):
-    # saved when the manifest named each packet's file
-    manifest["packets"][2]["file"] = "Y06v2_Tx2_0000.iq"
-
-
-def _missing_packets(manifest):
-    del manifest["packets"]
-
-
 @pytest.mark.parametrize("tamper, message", [
     (_unknown_profile_key, "unknown TransmitterProfile key 'timing_jitter'"),
     (_missing_profile_key, "TransmitterProfile key 'dc_offset' is missing"),
     (_unknown_params_key, "unknown OfdmParams key 'symbol_rate'"),
     (_missing_params_key, "OfdmParams key 'packet_len' is missing"),
-    (_file_in_packet, "unknown IqPacket key 'file'"),
-    (_missing_packets, "manifest key 'packets' is missing"),
 ], ids=["unknown_profile_key", "missing_profile_key", "unknown_params_key",
-        "missing_params_key", "file_in_packet", "missing_packets"])
+        "missing_params_key"])
 def test_load_names_the_manifest_and_an_unknown_or_missing_key(
-        tmp_path, tamper, message):
+        tmp_path, resign, tamper, message):
     out = _saved_corpus(tmp_path)
-    manifest = json.loads((out / "manifest.json").read_text())
-    tamper(manifest)
-    (out / "manifest.json").write_text(json.dumps(manifest))
+    resign(out, tamper)
     with pytest.raises(ValueError, match=r"manifest\.json: " + message):
         load_corpus(out)
 
@@ -806,87 +785,84 @@ def _infinite_snr(manifest):
     (_infinite_snr, "noise_snr_db must be finite or None, got inf"),
 ], ids=["packet_len", "tx_index", "seed_above", "negative_seed", "nan_snr",
         "infinite_snr"])
-def test_load_names_the_manifest_on_a_field_error(tmp_path, tamper, message):
+def test_load_names_the_manifest_on_a_field_error(tmp_path, resign, tamper,
+                                                  message):
     out = _saved_corpus(tmp_path)
-    manifest = json.loads((out / "manifest.json").read_text())
-    tamper(manifest)
-    (out / "manifest.json").write_text(json.dumps(manifest))
+    resign(out, tamper)
     with pytest.raises(ValueError, match=r"manifest\.json: " + message):
         load_corpus(out)
+
+
+def _set(keys, value):
+    """An edit that sets the manifest's value at the path keys."""
+    return lambda manifest: operator.setitem(
+        functools.reduce(operator.getitem, keys[:-1], manifest), keys[-1],
+        value)
 
 
 @pytest.mark.parametrize("keys, value, message", [
     (("params", "packet_len"), 1500.0, r"OfdmParams packet_len 1500\.0 is "
                                        r"not of type int"),
-    (("packets", 1, "tx_label"), 1.5, r"IqPacket tx_label 1\.5"),
-    (("packets", 1, "tx_label"), True, r"IqPacket tx_label True"),
     (("profiles", 0, "tx_index"), 1.0, r"TransmitterProfile tx_index 1\.0"),
     (("profiles", 0, "dc_offset"), "ab", r"TransmitterProfile dc_offset "
                                          r"'ab': "),
     (("profiles", 1, "dc_offset"), 5, r"TransmitterProfile dc_offset 5: "),
-    (("packets", 1), 5, r"manifest packets \[.*5.*\] is not of type "
-                        r"list\[dict\]"),
     (("profiles",), 5, r"manifest profiles 5 is not of type list"),
-], ids=["packet_len", "float_tx_label", "bool_tx_label", "tx_index",
-        "str_dc_offset", "int_dc_offset", "packet", "profiles"])
-def test_load_rejects_a_value_of_the_wrong_type(tmp_path, keys, value,
-                                                message):
+], ids=["packet_len", "tx_index", "str_dc_offset", "int_dc_offset",
+        "profiles"])
+def test_load_rejects_a_value_of_the_wrong_type(tmp_path, resign, keys,
+                                                value, message):
     out = _saved_corpus(tmp_path)
-    manifest = json.loads((out / "manifest.json").read_text())
-    functools.reduce(operator.getitem, keys[:-1], manifest)[keys[-1]] = value
-    manifest["profile_hash"] = hashlib.sha256(json.dumps(
-        manifest["profiles"], sort_keys=True).encode()).hexdigest()[:16]
-    (out / "manifest.json").write_text(json.dumps(manifest))
+    resign(out, _set(keys, value))
     with pytest.raises(ValueError, match=r"manifest\.json: " + message):
         load_corpus(out)
 
 
-@pytest.mark.parametrize("snr_db", ["x", True, [25.0]])
-def test_load_rejects_an_snr_that_is_neither_a_number_nor_null(tmp_path,
-                                                                snr_db):
+@pytest.mark.parametrize("packets_per_tx, message", [
+    (0, r"samples\.c64 has 48000 bytes, expected 0 for \(0, 1500\) <c8"),
+    (-1, r"samples\.c64 shape \(-2, 1500\) is not one of non-negative "
+         "integers"),
+    (1.5, r"manifest packets_per_tx 1\.5 is not of type int"),
+    (True, r"manifest packets_per_tx True is not of type int"),
+    (3, r"samples\.c64 has 48000 bytes, expected 72000 for \(6, 1500\) <c8"),
+], ids=["zero", "negative", "float", "bool", "one_more"])
+def test_load_rejects_a_packets_per_tx_that_samples_c64_does_not_hold(
+        tmp_path, resign, packets_per_tx, message):
     out = _saved_corpus(tmp_path)
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["snr_db"] = snr_db
-    (out / "manifest.json").write_text(json.dumps(manifest))
+    resign(out, _set(("packets_per_tx",), packets_per_tx))
+    with pytest.raises(ValueError, match=r"manifest\.json: \S*" + message):
+        load_corpus(out)
+
+
+@pytest.mark.parametrize("snr_db", ["x", True, [25.0]])
+def test_load_rejects_an_snr_that_is_neither_a_number_nor_null(
+        tmp_path, resign, snr_db):
+    out = _saved_corpus(tmp_path)
+    resign(out, _set(("snr_db",), snr_db))
     with pytest.raises(ValueError, match=r"manifest\.json: Corpus snr_db "
                                          r".* is not of type float \| None"):
         load_corpus(out)
 
 
 @pytest.mark.parametrize("snr_db", [20, 17.5, None])
-def test_load_takes_an_snr_that_is_a_number_or_null(tmp_path, snr_db):
+def test_load_takes_an_snr_that_is_a_number_or_null(tmp_path, resign,
+                                                    snr_db):
     out = _saved_corpus(tmp_path)
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["snr_db"] = snr_db
-    (out / "manifest.json").write_text(json.dumps(manifest))
+    resign(out, _set(("snr_db",), snr_db))
     assert load_corpus(out).snr_db == snr_db
 
 
-def test_load_rejects_a_repeated_transmitter(tmp_path):
-    # two ('Y06v2', 1) transmitters with different carrier offsets, under a
-    # profile_hash that matches them
-    out = _saved_corpus(tmp_path)
-    manifest = json.loads((out / "manifest.json").read_text())
-    first, second = default_profiles()[:2]
-    second = dataclasses.replace(
-        second, tx_index=1,
-        carrier_freq_offset=second.carrier_freq_offset + 100.0)
+def _repeat_first_transmitter(manifest):
+    # a second ('Y06v2', 1), with another carrier offset
     manifest["profiles"][1]["tx_index"] = 1
-    manifest["profiles"][1]["carrier_freq_offset"] = second.carrier_freq_offset
-    manifest["profile_hash"] = profiles_hash([first, second])
-    (out / "manifest.json").write_text(json.dumps(manifest))
+    manifest["profiles"][1]["carrier_freq_offset"] += 100.0
+
+
+def test_load_rejects_a_repeated_transmitter(tmp_path, resign):
+    out = _saved_corpus(tmp_path)
+    resign(out, _repeat_first_transmitter)
     with pytest.raises(ValueError, match=r"manifest\.json: duplicate "
                                          r"transmitter \('Y06v2', 1\)"):
-        load_corpus(out)
-
-
-def test_load_rejects_a_label_outside_the_profiles(tmp_path):
-    out = _saved_corpus(tmp_path)
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["packets"][3]["tx_label"] = 7
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=r"manifest\.json: packet tx_label 7 "
-                                         r"outside 1\.\.2"):
         load_corpus(out)
 
 
@@ -899,39 +875,47 @@ def test_saved_corpus_is_a_manifest_and_one_capture_file(tmp_path):
     # every packet's complex64 bytes, back to back in packet order
     assert (out / "samples.c64").read_bytes() == b"".join(
         p.samples.astype("<c8").tobytes() for p in corpus.packets)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["packets_per_tx"] == 2
     assert '"file"' not in (out / "manifest.json").read_text()
 
 
 @pytest.mark.parametrize("samples", [
-    lambda x: x[:-1],
-    lambda x: x[:10],
+    lambda x: x[:, :-1],
+    lambda x: x[:, :10],
     lambda x: x.astype(np.complex128),
     lambda x: x[None, :],
     lambda x: list(x),
-], ids=["one_short", "ten_samples", "complex128", "2d", "list"])
+], ids=["one_short", "ten_samples", "complex128", "3d", "list"])
 def test_corpus_rejects_a_packet_that_is_not_packet_len_complex64_samples(
         samples):
     # a 10-sample packet used to make a Corpus that only save_corpus
     # rejected
     corpus = generate_corpus([quiet_profile()], 2, seed=4, params=FAST)
-    first = corpus.packets[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        first.samples = first.samples[:-1]
-    bad = dataclasses.replace(first, samples=samples(first.samples))
-    with pytest.raises(ValueError, match="^packet R01v1_Tx1_0000 is not 1500 "
+        corpus.capture = corpus.capture[:, :-1]
+    with pytest.raises(ValueError, match="^capture is not rows of 1500 "
                                          "complex64 samples$"):
-        dataclasses.replace(corpus, packets=[bad, corpus.packets[1]])
+        dataclasses.replace(corpus, capture=samples(corpus.capture))
 
 
-def test_load_rejects_a_corpus_of_no_packets(tmp_path):
+@pytest.mark.parametrize("rows", [0, 3])
+def test_corpus_rejects_a_capture_not_a_positive_multiple_of_its_profiles(
+        rows):
+    corpus = generate_corpus([quiet_profile(tx=1), quiet_profile(tx=2)], 2,
+                             seed=4, params=FAST)
+    with pytest.raises(ValueError, match=f"^capture of {rows} packets for 2 "
+                                         "transmitters$"):
+        dataclasses.replace(corpus, capture=corpus.capture[:rows])
+
+
+def test_load_rejects_a_corpus_of_no_packets(tmp_path, resign):
     # used to load as a corpus of 0 packets
     out = _saved_corpus(tmp_path)
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["packets"] = []
-    (out / "manifest.json").write_text(json.dumps(manifest))
+    resign(out, _set(("packets_per_tx",), 0))
     (out / "samples.c64").write_bytes(b"")
-    with pytest.raises(ValueError, match=r"manifest\.json: a corpus holds at "
-                                         r"least one packet$"):
+    with pytest.raises(ValueError, match=r"manifest\.json: capture of 0 "
+                                         r"packets for 2 transmitters$"):
         load_corpus(out)
 
 
