@@ -37,7 +37,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .manifest import as_count
+from .manifest import as_count, as_real
 from .openblas import cho_factor, cho_solve
 
 MU_INIT = 1e-3
@@ -392,11 +392,9 @@ class SdOptimizer:
     lr: float = 0.01
 
     def __post_init__(self):
-        real = (int, float, np.integer, np.floating)
-        if type(self.lr) is bool or not isinstance(self.lr, real) \
-                or not 0 <= self.lr < np.inf:
-            raise ValueError("lr must be a finite real number >= 0, got "
-                             f"{self.lr!r}")
+        self.lr = as_real("lr", self.lr)
+        if self.lr < 0:
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
 
     def step(self, net, x, t):
         net = sd_step(net, x, t, self.lr)
@@ -412,6 +410,7 @@ class StopCriteria:
     def __post_init__(self):
         self.max_iters = as_count("max_iters", self.max_iters)
         self.val_patience = as_count("val_patience", self.val_patience)
+        self.mse_goal = as_real("mse_goal", self.mse_goal)
         if not self.max_iters >= 1 or not self.mse_goal > 0:
             raise ValueError("max_iters and mse_goal must be positive")
         if not self.val_patience >= 1:

@@ -1,14 +1,17 @@
-"""Field checks: as_count for the integer counts every constructor takes,
-and write_manifest and the readers for the model and corpus loaders, whose
-errors name the manifest.  write_manifest signs each manifest with a
-`digest`, the sha256 of its other fields as canonical JSON, which
-read_manifest checks before it reads any other field."""
+"""Field checks: as_count for the integer counts every constructor takes
+and as_real for its finite real fields; write_manifest, and the readers
+for the model and corpus loaders, whose errors name the manifest.
+write_manifest signs each manifest with a `digest`, the sha256 of its
+other fields as canonical JSON, which read_manifest checks before it
+reads any other field."""
 from __future__ import annotations
 
 import dataclasses
 import functools
 import hashlib
 import json
+import math
+import numbers
 import reprlib
 import typing
 
@@ -29,6 +32,21 @@ def as_count(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(name: str, value) -> float:
+    """value as a float, if it is a finite real number; a bool, anything
+    else that is not a real number, or NaN or an infinity (an int past
+    float's range included) raises ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:       # an int past float's range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ValueError(f"{name} must be finite, got {real}")
+    return real
 
 
 def _fits(hint, value) -> bool:
@@ -101,7 +119,7 @@ def read_array(path, name: str, dtype: str, shape) -> np.ndarray:
         raise ValueError(f"{path}: {name} shape {tuple(shape)} is not one "
                          "of non-negative integers")
     file = path.parent / name
-    n_bytes = np.dtype(dtype).itemsize * int(np.prod(shape))
+    n_bytes = np.dtype(dtype).itemsize * math.prod(shape)
     if not file.is_file():
         raise ValueError(f"{path}: {file} is missing")
     size = file.stat().st_size

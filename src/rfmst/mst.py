@@ -74,7 +74,7 @@ from .ann import (
     pack_parameters,
     train,
 )
-from .manifest import (as_count, build, read_array, read_manifest,
+from .manifest import (as_count, as_real, build, read_array, read_manifest,
                        write_manifest)
 from .openblas import single_threaded_blas
 from .parallel import fork_map
@@ -99,6 +99,8 @@ class StageConfig:
         for name in ("n_mlps", "hidden_layers", "neurons_per_layer",
                      "max_iters"):
             object.__setattr__(self, name, as_count(name, getattr(self, name)))
+        object.__setattr__(self, "mse_goal",
+                           as_real("mse_goal", self.mse_goal))
         if self.n_mlps < 1:
             raise ValueError("n_mlps must be >= 1")
         if not self.max_iters >= 1 or not self.mse_goal > 0:
@@ -106,6 +108,14 @@ class StageConfig:
 
     def layer_sizes(self, input_dim: int) -> tuple[int, ...]:
         return (input_dim, *([self.neurons_per_layer] * self.hidden_layers), 1)
+
+    def n_parameters(self, input_dim: int) -> int:
+        """Parameters of one MLP, count_parameters(layer_sizes(input_dim)),
+        by arithmetic: no tuple of hidden_layers sizes is built."""
+        h, depth = self.neurons_per_layer, self.hidden_layers
+        if depth == 0:
+            return input_dim + 1
+        return (input_dim + 1) * h + (depth - 1) * (h + 1) * h + h + 1
 
 
 def default_config_2nd(n_t: int = 12) -> list[StageConfig]:
@@ -146,13 +156,15 @@ def default_config_1st(n_t: int = 12) -> list[StageConfig]:
 
 def stage_targets(cfg: StageConfig, n_labels: int, known) -> list[int | None]:
     """Per-MLP target class for one stage (None = class-index): stage-1
-    detectors in contiguous blocks over the sorted labels `known`, later
-    detectors cycling over 1..n_labels."""
+    detectors in contiguous blocks over the sorted labels `known` (empty:
+    1..n_labels), later detectors cycling over 1..n_labels."""
     if cfg.role == CLASS_INDEX:
         return [None] * cfg.n_mlps
-    if cfg.role == DETECTOR_BLOCKS:
+    if cfg.role == DETECTOR_BLOCKS and len(known):
         return [int(known[i * len(known) // cfg.n_mlps])
                 for i in range(cfg.n_mlps)]
+    if cfg.role == DETECTOR_BLOCKS:
+        return [i * n_labels // cfg.n_mlps + 1 for i in range(cfg.n_mlps)]
     return [i % n_labels + 1 for i in range(cfg.n_mlps)]
 
 
@@ -160,7 +172,7 @@ def _model_targets(configs, n_labels: int, known_labels) -> list[list]:
     """Each stage's per-MLP target classes (None = class index) for training
     labels 1..n_labels, where empty known_labels means all of them: the one
     rule train_mst trains by, save_model records and load_model checks."""
-    known = sorted(known_labels) or range(1, n_labels + 1)
+    known = sorted(known_labels)
     return [stage_targets(cfg, n_labels, known) for cfg in configs]
 
 
@@ -186,10 +198,10 @@ def _check_model(configs, n_labels, order, seed, known_labels):
             or not all(1 <= v <= n_labels for v in known):
         raise ValueError(f"known_labels {list(known)} are not distinct "
                          f"labels in 1..{n_labels}")
-    seen = sorted(known) or list(range(1, n_labels + 1))
-    if len(seen) < 2 and any(c.role == DETECTOR_BLOCKS for c in configs):
+    if (len(known) or n_labels) < 2 \
+            and any(c.role == DETECTOR_BLOCKS for c in configs):
         raise ValueError("a detector stage needs negatives from a second "
-                         f"known class, got only {seen}")
+                         f"known class, got only {list(known) or [1]}")
     return n_labels, order, seed, known
 
 
@@ -524,10 +536,10 @@ def load_model(in_dir) -> MstModel:
         raise ValueError(f"{path}: input_dim {fan_in!r} is not a positive "
                          "integer")
     for s, cfg in enumerate(configs, start=1):
-        sizes = cfg.layer_sizes(fan_in)
-        stages.append(_stage(sizes, read_array(
-            path, f"stage{s}.f32", "<f4",
-            (cfg.n_mlps, count_parameters(sizes)))))
+        # the file's size bounds the layer sizes before any is built
+        params = read_array(path, f"stage{s}.f32", "<f4",
+                            (cfg.n_mlps, cfg.n_parameters(fan_in)))
+        stages.append(_stage(cfg.layer_sizes(fan_in), params))
         fan_in = cfg.n_mlps
     model = build(MstModel, dict(
         configs=configs, stages=stages, traces=traces,

@@ -42,14 +42,14 @@ from __future__ import annotations
 import cmath
 import contextlib
 import functools
+import hashlib
 import math
-import numbers
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
 import numpy as np
 
-from .manifest import (as_count, build, read_array, read_manifest,
+from .manifest import (as_count, as_real, build, read_array, read_manifest,
                        write_manifest)
 from .parallel import fork_map, shared_zeros
 
@@ -447,20 +447,8 @@ def synthesize_packet(payload: np.ndarray, profile: TransmitterProfile,
 
 
 def _check_snr(snr_db) -> float | None:
-    """snr_db as a float, or None for no noise; a bool, a value that is not
-    a real number, or a NaN or infinite one raises ValueError."""
-    if snr_db is None:
-        return None
-    if isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real):
-        raise ValueError(f"noise_snr_db must be a real number or None, got "
-                         f"{snr_db!r}")
-    try:
-        value = float(snr_db)
-    except OverflowError:       # an int past float's range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"noise_snr_db must be finite or None, got {value}")
-    return value
+    """snr_db as as_real returns it, or None for no noise."""
+    return None if snr_db is None else as_real("noise_snr_db", snr_db)
 
 
 def _check_corpus(profiles, seed, snr_db) -> tuple[int, float | None]:
@@ -590,10 +578,8 @@ def generate_corpus(profiles: list[TransmitterProfile], packets_per_tx: int,
 # ---------------------------------------------------------------------------
 # frozen default transmitter set: six radios, two transmitters each.
 # Y10v2_Tx2 is the deliberately broken outlier unit.  The set does not make
-# raw features hard to match: at 30 dB with a 50% split, the medians of
-# seeds 201..210 in perfbench/README.md put 1-NN on the normalised features
-# at 0.925 against MST's 0.977 on raw_w1024, and at 0.992 against 0.981 on
-# wavelet_w512.
+# raw features hard to match: at 30 dB, a 1-NN classifier on the
+# normalised features comes close to MST on both benchmark workloads.
 
 _RADIO_DEFS = [
     # radio_id, cfo_hz, phase_noise_bw_hz
@@ -641,22 +627,27 @@ def default_profiles() -> list[TransmitterProfile]:
 # after row, as little-endian complex64 ("<c8"): interleaved float32 I/Q,
 # the layout of an SDR file sink.  The samples are already complex64, so a
 # save -> load round trip is byte-exact.  The manifest holds the seed, the
-# SNR, the params, the profiles and packets_per_tx, from which the packet
-# labels and ids follow, and names no file; write_manifest signs it with
+# SNR, the params, the profiles, packets_per_tx, from which the packet
+# labels and ids follow, and samples_hash, the first 16 hex digits of the
+# sha256 of samples.c64, and names no file; write_manifest signs it with
 # its digest.
 
 
 def save_corpus(corpus: Corpus, out_dir) -> Path:
-    """Write a corpus, which Corpus has checked, as it is."""
+    """Write a corpus, which Corpus has checked, as it is: its capture to
+    samples.c64, and its packets_per_tx and the capture's samples_hash to
+    the manifest beside it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    corpus.capture.astype("<c8", copy=False).tofile(out / "samples.c64")
+    capture = np.ascontiguousarray(corpus.capture, "<c8")
+    capture.tofile(out / "samples.c64")
     write_manifest(out, {
         "seed": corpus.seed,
         "snr_db": corpus.snr_db,
         "params": asdict(corpus.params),
         "profiles": [_profile_dict(p) for p in corpus.profiles],
-        "packets_per_tx": len(corpus.capture) // corpus.n_transmitters,
+        "packets_per_tx": len(capture) // corpus.n_transmitters,
+        "samples_hash": hashlib.sha256(capture).hexdigest()[:16],
     })
     return out
 
@@ -665,12 +656,13 @@ def load_corpus(in_dir) -> Corpus:
     """Read a corpus that save_corpus wrote.  A manifest that does not
     match its digest, a manifest key or JSON type that is wrong, a
     samples.c64 that does not hold exactly packets_per_tx packets of
-    packet_len samples per transmitter or holds a sample that is not
-    finite, or a corpus that OfdmParams, TransmitterProfile or Corpus
-    rejects, raises ValueError naming the manifest."""
+    packet_len samples per transmitter, does not hash to samples_hash or
+    holds a sample that is not finite, or a corpus that OfdmParams,
+    TransmitterProfile or Corpus rejects, raises ValueError naming the
+    manifest."""
     path = Path(in_dir) / "manifest.json"
     manifest = read_manifest(path, ("seed", "snr_db", "params", "profiles",
-                                    "packets_per_tx"),
+                                    "packets_per_tx", "samples_hash"),
                              profiles=list, packets_per_tx=int)
     params = build(OfdmParams, manifest["params"], path)
     profiles = [build(TransmitterProfile, d, path,
@@ -678,6 +670,9 @@ def load_corpus(in_dir) -> Corpus:
                 for d in manifest["profiles"]]
     capture = read_array(path, "samples.c64", "<c8", (
         len(profiles) * manifest["packets_per_tx"], params.packet_len))
+    if hashlib.sha256(capture).hexdigest()[:16] != manifest["samples_hash"]:
+        raise ValueError(f"{path}: samples.c64 does not hash to its "
+                         "samples_hash")
     bad = np.flatnonzero(~np.isfinite(capture).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: samples.c64 packet {bad[0]} holds a "

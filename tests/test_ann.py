@@ -729,8 +729,27 @@ def test_train_trace_is_deterministic():
 
 def test_stop_criteria_reject_a_nan_goal():
     # a NaN goal never compares true, so it could never stop a run
-    with pytest.raises(ValueError, match="mse_goal must be positive"):
+    with pytest.raises(ValueError, match="^mse_goal must be finite, got nan$"):
         StopCriteria(max_iters=5, mse_goal=float("nan"))
+
+
+@pytest.mark.parametrize("goal, message", [
+    (True, "mse_goal must be a real number, got True"),
+    ("x", "mse_goal must be a real number, got 'x'"),
+    (float("inf"), "mse_goal must be finite, got inf"),
+    (0.0, "max_iters and mse_goal must be positive"),
+], ids=["bool", "str", "inf", "zero"])
+def test_stop_criteria_reject_a_goal_not_a_positive_real_number(goal,
+                                                                 message):
+    # inf used to stop every run after one step
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StopCriteria(max_iters=5, mse_goal=goal)
+
+
+def test_stop_criteria_take_a_numpy_goal_as_a_float():
+    stop = StopCriteria(5, np.float32(1e-3))
+    assert type(stop.mse_goal) is float
+    assert stop.mse_goal == float(np.float32(1e-3))
 
 
 @pytest.mark.parametrize("field", ["max_iters", "val_patience"])

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import operator
 import os
 import shutil
@@ -73,9 +74,24 @@ def test_default_1st_order_shape():
     (0, 1e-3), (5, 0.0), (5, float("nan")), (0, float("nan"))])
 def test_stage_config_rejects_a_budget_training_cannot_use(max_iters,
                                                            mse_goal):
-    with pytest.raises(ValueError, match="max_iters and mse_goal must be "
-                                         "positive"):
+    message = "mse_goal must be finite, got nan" if math.isnan(mse_goal) \
+        else "max_iters and mse_goal must be positive"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         StageConfig(DETECTOR_BLOCKS, 4, 2, 10, max_iters, mse_goal)
+
+
+@pytest.mark.parametrize("goal, message", [
+    (True, "mse_goal must be a real number, got True"),
+    ("x", "mse_goal must be a real number, got 'x'"),
+    (float("inf"), "mse_goal must be finite, got inf"),
+    (10**400, "mse_goal must be finite, got inf"),
+], ids=["bool", "str", "inf", "int_past_float"])
+def test_stage_config_rejects_a_goal_that_is_not_a_finite_real_number(
+        goal, message):
+    # True used to train a model that load_model refused, "x" to raise a
+    # bare TypeError, and inf to stop every MLP after one iteration
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StageConfig(DETECTOR_BLOCKS, 4, mse_goal=goal)
 
 
 @pytest.mark.parametrize("field", ["n_mlps", "hidden_layers",
@@ -336,6 +352,18 @@ def test_a_numpy_order_trains_a_model_that_saves(tmp_path):
     assert loaded.order == 2
 
 
+def test_a_numpy_goal_trains_a_model_that_saves(tmp_path):
+    # np.float32 used to train, then fail in save_model with a bare
+    # TypeError
+    x, y = _toy_gaussians(seed=6)
+    configs = [dataclasses.replace(c, mse_goal=np.float32(c.mse_goal))
+               for c in _tiny_configs(3)]
+    assert all(type(c.mse_goal) is float for c in configs)
+    model = train_mst(*_split_toy(x, y), configs, seed=7, iter_cap=2)
+    loaded = load_model(save_model(model, tmp_path / "model"))
+    assert loaded.configs == model.configs == configs
+
+
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("sd_lr", [float("nan"), float("inf"), -1.0, "x",
                                    True])
@@ -345,8 +373,8 @@ def test_train_mst_rejects_a_learning_rate_that_is_not_finite_and_at_least_0(
     x, y = _toy_gaussians(seed=40)
     log = tmp_path / "pids"
     _logged_train(monkeypatch, log)
-    with pytest.raises(ValueError, match=r"^lr must be a finite real number "
-                                         r">= 0, got "):
+    with pytest.raises(ValueError, match=r"^lr must be (a real number|"
+                                         r"finite|>= 0), got "):
         train_mst(*_split_toy(x, y), _tiny_configs(3), order=order,
                   sd_lr=sd_lr)
     assert not log.exists()
@@ -1016,8 +1044,8 @@ def test_load_model_rejects_a_nan_stage_goal(saved_toy_model, tmp_path,
                                              resign):
     out = shutil.copytree(saved_toy_model, tmp_path / "model")
     resign(out, _set(("configs", 1, "mse_goal"), float("nan")))
-    with pytest.raises(ValueError, match=r"manifest\.json: max_iters and "
-                                         r"mse_goal must be positive"):
+    with pytest.raises(ValueError, match=r"manifest\.json: mse_goal must be "
+                                         r"finite, got nan"):
         load_model(out)
 
 
@@ -1307,4 +1335,57 @@ def test_load_model_names_a_manifest_that_is_not_json(saved_toy_model,
     out = shutil.copytree(saved_toy_model, tmp_path / "model")
     (out / "manifest.json").write_text("{")
     with pytest.raises(ValueError, match=r"manifest\.json: Expecting"):
+        load_model(out)
+
+
+def test_load_model_rejects_every_leaf_edited_without_its_digest(
+        saved_toy_model, tmp_path, unsigned_edits):
+    # a trace edit used to load as edited, and so did a configuration edit
+    # that recomputed the configuration's own hash
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    edited = []
+    for keys in unsigned_edits(out):
+        with pytest.raises(ValueError, match=r"manifest\.json: manifest does "
+                                             r"not match its digest$"):
+            load_model(out)
+        edited.append(keys)
+    assert {("digest",), ("seed",), ("configs", 2, "mse_goal"),
+            ("traces", 0, 0, "train_mse", 0), ("traces", 2, 4, "seconds"),
+            ("known_labels",), ("targets", 2, 4)} <= set(edited)
+    # and a model saved before the digest does not load
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["digest"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: manifest key "
+                                         r"'digest' is missing$"):
+        load_model(out)
+
+
+def test_n_parameters_counts_the_parameters_of_its_layer_sizes():
+    for hidden_layers in range(4):
+        cfg = StageConfig(CLASS_INDEX, 2, hidden_layers, 7)
+        assert cfg.n_parameters(11) == \
+            ann.count_parameters(cfg.layer_sizes(11))
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("n_labels",), 2**32, r"stage 1 target classes \[1, 1, 2, 2, 3, 3\] "
+                           r"are not \[1, 715827883, "),
+    (("n_labels",), 2**70, r"stage 1 target classes \[1, 1, 2, 2, 3, 3\] "
+                           r"are not \[1, 196765270119568550571, "),
+    (("configs", 0, "hidden_layers"), 2**32,
+     r"stage1\.f32 has 1896 bytes, expected 4329327034248 for "
+     r"\(6, 180388626427\) <f4"),
+    (("configs", 0, "n_mlps"), 2**62,
+     r"stage1\.f32 has 1896 bytes, expected 1457292781823054577664 for "
+     r"\(4611686018427387904, 79\) <f4"),
+], ids=["n_labels_2**32", "n_labels_2**70", "hidden_layers_2**32",
+        "n_mlps_2**62"])
+def test_load_model_checks_a_huge_count_before_it_allocates(
+        saved_toy_model, tmp_path, resign, keys, value, message):
+    # each used to raise MemoryError or OverflowError, or to size the
+    # stage file past 2**63 bytes, which wrapped to a negative size
+    out = shutil.copytree(saved_toy_model, tmp_path / "model")
+    resign(out, _set(keys, value))
+    with pytest.raises(ValueError, match=r"manifest\.json: \S*" + message):
         load_model(out)

@@ -644,7 +644,7 @@ def test_non_finite_snr_raises(monkeypatch, snr_db):
     # None is the one spelling of "no noise"; NaN used to be caught only
     # once the capture was made
     monkeypatch.setattr(signal_gen, "shared_zeros", _no_capture)
-    with pytest.raises(ValueError, match="noise_snr_db must be finite or None"):
+    with pytest.raises(ValueError, match="^noise_snr_db must be finite, got "):
         generate_corpus([quiet_profile()], 1, seed=3, params=FAST,
                         noise_snr_db=snr_db)
 
@@ -656,8 +656,8 @@ def test_corpus_rejects_an_snr_that_is_not_a_real_number(monkeypatch,
     # True used to synthesise at 1 dB and record True, "30" to raise a bare
     # TypeError from inside synthesis
     monkeypatch.setattr(signal_gen, "shared_zeros", _no_capture)
-    with pytest.raises(ValueError, match="^noise_snr_db must be a real number "
-                       f"or None, got {re.escape(repr(snr_db))}$"):
+    with pytest.raises(ValueError, match="^noise_snr_db must be a real number, "
+                       f"got {re.escape(repr(snr_db))}$"):
         generate_corpus([quiet_profile()], 1, seed=3, params=FAST,
                         noise_snr_db=snr_db)
 
@@ -736,13 +736,25 @@ def _missing_params_key(manifest):
     del manifest["params"]["packet_len"]
 
 
+def _packet_table(manifest):
+    # saved when the manifest listed each packet's name, label and id
+    manifest["packets"] = [{"name": "Y06v2_Tx1_0000", "tx_label": 1,
+                            "packet_id": 0}]
+
+
+def _missing_packets_per_tx(manifest):
+    del manifest["packets_per_tx"]
+
+
 @pytest.mark.parametrize("tamper, message", [
     (_unknown_profile_key, "unknown TransmitterProfile key 'timing_jitter'"),
     (_missing_profile_key, "TransmitterProfile key 'dc_offset' is missing"),
     (_unknown_params_key, "unknown OfdmParams key 'symbol_rate'"),
     (_missing_params_key, "OfdmParams key 'packet_len' is missing"),
+    (_packet_table, "unknown manifest key 'packets'"),
+    (_missing_packets_per_tx, "manifest key 'packets_per_tx' is missing"),
 ], ids=["unknown_profile_key", "missing_profile_key", "unknown_params_key",
-        "missing_params_key"])
+        "missing_params_key", "packet_table", "missing_packets_per_tx"])
 def test_load_names_the_manifest_and_an_unknown_or_missing_key(
         tmp_path, resign, tamper, message):
     out = _saved_corpus(tmp_path)
@@ -781,8 +793,8 @@ def _infinite_snr(manifest):
     # the seeds and SNRs used to load, and to be reported as they were
     (_seed_above, r"seed must lie in \[0, 2\*\*32\), got 4294967297"),
     (_negative_seed, r"seed must lie in \[0, 2\*\*32\), got -5"),
-    (_nan_snr, "noise_snr_db must be finite or None, got nan"),
-    (_infinite_snr, "noise_snr_db must be finite or None, got inf"),
+    (_nan_snr, "noise_snr_db must be finite, got nan"),
+    (_infinite_snr, "noise_snr_db must be finite, got inf"),
 ], ids=["packet_len", "tx_index", "seed_above", "negative_seed", "nan_snr",
         "infinite_snr"])
 def test_load_names_the_manifest_on_a_field_error(tmp_path, resign, tamper,
@@ -909,11 +921,19 @@ def test_corpus_rejects_a_capture_not_a_positive_multiple_of_its_profiles(
         dataclasses.replace(corpus, capture=corpus.capture[:rows])
 
 
+def _record_samples_hash(manifest, out):
+    """Record the hash of the samples.c64 beside the manifest, as an
+    editor could."""
+    blob = (out / "samples.c64").read_bytes()
+    manifest["samples_hash"] = hashlib.sha256(blob).hexdigest()[:16]
+
+
 def test_load_rejects_a_corpus_of_no_packets(tmp_path, resign):
     # used to load as a corpus of 0 packets
     out = _saved_corpus(tmp_path)
-    resign(out, _set(("packets_per_tx",), 0))
     (out / "samples.c64").write_bytes(b"")
+    resign(out, lambda manifest: (_set(("packets_per_tx",), 0)(manifest),
+                                  _record_samples_hash(manifest, out)))
     with pytest.raises(ValueError, match=r"manifest\.json: capture of 0 "
                                          r"packets for 2 transmitters$"):
         load_corpus(out)
@@ -921,14 +941,48 @@ def test_load_rejects_a_corpus_of_no_packets(tmp_path, resign):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)],
                          ids=["nan", "inf", "imaginary_inf"])
-def test_load_rejects_a_sample_that_is_not_finite(tmp_path, value):
+def test_load_rejects_a_sample_that_is_not_finite(tmp_path, resign, value):
     # used to load without a word, though synthesis refuses such a packet
     out = _saved_corpus(tmp_path)
     samples = np.fromfile(out / "samples.c64", "<c8")
     samples[2 * FAST.packet_len + 700] = value
     samples[3 * FAST.packet_len + 5] = value
     samples.tofile(out / "samples.c64")
+    resign(out, lambda manifest: _record_samples_hash(manifest, out))
     with pytest.raises(ValueError, match=r"manifest\.json: samples\.c64 "
                                          r"packet 2 holds a sample that is "
                                          r"not finite$"):
+        load_corpus(out)
+
+
+def test_load_rejects_a_flipped_bit_in_samples_c64(tmp_path):
+    # used to load without a word, with other samples
+    out = _saved_corpus(tmp_path)
+    blob = bytearray((out / "samples.c64").read_bytes())
+    blob[3 * FAST.packet_len * 8 + 101] ^= 0x04
+    (out / "samples.c64").write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=r"manifest\.json: samples\.c64 does "
+                                         r"not hash to its samples_hash$"):
+        load_corpus(out)
+
+
+def test_load_rejects_every_leaf_edited_without_its_digest(tmp_path,
+                                                           unsigned_edits):
+    # a profile edit used to load if it left the profiles' own hash alone,
+    # and a seed, SNR, params or packet edit whatever it did
+    out = _saved_corpus(tmp_path)
+    edited = []
+    for keys in unsigned_edits(out):
+        with pytest.raises(ValueError, match=r"manifest\.json: manifest does "
+                                             r"not match its digest$"):
+            load_corpus(out)
+        edited.append(keys)
+    assert {("digest",), ("seed",), ("params", "packet_len"),
+            ("profiles", 1, "dc_offset", 0)} <= set(edited)
+    # and a manifest saved before the digest does not load
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["digest"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=r"manifest\.json: manifest key "
+                                         r"'digest' is missing$"):
         load_corpus(out)
