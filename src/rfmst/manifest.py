@@ -101,6 +101,7 @@ def read_manifest(path, keys, **hints) -> dict:
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: {err}") from err
     if type(fields) is not dict or "digest" not in fields:
+        # raises: not an object, or an unknown key or no digest
         _check_keys("manifest", fields, (*keys, "digest"), path)
     if fields.pop("digest") != _digest(fields):
         raise ValueError(f"{path}: manifest does not match its digest")
